@@ -1,10 +1,14 @@
-"""Command-line entry point: every stage as a subcommand plus a pipeline driver.
+"""Command-line entry point: the stage registry, the pipeline runner and the CLI.
 
-The `run` subcommand executes stages in dependency order from one strict
-JSON config (unknown keys are rejected up front). Every stage writes its
-artifact into the configured workdir along with a run-log record carrying
-the seed, config hash, input/output hashes, and counts, so a rerun with the
-same config produces byte-identical artifacts.
+Each of the 11 stages is declared once in `STAGES`: the config sections it
+reads, its named input and output file slots, and one body function that
+returns the counts its run-log record stores. `ecsynth run` executes stages
+in dependency order from one strict, type-checked JSON config, resolving the
+slots to configured paths and workdir artifacts and logging each stage's
+seed, config hash, input/output hashes and counts, so a rerun with the same
+config produces byte-identical artifacts. `ecsynth <stage>` runs the same
+body on the files its `--<slot>` flags name; its other flags are generated
+from the section dataclasses, so their defaults and types are the config's.
 
 Exit codes: 0 success, 1 validation error, 2 stage failure.
 """
@@ -15,12 +19,13 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import (
+    Any, Callable, Iterator, Literal, Sequence, get_args, get_origin, get_type_hints,
+)
 
 from . import cluster as cluster_mod
 from . import demo as demo_mod
@@ -36,20 +41,6 @@ from .util import config_hash, derive_seed, file_sha256
 
 TOKEN_ENV_VAR = "ECSYNTH_TOKEN"
 
-STAGE_ORDER = (
-    "cluster",
-    "sample",
-    "inject-grammar",
-    "inject-typos",
-    "score",
-    "simbench",
-    "fit-reweight",
-    "filter",
-    "mix",
-    "plan",
-    "evaluate",
-)
-
 
 class ConfigError(ValueError):
     """Invalid pipeline configuration; reported before any stage runs."""
@@ -62,6 +53,9 @@ class StageError(RuntimeError):
 
 
 # -- strict config schema --
+#
+# Field metadata: "key" is the field's config key when it differs from the
+# field name (and then also its flag); "flag" is its stage-subcommand flag.
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ class SampleSection:
 
 @dataclass(frozen=True)
 class GrammarSection:
-    client: str = "mock"
+    client: Literal["mock", "http"] = "mock"
     failure_rate: float = 0.4
     concurrency: int = 1
     endpoint: str = ""
@@ -95,8 +89,6 @@ class GrammarSection:
     max_retries: int = 2
 
     def __post_init__(self) -> None:
-        if self.client not in ("mock", "http"):
-            raise ConfigError(f"grammar.client must be mock or http, got {self.client!r}")
         if self.client == "http" and not self.endpoint:
             raise ConfigError("grammar.client http requires grammar.endpoint")
 
@@ -130,7 +122,7 @@ class SimbenchSection:
 class ReweightSection:
     c_min: float = 0.01
     c_max: float = 2.0
-    lam: float = 0.01
+    lam: float = field(default=0.01, metadata={"key": "lambda"})
     restarts: int = 8
     max_iters: int = 500
     grad_tol: float = 1e-8
@@ -139,32 +131,23 @@ class ReweightSection:
 @dataclass(frozen=True)
 class MixSection:
     ratio: tuple[int, int] = (1, 4)
-    filter_threshold: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ratio", tuple(int(x) for x in self.ratio))
-        if len(self.ratio) != 2:
-            raise ConfigError(f"mix.ratio must have two components, got {self.ratio}")
+    filter_threshold: float = field(default=1.0, metadata={"flag": "threshold"})
 
 
 @dataclass(frozen=True)
 class EvalSection:
-    judge: str = "normalized"
+    judge: Literal["exact", "normalized", "http"] = "normalized"
     judge_endpoint: str = ""
     judge_prompt: str = ""
 
     def __post_init__(self) -> None:
-        if self.judge not in ("exact", "normalized", "http"):
-            raise ConfigError(f"eval.judge must be exact, normalized or http, got {self.judge!r}")
+        if self.judge == "http" and not self.judge_endpoint:
+            raise ConfigError("eval.judge http requires eval.judge_endpoint")
 
 
 @dataclass(frozen=True)
 class PlanSection:
-    strategy: str = "ContMixFil"
-
-    def __post_init__(self) -> None:
-        if self.strategy not in mix_mod.STRATEGIES:
-            raise ConfigError(f"plan.strategy must be one of {mix_mod.STRATEGIES}")
+    strategy: Literal[mix_mod.STRATEGIES] = "ContMixFil"
 
 
 @dataclass(frozen=True)
@@ -183,43 +166,77 @@ class PipelineConfig:
     plan: PlanSection = field(default_factory=PlanSection)
 
 
-_SECTION_TYPES = {
-    "paths": PathsConfig,
-    "cluster": ClusterSection,
-    "sample": SampleSection,
-    "grammar": GrammarSection,
-    "typo": TypoSection,
-    "scoring": ScoringSection,
-    "simbench": SimbenchSection,
-    "reweight": ReweightSection,
-    "mix": MixSection,
-    "eval": EvalSection,
-    "plan": PlanSection,
-}
-
-# config files say "lambda"; the dataclass field is lam
-_KEY_ALIASES = {"reweight": {"lambda": "lam"}}
+def _type_name(tp: Any) -> str:
+    return str(tp) if get_origin(tp) else tp.__name__
 
 
-def _load_section(name: str, cls, obj: object):
+def _typed(tp: Any, value: object) -> object:
+    """`value` checked against the field annotation `tp`; TypeError if it does not fit.
+
+    A bool is never accepted as a number. An int is accepted where a float
+    is declared and kept as it is, so a config's hash does not change with
+    loading. A fixed-length tuple field takes a list of that length.
+    """
+    origin = get_origin(tp)
+    if origin is Literal:
+        if value in get_args(tp):
+            return value
+        raise TypeError(f"expected one of {list(get_args(tp))}, got {value!r}")
+    if origin is tuple:
+        args = get_args(tp)
+        if isinstance(value, (list, tuple)) and len(value) == len(args):
+            return tuple(_typed(a, v) for a, v in zip(args, value))
+    elif isinstance(value, (int, float) if tp is float else tp) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected {_type_name(tp)}, got {value!r}")
+
+
+def _flag_type(tp: Any) -> Callable[[str], object]:
+    """argparse `type=` for a field: parse the flag's text, then check it like a config value."""
+
+    def parse(text: str) -> object:
+        if get_origin(tp) is tuple:  # "1:4"
+            return _typed(tp, [get_args(tp)[0](t) for t in text.split(":")])
+        return _typed(tp, tp(text) if tp in (int, float) else text)
+
+    parse.__name__ = _type_name(tp)
+    return parse
+
+
+def _section_types() -> dict[str, type]:
+    return {name: tp for name, tp in get_type_hints(PipelineConfig).items() if name != "seed"}
+
+
+def _config_keys(cls: type) -> dict[str, dataclasses.Field]:
+    """Config key -> field: each field by its name and by its metadata "key"."""
+    keys = {f.name: f for f in dataclasses.fields(cls)}
+    keys.update({f.metadata["key"]: f for f in dataclasses.fields(cls) if "key" in f.metadata})
+    return keys
+
+
+def _load_section(name: str, cls: type, obj: object):
     if not isinstance(obj, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    aliases = _KEY_ALIASES.get(name, {})
-    obj = {aliases.get(k, k): v for k, v in obj.items()}
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(obj) - known)
+    fields = _config_keys(cls)
+    unknown = sorted(set(obj) - set(fields))
     if unknown:
         raise ConfigError(f"section {name!r}: unknown keys {unknown}")
-    if name == "mix" and "ratio" in obj:
-        obj = dict(obj, ratio=tuple(obj["ratio"]))
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in obj.items():
+        f = fields[key]
+        try:
+            values[f.name] = _typed(hints[f.name], value)
+        except TypeError as e:
+            raise ConfigError(f"{name}.{key}: {e}") from e
     try:
-        return cls(**obj)
+        return cls(**values)
     except TypeError as e:
         raise ConfigError(f"section {name!r}: {e}") from e
 
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Parse and validate a pipeline config; any unknown key is an error."""
+    """Parse and validate a pipeline config; any unknown key or mistyped value is an error."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             obj = json.load(f)
@@ -227,283 +244,198 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    known = {"seed"} | set(_SECTION_TYPES)
-    unknown = sorted(set(obj) - known)
+    types = _section_types()
+    unknown = sorted(set(obj) - {"seed"} - set(types))
     if unknown:
         raise ConfigError(f"{path}: unknown top-level keys {unknown}")
     if "seed" not in obj:
         raise ConfigError(f"{path}: missing required key 'seed'")
     if "paths" not in obj:
         raise ConfigError(f"{path}: missing required section 'paths'")
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in obj:
-            sections[name] = _load_section(name, cls, obj[name])
+    sections = {
+        name: _load_section(name, cls, obj[name]) for name, cls in types.items() if name in obj
+    }
     try:
-        return PipelineConfig(seed=int(obj["seed"]), **sections)
+        seed = _typed(int, obj["seed"])
     except TypeError as e:
-        raise ConfigError(f"{path}: {e}") from e
+        raise ConfigError(f"{path}: seed: {e}") from e
+    return PipelineConfig(seed=seed, **sections)
 
 
-# -- pipeline stages --
+# -- stage registry --
 
 
-@dataclass
-class RunContext:
-    config: PipelineConfig
-    config_dir: Path
-    workdir: Path
-    cfg_hash: str
+@dataclass(frozen=True)
+class Slot:
+    """A named file a stage reads or writes; the body gets it as a keyword argument.
 
-    def path(self, configured: str) -> Path:
-        """Input paths in the config resolve relative to the config file."""
-        p = Path(configured)
-        return p if p.is_absolute() else self.config_dir / p
+    The pipeline takes it from `config`, a dotted config field holding a path
+    relative to the config file (no file when the field is empty), or from
+    `artifact`, a name in the workdir (for kind "files", a glob pattern that
+    must match). A stage subcommand takes it from `--<flag or name>`.
+    """
 
-    def artifact(self, name: str) -> Path:
-        return self.workdir / name
-
-    def stage_seed(self, stage: str) -> int:
-        return derive_seed(self.config.seed, stage)
-
-    def log(self, stage: str, inputs: Sequence[Path], outputs: Sequence[Path], counts: dict) -> None:
-        logdir = self.workdir / "runlog"
-        logdir.mkdir(parents=True, exist_ok=True)
-        record = {
-            "stage": stage,
-            "seed": self.stage_seed(stage),
-            "config_hash": self.cfg_hash,
-            "inputs": {p.name: file_sha256(p) for p in inputs},
-            "outputs": {p.name: file_sha256(p) for p in outputs},
-            "counts": counts,
-        }
-        with open(logdir / f"{stage}.json", "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-            f.write("\n")
+    name: str
+    artifact: str = ""
+    config: str = ""
+    # "file"; "files": a list of files; "dir": a directory of files;
+    # "ref": a file the output names by path but the stage does not read
+    kind: str = "file"
+    optional: bool = False
+    flag: str = ""
 
 
-def _write_clusters(model: cluster_mod.ClusterModel, docs, path: Path) -> None:
-    by_id = {d.doc_id: d for d in docs}
+@dataclass(frozen=True)
+class Stage:
+    name: str
+    help: str
+    body: Callable[..., dict]  # body(config, seed, **slots, **extras) -> counts
+    sections: tuple[str, ...]  # config sections ("cluster") or single fields ("mix.ratio") it reads
+    inputs: tuple[Slot, ...]
+    outputs: tuple[Slot, ...]
+    # subcommand-only flags as argparse keywords; the pipeline passes their defaults
+    extras: dict[str, dict] = field(default_factory=dict)
+
+    @property
+    def slots(self) -> tuple[Slot, ...]:
+        return self.inputs + self.outputs
+
+
+def _write_json(path: Path, obj: object) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        header = {
-            "k": model.k,
-            "objective": model.objective,
-            "sizes": [int(s) for s in model.sizes],
-            "centroids": [[float(v) for v in c] for c in model.centroids],
-        }
-        f.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for doc_id, c in model.assignments.items():
-            diff = by_id[doc_id].vector - model.centroids[c]
-            rec = {"doc_id": doc_id, "cluster": int(c), "distance": float(diff @ diff)}
-            f.write(json.dumps(rec, separators=(",", ":")) + "\n")
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
-def read_clusters(path: str | Path) -> cluster_mod.ClusterModel:
-    with open(path, "r", encoding="utf-8") as f:
-        header = json.loads(f.readline())
-        assignments = {}
-        for line in f:
-            if line.strip():
-                rec = json.loads(line)
-                assignments[rec["doc_id"]] = int(rec["cluster"])
-    centroids = np.array(header["centroids"], dtype=np.float64)
-    return cluster_mod.ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        sizes=np.array(header["sizes"], dtype=np.int64),
-        objective=float(header["objective"]),
+def _judge(e: EvalSection) -> eval_mod.Judge:
+    if e.judge != "http":
+        return {"exact": eval_mod.ExactJudge, "normalized": eval_mod.NormalizedJudge}[e.judge]()
+    return eval_mod.ExternalJudge(
+        endpoint=e.judge_endpoint,
+        prompt_template=e.judge_prompt,
+        token=os.environ.get(TOKEN_ENV_VAR, ""),
     )
 
 
-def _stage_cluster(ctx: RunContext) -> None:
-    cfg = ctx.config
-    corpus_path = ctx.path(cfg.paths.corpus)
-    docs = records.read_corpus(corpus_path)
-    embedded = cluster_mod.hash_embed(
-        docs, cfg.cluster.embed_dim, seed=ctx.stage_seed("cluster")
-    )
-    model = cluster_mod.kmeans(
-        embedded,
-        k=cfg.cluster.k,
-        seed=ctx.stage_seed("cluster"),
-        max_iters=cfg.cluster.max_iters,
-        tol=cfg.cluster.tol,
-    )
-    out = ctx.artifact("clusters.jsonl")
-    _write_clusters(model, embedded, out)
+def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings, out) -> dict:
+    c = cfg.cluster
+    if embeddings:
+        embedded = cluster_mod.read_embeddings(embeddings)
+    elif corpus:
+        embedded = cluster_mod.hash_embed(records.read_corpus(corpus), c.embed_dim, seed=seed)
+    else:
+        raise ConfigError("cluster requires --embeddings or --corpus")
+    model = cluster_mod.kmeans(embedded, k=c.k, seed=seed, max_iters=c.max_iters, tol=c.tol)
+    records.write_clusters(model, out, embedded)
     stats = cluster_mod.cluster_stats(model)
-    ctx.log(
-        "cluster",
-        [corpus_path],
-        [out],
-        {
-            "docs": len(docs),
-            "k": model.k,
-            "objective": model.objective,
-            "mean_size": stats.mean_size,
-            "std_size": stats.std_size,
-        },
-    )
+    return {
+        "docs": len(embedded),
+        "k": model.k,
+        "objective": model.objective,
+        "mean_size": stats.mean_size,
+        "std_size": stats.std_size,
+    }
 
 
-def _stage_sample(ctx: RunContext) -> None:
-    cfg = ctx.config
-    corpus_path = ctx.path(cfg.paths.corpus)
-    clusters_path = ctx.artifact("clusters.jsonl")
-    docs = {d.id: d for d in records.read_corpus(corpus_path)}
-    model = read_clusters(clusters_path)
-    ids = cluster_mod.quota_sample(model, cfg.sample.per_cluster, seed=ctx.stage_seed("sample"))
-    sampled = [docs[i] for i in ids]
-    out = ctx.artifact("sampled.jsonl")
+def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus, out) -> dict:
+    model = records.read_clusters(clusters)
+    docs = {d.id: d for d in records.read_corpus(corpus)}
+    sampled = [docs[i] for i in cluster_mod.quota_sample(model, cfg.sample.per_cluster, seed=seed)]
     records.write_corpus(sampled, out)
-    ctx.log("sample", [corpus_path, clusters_path], [out], {"sampled": len(sampled)})
+    return {"sampled": len(sampled)}
 
 
-def _make_injector(cfg: PipelineConfig, seed: int) -> grammar_mod.InjectorClient:
+def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus, out) -> dict:
     g = cfg.grammar
     if g.client == "mock":
-        return grammar_mod.MockInjector(failure_rate=g.failure_rate, seed=seed)
-    return grammar_mod.HttpInjector(
-        endpoint=g.endpoint,
-        token=os.environ.get(TOKEN_ENV_VAR, ""),
-        timeout=g.timeout,
-        max_retries=g.max_retries,
-    )
-
-
-def _stage_inject_grammar(ctx: RunContext) -> None:
-    cfg = ctx.config
-    sampled_path = ctx.artifact("sampled.jsonl")
-    docs = records.read_corpus(sampled_path)
-    client = _make_injector(cfg, seed=ctx.stage_seed("inject-grammar"))
-    run = grammar_mod.inject_corpus(docs, client, concurrency=cfg.grammar.concurrency)
+        client: grammar_mod.InjectorClient = grammar_mod.MockInjector(
+            failure_rate=g.failure_rate, seed=seed
+        )
+    else:
+        client = grammar_mod.HttpInjector(
+            endpoint=g.endpoint,
+            token=os.environ.get(TOKEN_ENV_VAR, ""),
+            timeout=g.timeout,
+            max_retries=g.max_retries,
+        )
+    run = grammar_mod.inject_corpus(records.read_corpus(corpus), client, concurrency=g.concurrency)
     result = grammar_mod.roundtrip_filter(list(run.pairs))
-    out = ctx.artifact("ec_grammar.jsonl")
     records.write_ec_dataset(list(result.kept), out)
-    ctx.log(
-        "inject-grammar",
-        [sampled_path],
-        [out],
-        {
-            "injected": len(run.pairs),
-            "kept": len(result.kept),
-            "dropped": result.dropped_count,
-            "failed": run.failed,
-            "skipped": run.skipped,
-        },
-    )
+    return {
+        "injected": len(run.pairs),
+        "kept": len(result.kept),
+        "dropped": result.dropped_count,
+        "failed": run.failed,
+        "skipped": run.skipped,
+    }
 
 
-def _keyboard(cfg: PipelineConfig, ctx: RunContext) -> typo_mod.KeyboardModel:
-    if cfg.typo.layout:
-        return typo_mod.load_keyboard(ctx.path(cfg.typo.layout))
-    return typo_mod.QWERTY
-
-
-def _stage_inject_typos(ctx: RunContext) -> None:
-    cfg = ctx.config
-    in_path = ctx.artifact("ec_grammar.jsonl")
-    examples = records.read_ec_dataset(in_path)
+def _inject_typos(cfg: PipelineConfig, seed: int, *, dataset, layout, out) -> dict:
+    t = cfg.typo
+    examples = records.read_ec_dataset(dataset)
     typo_cfg = typo_mod.TypoConfig(
-        p_transpose=cfg.typo.p_transpose,
-        p_omit=cfg.typo.p_omit,
-        p_repeat=cfg.typo.p_repeat,
-        p_spatial=cfg.typo.p_spatial,
-        max_errors_per_example=cfg.typo.max_errors,
-        seed=ctx.stage_seed("inject-typos"),
+        p_transpose=t.p_transpose,
+        p_omit=t.p_omit,
+        p_repeat=t.p_repeat,
+        p_spatial=t.p_spatial,
+        max_errors_per_example=t.max_errors,
+        seed=seed,
     )
-    corrupted = typo_mod.corrupt_dataset(examples, typo_cfg, _keyboard(cfg, ctx))
-    out = ctx.artifact("ec_synth.jsonl")
+    keyboard = typo_mod.load_keyboard(layout) if layout else typo_mod.QWERTY
+    corrupted = typo_mod.corrupt_dataset(examples, typo_cfg, keyboard)
     records.write_ec_dataset(corrupted, out)
-    ctx.log("inject-typos", [in_path], [out], {"examples": len(corrupted)})
+    return {"examples": len(corrupted)}
 
 
-def _stage_score(ctx: RunContext) -> None:
-    cfg = ctx.config
-    ec_path = ctx.artifact("ec_synth.jsonl")
-    examples = records.read_ec_dataset(ec_path)
-    out = ctx.artifact("scores.jsonl")
-    if cfg.scoring.import_scores:
-        imported = records.read_scores(ctx.path(cfg.scoring.import_scores))
-        by_id = {s.sample_id: s for s in imported}
+def _score(
+    cfg: PipelineConfig, seed: int, *, dataset, public_corpus, domain_corpus, import_scores, out
+) -> dict:
+    examples = records.read_ec_dataset(dataset)
+    if import_scores:
+        by_id = {s.sample_id: s for s in records.read_scores(import_scores)}
         missing = [ex.id for ex in examples if ex.id not in by_id]
         if missing:
             raise ValueError(f"imported scores missing sample ids: {missing[:5]}")
         scores = [by_id[ex.id] for ex in examples]
-        inputs = [ec_path, ctx.path(cfg.scoring.import_scores)]
-    else:
-        public_path = ctx.path(cfg.paths.corpus)
-        domain_path = ctx.path(cfg.paths.domain_corpus)
-        public = scoring_mod.train_ngram(
-            records.read_corpus(public_path), cfg.scoring.order, cfg.scoring.delta
-        )
-        domain = scoring_mod.train_ngram(
-            records.read_corpus(domain_path), cfg.scoring.order, cfg.scoring.delta
-        )
+    elif public_corpus and domain_corpus:
+        s = cfg.scoring
+        public = scoring_mod.train_ngram(records.read_corpus(public_corpus), s.order, s.delta)
+        domain = scoring_mod.train_ngram(records.read_corpus(domain_corpus), s.order, s.delta)
         scores = scoring_mod.score_dataset(examples, public, domain)
-        inputs = [ec_path, public_path, domain_path]
+    else:
+        raise ConfigError("score requires --import or both --public-corpus and --domain-corpus")
     records.write_scores(scores, out)
-    ctx.log("score", inputs, [out], {"scored": len(scores)})
+    return {"scored": len(scores)}
 
 
-def _judge(cfg: PipelineConfig) -> eval_mod.Judge:
-    if cfg.eval.judge == "exact":
-        return eval_mod.ExactJudge()
-    if cfg.eval.judge == "normalized":
-        return eval_mod.NormalizedJudge()
-    return eval_mod.ExternalJudge(
-        endpoint=cfg.eval.judge_endpoint,
-        prompt_template=cfg.eval.judge_prompt,
-        token=os.environ.get(TOKEN_ENV_VAR, ""),
-    )
-
-
-def _stage_simbench(ctx: RunContext) -> None:
-    cfg = ctx.config
-    ec_path = ctx.artifact("ec_synth.jsonl")
-    scores_path = ctx.artifact("scores.jsonl")
-    examples = records.read_ec_dataset(ec_path)
-    scores = records.read_scores(scores_path)
+def _simbench(
+    cfg: PipelineConfig, seed: int, *, dataset, scores, outputs, eval_matrix, planted
+) -> dict:
+    examples = records.read_ec_dataset(dataset)
     spec = simbench_mod.DeploymentSimSpec(
-        n_models=cfg.simbench.n_models,
-        n_metrics=cfg.simbench.n_metrics,
-        noise_sigma=cfg.simbench.noise_sigma,
-        top3_rescue=cfg.simbench.top3_rescue,
+        **dataclasses.asdict(cfg.simbench),
         c_min=cfg.reweight.c_min,
         c_max=cfg.reweight.c_max,
-        seed=ctx.stage_seed("simbench"),
+        seed=seed,
     )
-    sim = simbench_mod.simulate_deployments(examples, scores, spec, judge=_judge(cfg))
-    outdir = ctx.artifact("outputs")
-    outdir.mkdir(parents=True, exist_ok=True)
-    out_files = []
+    sim = simbench_mod.simulate_deployments(
+        examples, records.read_scores(scores), spec, judge=_judge(cfg.eval)
+    )
+    outputs.mkdir(parents=True, exist_ok=True)
     for o in sim.outputs:
-        p = outdir / f"{o.model_id}.jsonl"
-        eval_mod.write_outputs(o, p)
-        out_files.append(p)
-    matrix_path = ctx.artifact("eval_matrix.jsonl")
-    records.write_eval_matrix(sim.matrix, matrix_path)
-    planted_path = ctx.artifact("planted.json")
-    with open(planted_path, "w", encoding="utf-8") as f:
-        json.dump(
-            {
-                "theta": [sim.params.theta_f, sim.params.theta_p, sim.params.theta_b],
-                "alpha_1": [float(x) for x in sim.alpha[0]],
-                "alpha_0": [float(x) for x in sim.alpha[1]],
-                "noise_floor": sim.noise_floor,
-                "mean_weight": float(sim.weights.mean()),
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
-    ctx.log(
-        "simbench",
-        [ec_path, scores_path],
-        out_files + [matrix_path, planted_path],
-        {"models": len(sim.outputs), "noise_floor": sim.noise_floor},
+        eval_mod.write_outputs(o, outputs / f"{o.model_id}.jsonl")
+    records.write_eval_matrix(sim.matrix, eval_matrix)
+    _write_json(
+        planted,
+        {
+            "theta": [sim.params.theta_f, sim.params.theta_p, sim.params.theta_b],
+            "alpha_1": [float(x) for x in sim.alpha[0]],
+            "alpha_0": [float(x) for x in sim.alpha[1]],
+            "noise_floor": sim.noise_floor,
+            "mean_weight": float(sim.weights.mean()),
+        },
     )
+    return {"models": len(sim.outputs), "noise_floor": sim.noise_floor}
 
 
 def _fit_report_text(fit: reweight_mod.ReweightFit) -> str:
@@ -525,12 +457,9 @@ def _fit_report_text(fit: reweight_mod.ReweightFit) -> str:
     lines.append(
         f"{'train':<10}{b['uniform']:>14.4e}{b['heuristic']:>14.4e}{fit.residual_train:>14.4e}"
     )
-    if fit.residual_cv is not None:
-        cv = fit.residual_cv
-        lines.append(f"{'crossval':<10}{'':>14}{'':>14}{cv.mean:>10.4e} ± {cv.std:.2e}")
-    if fit.residual_val is not None:
-        rv = fit.residual_val
-        lines.append(f"{'val':<10}{'':>14}{'':>14}{rv.mean:>10.4e} ± {rv.std:.2e}")
+    for label, r in (("crossval", fit.residual_cv), ("val", fit.residual_val)):
+        if r is not None:
+            lines.append(f"{label:<10}{'':>14}{'':>14}{r.mean:>10.4e} ± {r.std:.2e}")
     lines.append("")
     lines.append(f"containment (fitted <= uniform + 1e-9): {fit.containment_ok}")
     return "\n".join(lines) + "\n"
@@ -556,192 +485,293 @@ def _fit_report_json(fit: reweight_mod.ReweightFit) -> dict:
         "baselines": fit.baseline_residuals,
         "containment_ok": fit.containment_ok,
     }
-    if fit.residual_cv is not None:
-        out["residual_cv"] = {
-            "per_holdout": list(fit.residual_cv.per_holdout),
-            "mean": fit.residual_cv.mean,
-            "std": fit.residual_cv.std,
-        }
-    if fit.residual_val is not None:
-        out["residual_val"] = {
-            "per_holdout": list(fit.residual_val.per_holdout),
-            "mean": fit.residual_val.mean,
-            "std": fit.residual_val.std,
-        }
+    for key, r in (("residual_cv", fit.residual_cv), ("residual_val", fit.residual_val)):
+        if r is not None:
+            out[key] = {"per_holdout": list(r.per_holdout), "mean": r.mean, "std": r.std}
     return out
 
 
-def _stage_fit_reweight(ctx: RunContext) -> None:
-    cfg = ctx.config
-    matrix_path = ctx.artifact("eval_matrix.jsonl")
-    scores_path = ctx.artifact("scores.jsonl")
-    ec_path = ctx.artifact("ec_synth.jsonl")
-    matrix = records.read_eval_matrix(matrix_path)
-    scores = records.read_scores(scores_path)
-    examples = records.read_ec_dataset(ec_path)
-    init = reweight_mod.ReweightParams(
-        c_min=cfg.reweight.c_min, c_max=cfg.reweight.c_max, lam=cfg.reweight.lam
-    )
-    opts = reweight_mod.FitOptions(
-        max_iters=cfg.reweight.max_iters,
-        grad_tol=cfg.reweight.grad_tol,
-        restarts=cfg.reweight.restarts,
-        seed=ctx.stage_seed("fit-reweight"),
-    )
+def _fit_reweight(
+    cfg: PipelineConfig, seed: int, *,
+    eval_matrix, val_matrix, scores, dataset, report, report_txt, weights_out, weighted,
+) -> dict:
+    if weighted and not dataset:
+        raise ConfigError("--weighted requires --dataset")
+    r = cfg.reweight
+    matrices = [records.read_eval_matrix(p) for p in eval_matrix]
+    score_list = records.read_scores(scores)
     fit = reweight_mod.fit(
-        matrix, scores, init=init, opts=opts, with_cv=matrix.n_models >= 3
+        matrices[0] if len(matrices) == 1 else matrices,
+        score_list,
+        init=reweight_mod.ReweightParams(c_min=r.c_min, c_max=r.c_max, lam=r.lam),
+        opts=reweight_mod.FitOptions(
+            max_iters=r.max_iters, grad_tol=r.grad_tol, restarts=r.restarts, seed=seed
+        ),
+        val_data=[records.read_eval_matrix(p) for p in val_matrix] if val_matrix else None,
+        with_cv=matrices[0].n_models >= 3,
     )
-    report_json = ctx.artifact("fit_report.json")
-    with open(report_json, "w", encoding="utf-8") as f:
-        json.dump(_fit_report_json(fit), f, indent=2, sort_keys=True)
-        f.write("\n")
-    report_txt = ctx.artifact("fit_report.txt")
-    with open(report_txt, "w", encoding="utf-8") as f:
-        f.write(_fit_report_text(fit))
-    weights = reweight_mod.weights_for(fit.params, scores)
-    weights_path = ctx.artifact("weights.jsonl")
-    records.write_weights(weights, weights_path)
-    weighted = [ex.with_weight(weights[ex.id]) for ex in examples]
-    weighted_path = ctx.artifact("ec_weighted.jsonl")
-    records.write_ec_dataset(weighted, weighted_path)
-    ctx.log(
-        "fit-reweight",
-        [matrix_path, scores_path, ec_path],
-        [report_json, report_txt, weights_path, weighted_path],
-        {
-            "residual_train": fit.residual_train,
-            "uniform": fit.baseline_residuals["uniform"],
-            "heuristic": fit.baseline_residuals["heuristic"],
-            "mean_weight": fit.mean_weight,
-        },
-    )
-
-
-def _stage_filter(ctx: RunContext) -> None:
-    cfg = ctx.config
-    in_path = ctx.artifact("ec_weighted.jsonl")
-    examples = records.read_ec_dataset(in_path)
-    kept = mix_mod.filter_by_weight(examples, cfg.mix.filter_threshold)
-    out = ctx.artifact("ec_filtered.jsonl")
-    records.write_ec_dataset(kept, out)
-    ctx.log(
-        "filter",
-        [in_path],
-        [out],
-        {
-            "input": len(examples),
-            "kept": len(kept),
-            "threshold": cfg.mix.filter_threshold,
-            "retained_fraction": len(kept) / len(examples) if examples else 0.0,
-        },
-    )
-
-
-def _stage_mix(ctx: RunContext) -> None:
-    cfg = ctx.config
-    original_path = ctx.path(cfg.paths.original_dataset)
-    original = records.read_ec_dataset(original_path)
-    spec = mix_mod.MixSpec(
-        ratio=cfg.mix.ratio,
-        filter_threshold=cfg.mix.filter_threshold,
-        seed=ctx.stage_seed("mix"),
-    )
-    outs = []
-    for src_name, out_name in (
-        ("ec_weighted.jsonl", "mix.jsonl"),
-        ("ec_filtered.jsonl", "mix_filtered.jsonl"),
-    ):
-        synthetic = records.read_ec_dataset(ctx.artifact(src_name))
-        mixed = mix_mod.mix_datasets(original, synthetic, spec)
-        out = ctx.artifact(out_name)
-        records.write_ec_dataset(mixed, out)
-        outs.append(out)
-    ctx.log(
-        "mix",
-        [original_path, ctx.artifact("ec_weighted.jsonl"), ctx.artifact("ec_filtered.jsonl")],
-        outs,
-        {"original": len(original), "ratio": list(cfg.mix.ratio)},
-    )
-
-
-def _stage_plan(ctx: RunContext) -> None:
-    cfg = ctx.config
-    spec = mix_mod.MixSpec(
-        ratio=cfg.mix.ratio,
-        filter_threshold=cfg.mix.filter_threshold,
-        seed=ctx.stage_seed("mix"),
-    )
-    # manifests carry workdir-relative paths so artifacts are byte-identical
-    # across run directories; existence is checked against the workdir here
-    paths = {
-        "synthetic": "ec_synth.jsonl",
-        "original": os.path.relpath(ctx.path(cfg.paths.original_dataset), ctx.workdir),
-        "mix": "mix.jsonl",
-        "mix_filtered": "mix_filtered.jsonl",
+    _write_json(report, _fit_report_json(fit))
+    if report_txt:
+        report_txt.write_text(_fit_report_text(fit), encoding="utf-8")
+    weights = reweight_mod.weights_for(fit.params, score_list)
+    if weights_out:
+        records.write_weights(weights, weights_out)
+    if weighted:
+        examples = records.read_ec_dataset(dataset)
+        records.write_ec_dataset([ex.with_weight(weights[ex.id]) for ex in examples], weighted)
+    return {
+        "residual_train": fit.residual_train,
+        "uniform": fit.baseline_residuals["uniform"],
+        "heuristic": fit.baseline_residuals["heuristic"],
+        "mean_weight": fit.mean_weight,
     }
-    for key, rel in paths.items():
-        if not (ctx.workdir / rel).exists():
-            raise FileNotFoundError(f"{key} dataset not found: {ctx.workdir / rel}")
-    manifest = mix_mod.continue_plan(cfg.plan.strategy, paths, spec, require_files=False)
-    out = ctx.artifact("manifest.json")
-    with open(out, "w", encoding="utf-8") as f:
-        f.write(manifest.to_json())
-        f.write("\n")
-    ctx.log("plan", [], [out], {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)})
 
 
-def _stage_evaluate(ctx: RunContext) -> None:
-    cfg = ctx.config
-    ec_path = ctx.artifact("ec_synth.jsonl")
-    weights_path = ctx.artifact("weights.jsonl")
-    examples = records.read_ec_dataset(ec_path)
-    weights = records.read_weights(weights_path)
-    outdir = ctx.artifact("outputs")
-    output_files = sorted(outdir.glob("*.jsonl"))
-    if not output_files:
-        raise FileNotFoundError(f"no model outputs found under {outdir}")
-    groups = [(p.stem, [eval_mod.read_outputs(p)]) for p in output_files]
-    report = eval_mod.eval_report(groups, examples, _judge(cfg), weights=weights)
-    report_txt = ctx.artifact("eval_report.txt")
-    with open(report_txt, "w", encoding="utf-8") as f:
-        f.write(report.render())
-        f.write("\n")
-    report_json = ctx.artifact("eval_report.json")
-    with open(report_json, "w", encoding="utf-8") as f:
-        json.dump(
+def _filter(cfg: PipelineConfig, seed: int, *, dataset, weights, out) -> dict:
+    examples = records.read_ec_dataset(dataset)
+    if weights:
+        by_id = records.read_weights(weights)
+        missing = [ex.id for ex in examples if ex.id not in by_id]
+        if missing:
+            raise ValueError(f"weights missing for sample ids: {missing[:5]}")
+        examples = [ex.with_weight(by_id[ex.id]) for ex in examples]
+    threshold = cfg.mix.filter_threshold
+    kept = mix_mod.filter_by_weight(examples, threshold)
+    records.write_ec_dataset(kept, out)
+    return {
+        "input": len(examples),
+        "kept": len(kept),
+        "threshold": threshold,
+        "retained_fraction": len(kept) / len(examples) if examples else 0.0,
+    }
+
+
+def _mix(
+    cfg: PipelineConfig, seed: int, *, original, synthetic, filtered, out, mix_filtered, total
+) -> dict:
+    if (filtered is None) != (mix_filtered is None):
+        raise ConfigError("--filtered and --mix-filtered go together")
+    spec = mix_mod.MixSpec(ratio=cfg.mix.ratio, seed=seed)
+    original_set = records.read_ec_dataset(original)
+    for src, dst in ((synthetic, out), (filtered, mix_filtered)):
+        if src:
+            mixed = mix_mod.mix_datasets(original_set, records.read_ec_dataset(src), spec, total=total)
+            records.write_ec_dataset(mixed, dst)
+    return {"original": len(original_set), "ratio": list(cfg.mix.ratio)}
+
+
+def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
+    # the slots are the manifest's dataset keys; paths are written relative to
+    # the manifest, so a workdir's manifest is byte-identical wherever it lives
+    paths = {}
+    for key, p in datasets.items():
+        if p is not None:
+            if not p.exists():
+                raise FileNotFoundError(f"{key} dataset not found: {p}")
+            paths[key] = os.path.relpath(p, out.parent)
+    manifest = mix_mod.continue_plan(
+        cfg.plan.strategy, paths, mix_mod.MixSpec(seed=seed), require_files=False
+    )
+    out.write_text(manifest.to_json() + "\n", encoding="utf-8")
+    return {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)}
+
+
+def _evaluate(
+    cfg: PipelineConfig, seed: int, *, outputs, dataset, weights, report, report_json, k
+) -> dict:
+    examples = records.read_ec_dataset(dataset)
+    weight_map = records.read_weights(weights) if weights else None
+    groups = [(p.stem, [eval_mod.read_outputs(p)]) for p in outputs]
+    result = eval_mod.eval_report(groups, examples, _judge(cfg.eval), weights=weight_map, ks=tuple(k))
+    if report:
+        report.write_text(result.render() + "\n", encoding="utf-8")
+    if report_json:
+        _write_json(
+            report_json,
             {
-                "columns": list(report.columns),
+                "columns": list(result.columns),
                 "rows": [
                     {"label": label, "cells": [[m, s] for m, s in cells]}
-                    for label, cells in report.rows
+                    for label, cells in result.rows
                 ],
             },
-            f,
-            indent=2,
-            sort_keys=True,
         )
-        f.write("\n")
-    ctx.log(
-        "evaluate",
-        [ec_path, weights_path] + output_files,
-        [report_txt, report_json],
-        {"models": len(groups), "samples": len(examples)},
-    )
+    return {"models": len(groups), "samples": len(examples)}
 
 
-_STAGE_FUNCS = {
-    "cluster": _stage_cluster,
-    "sample": _stage_sample,
-    "inject-grammar": _stage_inject_grammar,
-    "inject-typos": _stage_inject_typos,
-    "score": _stage_score,
-    "simbench": _stage_simbench,
-    "fit-reweight": _stage_fit_reweight,
-    "filter": _stage_filter,
-    "mix": _stage_mix,
-    "plan": _stage_plan,
-    "evaluate": _stage_evaluate,
-}
+STAGES = (
+    Stage(
+        "cluster", "k-means over document embeddings", _cluster, ("cluster",),
+        inputs=(
+            Slot("corpus", config="paths.corpus", optional=True),
+            Slot("embeddings", optional=True),
+        ),
+        outputs=(Slot("out", "clusters.jsonl"),),
+    ),
+    Stage(
+        "sample", "fixed quota per cluster", _sample, ("sample",),
+        inputs=(Slot("clusters", "clusters.jsonl"), Slot("corpus", config="paths.corpus")),
+        outputs=(Slot("out", "sampled.jsonl"),),
+    ),
+    Stage(
+        "inject-grammar", "grammar-error injection with roundtrip filtration",
+        _inject_grammar, ("grammar",),
+        inputs=(Slot("corpus", "sampled.jsonl"),),
+        outputs=(Slot("out", "ec_grammar.jsonl"),),
+    ),
+    Stage(
+        "inject-typos", "simulated mobile typing errors", _inject_typos, ("typo",),
+        inputs=(
+            Slot("dataset", "ec_grammar.jsonl"),
+            Slot("layout", config="typo.layout", optional=True),
+        ),
+        outputs=(Slot("out", "ec_synth.jsonl"),),
+    ),
+    Stage(
+        "score", "dual average log-likelihood scores per target", _score, ("scoring",),
+        inputs=(
+            Slot("dataset", "ec_synth.jsonl"),
+            Slot("public_corpus", config="paths.corpus", optional=True),
+            Slot("domain_corpus", config="paths.domain_corpus", optional=True),
+            Slot("import_scores", config="scoring.import_scores", optional=True, flag="import"),
+        ),
+        outputs=(Slot("out", "scores.jsonl"),),
+    ),
+    Stage(
+        "simbench", "simulated deployments: model outputs, measurements, live metrics",
+        _simbench, ("simbench", "reweight.c_min", "reweight.c_max", "eval"),
+        inputs=(Slot("dataset", "ec_synth.jsonl"), Slot("scores", "scores.jsonl")),
+        outputs=(
+            Slot("outputs", "outputs", kind="dir"),
+            Slot("eval_matrix", "eval_matrix.jsonl"),
+            Slot("planted", "planted.json"),
+        ),
+    ),
+    Stage(
+        "fit-reweight", "fit the reweighting model to live metrics", _fit_reweight, ("reweight",),
+        inputs=(
+            Slot("eval_matrix", "eval_matrix.jsonl", kind="files"),
+            Slot("val_matrix", kind="files", optional=True),
+            Slot("scores", "scores.jsonl"),
+            Slot("dataset", "ec_synth.jsonl", optional=True),
+        ),
+        outputs=(
+            Slot("report", "fit_report.json"),
+            Slot("report_txt", "fit_report.txt", optional=True),
+            Slot("weights_out", "weights.jsonl", optional=True),
+            Slot("weighted", "ec_weighted.jsonl", optional=True),
+        ),
+    ),
+    Stage(
+        "filter", "keep samples at or above a weight threshold", _filter,
+        ("mix.filter_threshold",),
+        inputs=(Slot("dataset", "ec_weighted.jsonl"), Slot("weights", optional=True)),
+        outputs=(Slot("out", "ec_filtered.jsonl"),),
+    ),
+    Stage(
+        "mix", "interleave original and synthetic data at a ratio", _mix, ("mix.ratio",),
+        inputs=(
+            Slot("original", config="paths.original_dataset"),
+            Slot("synthetic", "ec_weighted.jsonl"),
+            Slot("filtered", "ec_filtered.jsonl", optional=True),
+        ),
+        outputs=(
+            Slot("out", "mix.jsonl"),
+            Slot("mix_filtered", "mix_filtered.jsonl", optional=True),
+        ),
+        extras={"total": {"type": int, "default": None}},
+    ),
+    Stage(
+        "plan", "emit a continue-training manifest", _plan, ("plan",),
+        inputs=(
+            Slot("synthetic", "ec_synth.jsonl", kind="ref"),
+            Slot("original", config="paths.original_dataset", kind="ref", optional=True),
+            Slot("mix", "mix.jsonl", kind="ref", optional=True),
+            Slot("mix_filtered", "mix_filtered.jsonl", kind="ref", optional=True),
+        ),
+        outputs=(Slot("out", "manifest.json"),),
+    ),
+    Stage(
+        "evaluate", "sequence accuracy / good-ratio report", _evaluate, ("eval",),
+        inputs=(
+            Slot("outputs", "outputs/*.jsonl", kind="files"),
+            Slot("dataset", "ec_synth.jsonl"),
+            Slot("weights", "weights.jsonl", optional=True),
+        ),
+        outputs=(
+            Slot("report", "eval_report.txt", optional=True),
+            Slot("report_json", "eval_report.json", optional=True),
+        ),
+        extras={"k": {"type": int, "nargs": "+", "default": [1, 3]}},
+    ),
+)
+
+STAGE_ORDER = tuple(s.name for s in STAGES)
+
+
+# -- pipeline runner --
+
+
+@dataclass
+class RunContext:
+    config: PipelineConfig
+    config_dir: Path
+    workdir: Path
+    cfg_hash: str
+
+    def stage_seed(self, stage: str) -> int:
+        return derive_seed(self.config.seed, stage)
+
+    def resolve(self, slot: Slot) -> Path | list[Path] | None:
+        if slot.config:
+            section, name = slot.config.split(".")
+            configured = getattr(getattr(self.config, section), name)
+            # relative to the config file; an absolute path replaces config_dir
+            return self.config_dir / configured if configured else None
+        if not slot.artifact:
+            return None
+        if slot.kind == "files":
+            found = sorted(self.workdir.glob(slot.artifact))
+            if not found:
+                raise FileNotFoundError(f"no files match {self.workdir / slot.artifact}")
+            return found
+        return self.workdir / slot.artifact
+
+    def log(self, stage: str, inputs: Sequence[Path], outputs: Sequence[Path], counts: dict) -> None:
+        logdir = self.workdir / "runlog"
+        logdir.mkdir(parents=True, exist_ok=True)
+        record = {
+            "stage": stage,
+            "seed": self.stage_seed(stage),
+            "config_hash": self.cfg_hash,
+            "inputs": {p.name: file_sha256(p) for p in inputs},
+            "outputs": {p.name: file_sha256(p) for p in outputs},
+            "counts": counts,
+        }
+        _write_json(logdir / f"{stage}.json", record)
+
+
+def _hashed(slots: Sequence[Slot], files: dict) -> list[Path]:
+    """The files of `slots` a run-log record hashes."""
+    out: list[Path] = []
+    for slot in slots:
+        value = files[slot.name]
+        if slot.kind == "dir":
+            value = sorted(p for p in value.iterdir() if p.is_file())
+        if value is not None and slot.kind != "ref":
+            out += value if isinstance(value, list) else [value]
+    return out
+
+
+def _run_stage(ctx: RunContext, stage: Stage) -> None:
+    files = {slot.name: ctx.resolve(slot) for slot in stage.slots}
+    for slot in stage.outputs:
+        if slot.kind == "dir" and files[slot.name].exists():
+            # evaluate and the run log must not pick up an earlier run's files
+            shutil.rmtree(files[slot.name])
+    extras = {name: kw["default"] for name, kw in stage.extras.items()}
+    counts = stage.body(ctx.config, ctx.stage_seed(stage.name), **files, **extras)
+    ctx.log(stage.name, _hashed(stage.inputs, files), _hashed(stage.outputs, files), counts)
 
 
 def run_pipeline(
@@ -750,29 +780,85 @@ def run_pipeline(
     stages: Sequence[str] | None = None,
 ) -> Path:
     """Execute the requested stages in dependency order; returns the workdir."""
-    if stages is None:
-        selected = list(STAGE_ORDER)
-    else:
-        unknown = sorted(set(stages) - set(STAGE_ORDER))
-        if unknown:
-            raise ConfigError(f"unknown stages: {unknown}")
-        selected = [s for s in STAGE_ORDER if s in set(stages)]
+    unknown = sorted(set(stages or ()) - set(STAGE_ORDER))
+    if unknown:
+        raise ConfigError(f"unknown stages: {unknown}")
     config_dir = Path(config_dir)
-    workdir = Path(config.paths.workdir)
-    if not workdir.is_absolute():
-        workdir = config_dir / workdir
+    workdir = config_dir / config.paths.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(dataclasses.asdict(config))
     ctx = RunContext(config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash)
-    for stage in selected:
+    for stage in STAGES:
+        if stages is not None and stage.name not in stages:
+            continue
         try:
-            _STAGE_FUNCS[stage](ctx)
+            _run_stage(ctx, stage)
         except Exception as e:
-            raise StageError(stage, e) from e
+            raise StageError(stage.name, e) from e
     return workdir
 
 
 # -- subcommands --
+
+
+def _flag_fields(stage: Stage) -> Iterator[tuple[str, dataclasses.Field, Any]]:
+    """(section, field, annotation) of each config field the stage reads, except slot paths."""
+    sourced = {s.config for s in stage.slots}
+    types = _section_types()
+    for entry in stage.sections:
+        section, _, only = entry.partition(".")
+        hints = get_type_hints(types[section])
+        for f in dataclasses.fields(types[section]):
+            if only in ("", f.name) and f"{section}.{f.name}" not in sourced:
+                yield section, f, hints[f.name]
+
+
+def _cmd_stage(stage: Stage, args: argparse.Namespace) -> int:
+    values = vars(args)
+    sections: dict[str, dict] = {}
+    for section, f, _ in _flag_fields(stage):
+        sections.setdefault(section, {})[f.name] = values[f"{section}.{f.name}"]
+    types = _section_types()
+    # stage bodies get their files through slots and never read config.paths
+    config = PipelineConfig(
+        seed=args.seed,
+        paths=PathsConfig("", "", "", ""),
+        **{section: types[section](**kw) for section, kw in sections.items()},
+    )
+    kwargs = {name: values[name] for name in [s.name for s in stage.slots] + list(stage.extras)}
+    counts = stage.body(config, args.seed, **kwargs)
+    print(json.dumps(counts, sort_keys=True))
+    return 0
+
+
+def _add_stage_parser(sub: argparse._SubParsersAction, stage: Stage) -> None:
+    p = sub.add_parser(stage.name, help=stage.help)
+    for slot in stage.slots:
+        many = {"nargs": "+", "action": "extend"} if slot.kind == "files" else {}
+        p.add_argument(
+            "--" + (slot.flag or slot.name).replace("_", "-"),
+            dest=slot.name,
+            type=Path,
+            required=not slot.optional,
+            **many,
+        )
+    for section, f, tp in _flag_fields(stage):
+        key = f.metadata.get("key", f.name)
+        flag = f.metadata.get("flag", key)
+        literal = get_origin(tp) is Literal  # argparse checks choices itself
+        p.add_argument(
+            "--" + flag.replace("_", "-"),
+            dest=f"{section}.{f.name}",
+            type=None if literal else _flag_type(tp),
+            default=f.default,
+            choices=get_args(tp) if literal else None,
+            metavar=None if literal else flag.upper(),
+            help=f"{section}.{key} (default: %(default)s)",
+        )
+    for name, kwargs in stage.extras.items():
+        p.add_argument(f"--{name}", **kwargs)
+    p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(func=lambda args: _cmd_stage(stage, args))
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -790,124 +876,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
-    if args.embeddings:
-        embedded = cluster_mod.read_embeddings(args.embeddings)
-    else:
-        if not args.corpus:
-            raise ConfigError("cluster requires --embeddings or --corpus")
-        docs = records.read_corpus(args.corpus)
-        embedded = cluster_mod.hash_embed(docs, args.embed_dim, seed=args.seed)
-    model = cluster_mod.kmeans(
-        embedded, k=args.k, seed=args.seed, max_iters=args.max_iters, tol=args.tol
-    )
-    _write_clusters(model, embedded, Path(args.out))
-    stats = cluster_mod.cluster_stats(model)
-    print(
-        f"k={model.k} objective={model.objective:.6g} "
-        f"sizes={stats.mean_size:.1f}±{stats.std_size:.1f}"
-    )
-    return 0
-
-
-def _cmd_sample(args: argparse.Namespace) -> int:
-    model = read_clusters(args.clusters)
-    docs = {d.id: d for d in records.read_corpus(args.corpus)}
-    ids = cluster_mod.quota_sample(model, args.per_cluster, seed=args.seed)
-    records.write_corpus([docs[i] for i in ids], args.out)
-    print(f"sampled {len(ids)} docs")
-    return 0
-
-
-def _cmd_inject_grammar(args: argparse.Namespace) -> int:
-    docs = records.read_corpus(args.corpus)
-    if args.client == "mock":
-        client: grammar_mod.InjectorClient = grammar_mod.MockInjector(
-            failure_rate=args.failure_rate, seed=args.seed
-        )
-    else:
-        if not args.endpoint:
-            raise ConfigError("--client http requires --endpoint")
-        client = grammar_mod.HttpInjector(
-            endpoint=args.endpoint,
-            token=os.environ.get(TOKEN_ENV_VAR, ""),
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-        )
-    run = grammar_mod.inject_corpus(docs, client, concurrency=args.concurrency)
-    result = grammar_mod.roundtrip_filter(list(run.pairs))
-    records.write_ec_dataset(list(result.kept), args.out)
-    print(
-        f"kept {len(result.kept)} dropped {result.dropped_count} "
-        f"failed {run.failed} skipped {run.skipped}"
-    )
-    return 0
-
-
-def _cmd_inject_typos(args: argparse.Namespace) -> int:
-    examples = records.read_ec_dataset(args.dataset)
-    cfg = typo_mod.TypoConfig(
-        p_transpose=args.p_transpose,
-        p_omit=args.p_omit,
-        p_repeat=args.p_repeat,
-        p_spatial=args.p_spatial,
-        max_errors_per_example=args.max_errors,
-        seed=args.seed,
-    )
-    keyboard = typo_mod.load_keyboard(args.layout) if args.layout else typo_mod.QWERTY
-    records.write_ec_dataset(typo_mod.corrupt_dataset(examples, cfg, keyboard), args.out)
-    print(f"corrupted {len(examples)} examples")
-    return 0
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    examples = records.read_ec_dataset(args.dataset)
-    if args.import_scores:
-        by_id = {s.sample_id: s for s in records.read_scores(args.import_scores)}
-        missing = [ex.id for ex in examples if ex.id not in by_id]
-        if missing:
-            raise ConfigError(f"imported scores missing sample ids: {missing[:5]}")
-        scores = [by_id[ex.id] for ex in examples]
-    else:
-        if not (args.public_corpus and args.domain_corpus):
-            raise ConfigError("score requires --import or both --public-corpus and --domain-corpus")
-        public = scoring_mod.train_ngram(
-            records.read_corpus(args.public_corpus), args.order, args.delta
-        )
-        domain = scoring_mod.train_ngram(
-            records.read_corpus(args.domain_corpus), args.order, args.delta
-        )
-        scores = scoring_mod.score_dataset(examples, public, domain)
-    records.write_scores(scores, args.out)
-    print(f"scored {len(scores)} samples")
-    return 0
-
-
-def _cmd_fit_reweight(args: argparse.Namespace) -> int:
-    matrices = [records.read_eval_matrix(p) for p in args.eval_matrix]
-    scores = records.read_scores(args.scores)
-    init = reweight_mod.ReweightParams(c_min=args.c_min, c_max=args.c_max, lam=args.lam)
-    opts = reweight_mod.FitOptions(restarts=args.restarts, seed=args.seed)
-    val = [records.read_eval_matrix(p) for p in args.val_matrix] if args.val_matrix else None
-    data = matrices[0] if len(matrices) == 1 else matrices
-    fit = reweight_mod.fit(
-        data,
-        scores,
-        init=init,
-        opts=opts,
-        val_data=val,
-        with_cv=args.cv,
-    )
-    with open(args.report, "w", encoding="utf-8") as f:
-        json.dump(_fit_report_json(fit), f, indent=2, sort_keys=True)
-        f.write("\n")
-    print(_fit_report_text(fit))
-    if args.weights_out:
-        records.write_weights(reweight_mod.weights_for(fit.params, scores), args.weights_out)
-    return 0
-
-
-def _cmd_simbench(args: argparse.Namespace) -> int:
+def _cmd_planted(args: argparse.Namespace) -> int:
     spec = simbench_mod.PlantedSpec(
         n_samples=args.n,
         n_models=args.k,
@@ -928,74 +897,6 @@ def _cmd_simbench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_filter(args: argparse.Namespace) -> int:
-    examples = records.read_ec_dataset(args.dataset)
-    if args.weights:
-        weights = records.read_weights(args.weights)
-        missing = [ex.id for ex in examples if ex.id not in weights]
-        if missing:
-            raise ConfigError(f"weights missing for sample ids: {missing[:5]}")
-        examples = [ex.with_weight(weights[ex.id]) for ex in examples]
-    kept = mix_mod.filter_by_weight(examples, args.threshold)
-    records.write_ec_dataset(kept, args.out)
-    print(f"kept {len(kept)} of {len(examples)}")
-    return 0
-
-
-def _cmd_mix(args: argparse.Namespace) -> int:
-    a, b = (int(x) for x in args.ratio.split(":"))
-    spec = mix_mod.MixSpec(ratio=(a, b), seed=args.seed)
-    original = records.read_ec_dataset(args.original)
-    synthetic = records.read_ec_dataset(args.synthetic)
-    mixed = mix_mod.mix_datasets(original, synthetic, spec, total=args.total)
-    records.write_ec_dataset(mixed, args.out)
-    print(f"mixed {len(mixed)} examples at ratio {a}:{b}")
-    return 0
-
-
-def _cmd_plan(args: argparse.Namespace) -> int:
-    paths = {}
-    for key, value in (
-        ("synthetic", args.synthetic),
-        ("original", args.original),
-        ("mix", args.mix),
-        ("mix_filtered", args.mix_filtered),
-    ):
-        if value:
-            paths[key] = value
-    manifest = mix_mod.continue_plan(args.strategy, paths, mix_mod.MixSpec(seed=args.seed))
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(manifest.to_json())
-        f.write("\n")
-    print(f"{args.strategy}: {len(manifest.phases)} phases, {manifest.total_steps} steps")
-    return 0
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    examples = records.read_ec_dataset(args.dataset)
-    if args.judge == "exact":
-        judge: eval_mod.Judge = eval_mod.ExactJudge()
-    elif args.judge == "normalized":
-        judge = eval_mod.NormalizedJudge()
-    else:
-        if not (args.judge_endpoint and args.judge_prompt):
-            raise ConfigError("--judge http requires --judge-endpoint and --judge-prompt")
-        judge = eval_mod.ExternalJudge(
-            endpoint=args.judge_endpoint,
-            prompt_template=args.judge_prompt,
-            token=os.environ.get(TOKEN_ENV_VAR, ""),
-        )
-    weights = records.read_weights(args.weights) if args.weights else None
-    groups = [(Path(p).stem, [eval_mod.read_outputs(p)]) for p in args.outputs]
-    report = eval_mod.eval_report(groups, examples, judge, weights=weights, ks=tuple(args.k))
-    print(report.render())
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as f:
-            f.write(report.render())
-            f.write("\n")
-    return 0
-
-
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.dataset:
         stats = grammar_mod.error_stats(records.read_ec_dataset(args.dataset))
@@ -1006,7 +907,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for n, frac in stats.errors_per_example.items():
             print(f"  {n}: {frac * 100:5.1f}%")
     if args.clusters:
-        model = read_clusters(args.clusters)
+        model = records.read_clusters(args.clusters)
         s = cluster_mod.cluster_stats(model)
         print(f"clusters: k={model.k} mean={s.mean_size:.1f} std={s.std_size:.1f}")
         for lo, hi, count in s.histogram:
@@ -1032,118 +933,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_demo)
 
-    p = sub.add_parser("cluster", help="k-means over document embeddings")
-    p.add_argument("--embeddings", default="")
-    p.add_argument("--corpus", default="")
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cluster)
+    for stage in STAGES:
+        _add_stage_parser(sub, stage)
 
-    p = sub.add_parser("sample", help="fixed quota per cluster")
-    p.add_argument("--clusters", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--per-cluster", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("inject-grammar", help="grammar-error injection with roundtrip filtration")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--client", choices=("mock", "http"), default="mock")
-    p.add_argument("--failure-rate", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--concurrency", type=int, default=1)
-    p.add_argument("--endpoint", default="")
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--max-retries", type=int, default=2)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_inject_grammar)
-
-    p = sub.add_parser("inject-typos", help="simulated mobile typing errors")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--p-transpose", type=float, default=0.01)
-    p.add_argument("--p-omit", type=float, default=0.015)
-    p.add_argument("--p-repeat", type=float, default=0.01)
-    p.add_argument("--p-spatial", type=float, default=0.02)
-    p.add_argument("--max-errors", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--layout", default="")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_inject_typos)
-
-    p = sub.add_parser("score", help="dual average log-likelihood scores per target")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--public-corpus", default="")
-    p.add_argument("--domain-corpus", default="")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--import", dest="import_scores", default="")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("fit-reweight", help="fit the reweighting model to live metrics")
-    p.add_argument("--eval-matrix", action="append", required=True)
-    p.add_argument("--scores", required=True)
-    p.add_argument("--c-min", type=float, default=0.01)
-    p.add_argument("--c-max", type=float, default=2.0)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--val-matrix", action="append", default=[])
-    p.add_argument("--cv", action="store_true")
-    p.add_argument("--report", required=True)
-    p.add_argument("--weights-out", default="")
-    p.set_defaults(func=_cmd_fit_reweight)
-
-    p = sub.add_parser("simbench", help="generate a planted benchmark")
+    p = sub.add_parser("planted", help="generate a planted benchmark")
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--k", type=int, default=12)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--noise", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=_cmd_simbench)
-
-    p = sub.add_parser("filter", help="keep samples at or above a weight threshold")
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--weights", default="")
-    p.add_argument("--threshold", type=float, default=1.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("mix", help="interleave original and synthetic data at a ratio")
-    p.add_argument("--original", required=True)
-    p.add_argument("--synthetic", required=True)
-    p.add_argument("--ratio", default="1:4")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--total", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_mix)
-
-    p = sub.add_parser("plan", help="emit a continue-training manifest")
-    p.add_argument("--strategy", choices=mix_mod.STRATEGIES, required=True)
-    p.add_argument("--synthetic", required=True)
-    p.add_argument("--original", default="")
-    p.add_argument("--mix", default="")
-    p.add_argument("--mix-filtered", default="")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("evaluate", help="sequence accuracy / good-ratio report")
-    p.add_argument("--outputs", nargs="+", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--judge", choices=("exact", "normalized", "http"), default="normalized")
-    p.add_argument("--judge-endpoint", default="")
-    p.add_argument("--judge-prompt", default="")
-    p.add_argument("--k", type=int, nargs="+", default=[1, 3])
-    p.add_argument("--weights", default="")
-    p.add_argument("--report", default="")
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_planted)
 
     p = sub.add_parser("stats", help="error-category and cluster statistics")
     p.add_argument("--dataset", default="")

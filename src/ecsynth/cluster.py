@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import Document
+from .records import Document, _read_records, _write_records
 
 
 @dataclass(frozen=True)
@@ -237,26 +237,13 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> list[EmbeddedDo
 
 
 def read_embeddings(path: str) -> list[EmbeddedDoc]:
-    from .records import RecordError, _read_lines
-
-    out: list[EmbeddedDoc] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
-        try:
-            doc = EmbeddedDoc(doc_id=obj["doc_id"], vector=np.array(obj["vector"], dtype=np.float64))
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid embedding on line {lineno}: {e}") from e
-        if doc.doc_id in seen:
-            raise RecordError(f"{path}: duplicate doc id {doc.doc_id!r} on line {lineno}")
-        seen.add(doc.doc_id)
-        out.append(doc)
-    return out
+    return _read_records(
+        path,
+        "doc",
+        lambda obj: EmbeddedDoc(doc_id=obj["doc_id"], vector=np.array(obj["vector"], dtype=np.float64)),
+        key=lambda doc: doc.doc_id,
+    )
 
 
 def write_embeddings(docs: Sequence[EmbeddedDoc], path: str) -> None:
-    import json
-
-    with open(path, "w", encoding="utf-8") as f:
-        for d in docs:
-            rec = {"doc_id": d.doc_id, "vector": [float(v) for v in d.vector]}
-            f.write(json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n")
+    _write_records(path, ({"doc_id": d.doc_id, "vector": [float(v) for v in d.vector]} for d in docs))

@@ -19,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .records import ECExample, EvalMatrix
+from .records import ECExample, EvalMatrix, _read_records, _write_records
 from .util import nfc
 
 
@@ -229,23 +229,13 @@ def eval_report(
 
 
 def read_outputs(path: str | Path, model_id: str | None = None) -> ModelOutputs:
-    from .records import RecordError, _read_lines
-
-    candidates: dict[str, tuple[str, ...]] = {}
-    for lineno, obj in _read_lines(path):
-        try:
-            sid, cands = obj["sample_id"], tuple(obj["candidates"])
-        except (KeyError, TypeError) as e:
-            raise RecordError(f"{path}: invalid outputs on line {lineno}: {e}") from e
-        if sid in candidates:
-            raise RecordError(f"{path}: duplicate sample id {sid!r} on line {lineno}")
-        candidates[sid] = cands
+    rows = _read_records(
+        path, "sample", lambda obj: (obj["sample_id"], tuple(obj["candidates"])), key=lambda r: r[0]
+    )
     name = model_id if model_id is not None else Path(path).stem
-    return ModelOutputs(model_id=name, candidates=candidates)
+    return ModelOutputs(model_id=name, candidates=dict(rows))
 
 
 def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for sid, cands in outputs.candidates.items():
-            rec = {"sample_id": sid, "candidates": list(cands)}
-            f.write(json.dumps(rec, ensure_ascii=False, separators=(",", ":")) + "\n")
+    rows = outputs.candidates.items()
+    _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))

@@ -3,7 +3,9 @@
 Corpora, error-correction datasets, per-sample scores, and weights are stored
 as one JSON object per line. An eval-matrix file is one JSON header line
 (model_ids, sample_ids, metric_names) followed by one 0/1 measurement row per
-model and then one live-metric row per model.
+model and then one live-metric row per model. A clusters file is one JSON
+header line (k, objective, sizes, centroids) followed by one
+{doc_id, cluster, distance} line per document.
 
 Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
@@ -13,14 +15,18 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .util import nfc
+
+if TYPE_CHECKING:
+    from .cluster import ClusterModel, EmbeddedDoc
 
 PROVENANCES = frozenset({"original", "synthetic", "synthetic_filtered"})
 
@@ -185,7 +191,7 @@ class EvalMatrix:
 # -- line-delimited I/O --
 
 
-def _read_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
+def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -199,30 +205,55 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
+T = TypeVar("T")
+
+
+def _read_records(
+    path: str | Path, what: str, build: Callable[[dict], T], key: Callable[[T], str] | None = None
+) -> list[T]:
+    """One record per line, in file order.
+
+    A line `build` rejects, or (when `key` is given) a repeated key, is a
+    RecordError naming the file and the line.
+    """
+    out: list[T] = []
+    seen: set[str] = set()
+    for lineno, obj in _read_lines(path):
+        try:
+            rec = build(obj)
+        except (KeyError, TypeError, ValueError) as e:
+            raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
+        if key is not None:
+            k = key(rec)
+            if k in seen:
+                raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
+            seen.add(k)
+        out.append(rec)
+    return out
+
+
 def _dump(obj: dict) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
 
 
+def _write_records(path: str | Path, objs: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for obj in objs:
+            f.write(_dump(obj) + "\n")
+
+
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
-    docs: list[Document] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
-        try:
-            doc = Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", ""))
-        except (KeyError, TypeError, RecordError) as e:
-            raise RecordError(f"{path}: invalid document on line {lineno}: {e}") from e
-        if doc.id in seen:
-            raise RecordError(f"{path}: duplicate document id {doc.id!r} on line {lineno}")
-        seen.add(doc.id)
-        docs.append(doc)
-    return docs
+    return _read_records(
+        path,
+        "document",
+        lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", "")),
+        key=lambda doc: doc.id,
+    )
 
 
 def write_corpus(docs: Sequence[Document], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for doc in docs:
-            f.write(_dump({"id": doc.id, "text": doc.text, "source_tag": doc.source_tag}) + "\n")
+    _write_records(path, ({"id": d.id, "text": d.text, "source_tag": d.source_tag} for d in docs))
 
 
 def _example_to_obj(ex: ECExample) -> dict:
@@ -252,59 +283,36 @@ def _example_from_obj(obj: dict) -> ECExample:
 
 def read_ec_dataset(path: str | Path) -> list[ECExample]:
     """Read an EC dataset. Repeated ids are allowed: mixed datasets oversample."""
-    examples: list[ECExample] = []
-    for lineno, obj in _read_lines(path):
-        try:
-            examples.append(_example_from_obj(obj))
-        except (KeyError, TypeError, RecordError) as e:
-            raise RecordError(f"{path}: invalid example on line {lineno}: {e}") from e
-    return examples
+    return _read_records(path, "example", _example_from_obj)
 
 
 def write_ec_dataset(examples: Sequence[ECExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(_dump(_example_to_obj(ex)) + "\n")
+    _write_records(path, map(_example_to_obj, examples))
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
-    out: list[ScoredSample] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
-        try:
-            s = ScoredSample(sample_id=obj["sample_id"], s_p=float(obj["s_p"]), s_f=float(obj["s_f"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid score on line {lineno}: {e}") from e
-        if s.sample_id in seen:
-            raise RecordError(f"{path}: duplicate sample id {s.sample_id!r} on line {lineno}")
-        seen.add(s.sample_id)
-        out.append(s)
-    return out
+    return _read_records(
+        path,
+        "sample",
+        lambda obj: ScoredSample(obj["sample_id"], s_p=float(obj["s_p"]), s_f=float(obj["s_f"])),
+        key=lambda s: s.sample_id,
+    )
 
 
 def write_scores(scores: Sequence[ScoredSample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for s in scores:
-            f.write(_dump({"sample_id": s.sample_id, "s_p": s.s_p, "s_f": s.s_f}) + "\n")
+    _write_records(path, ({"sample_id": s.sample_id, "s_p": s.s_p, "s_f": s.s_f} for s in scores))
 
 
 def read_weights(path: str | Path) -> dict[str, float]:
-    weights: dict[str, float] = {}
-    for lineno, obj in _read_lines(path):
-        try:
-            sid, w = obj["sample_id"], float(obj["weight"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid weight on line {lineno}: {e}") from e
-        if sid in weights:
-            raise RecordError(f"{path}: duplicate sample id {sid!r} on line {lineno}")
-        weights[sid] = w
-    return weights
+    return dict(
+        _read_records(
+            path, "sample", lambda obj: (obj["sample_id"], float(obj["weight"])), key=lambda r: r[0]
+        )
+    )
 
 
 def write_weights(weights: dict[str, float], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for sid, w in weights.items():
-            f.write(_dump({"sample_id": sid, "weight": w}) + "\n")
+    _write_records(path, ({"sample_id": sid, "weight": w} for sid, w in weights.items()))
 
 
 def read_eval_matrix(path: str | Path) -> EvalMatrix:
@@ -346,18 +354,49 @@ def read_eval_matrix(path: str | Path) -> EvalMatrix:
 
 
 def write_eval_matrix(matrix: EvalMatrix, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            _dump(
-                {
-                    "model_ids": list(matrix.model_ids),
-                    "sample_ids": list(matrix.sample_ids),
-                    "metric_names": list(matrix.metric_names),
-                }
-            )
-            + "\n"
-        )
-        for j, mid in enumerate(matrix.model_ids):
-            f.write(_dump({"model_id": mid, "chi": [int(x) for x in matrix.chi[j]]}) + "\n")
-        for j, mid in enumerate(matrix.model_ids):
-            f.write(_dump({"model_id": mid, "live": [float(x) for x in matrix.live_metrics[j]]}) + "\n")
+    header = {
+        "model_ids": list(matrix.model_ids),
+        "sample_ids": list(matrix.sample_ids),
+        "metric_names": list(matrix.metric_names),
+    }
+    ids = matrix.model_ids
+    chi = ({"model_id": m, "chi": [int(x) for x in row]} for m, row in zip(ids, matrix.chi))
+    live = (
+        {"model_id": m, "live": [float(x) for x in row]} for m, row in zip(ids, matrix.live_metrics)
+    )
+    _write_records(path, itertools.chain([header], chi, live))
+
+
+def read_clusters(path: str | Path) -> ClusterModel:
+    """Read a clusters file: header line, then one assignment line per document."""
+    from .cluster import ClusterModel
+
+    rows = _read_lines(path)
+    lineno, header = next(rows, (1, {}))  # an empty file fails as a header without keys
+    try:
+        centroids = np.array(header["centroids"], dtype=np.float64)
+        sizes = np.array(header["sizes"], dtype=np.int64)
+        objective = float(header["objective"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise RecordError(f"{path}: invalid clusters header on line {lineno}: {e}") from e
+    assignments: dict[str, int] = {}
+    for lineno, obj in rows:
+        try:
+            assignments[obj["doc_id"]] = int(obj["cluster"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise RecordError(f"{path}: invalid assignment on line {lineno}: {e}") from e
+    return ClusterModel(centroids=centroids, assignments=assignments, sizes=sizes, objective=objective)
+
+
+def write_clusters(model: ClusterModel, path: str | Path, docs: Sequence[EmbeddedDoc]) -> None:
+    """Write the clusters file; each line carries the doc's squared distance to its centroid."""
+    vectors = {d.doc_id: d.vector for d in docs}
+    header = {
+        "k": model.k,
+        "objective": model.objective,
+        "sizes": [int(s) for s in model.sizes],
+        "centroids": [[float(v) for v in c] for c in model.centroids],
+    }
+    diffs = ((i, c, vectors[i] - model.centroids[c]) for i, c in model.assignments.items())
+    rows = ({"doc_id": i, "cluster": int(c), "distance": float(d @ d)} for i, c, d in diffs)
+    _write_records(path, itertools.chain([header], rows))

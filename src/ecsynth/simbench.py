@@ -89,17 +89,34 @@ def _default_alphas(spec: PlantedSpec) -> tuple[tuple[np.ndarray, np.ndarray], .
     return tuple(out)
 
 
-def _chi_matrix(
-    rng: np.random.Generator, spec: PlantedSpec, w: np.ndarray
+def _planted_weights(
+    spec: PlantedSpec | DeploymentSimSpec, theta_b: float, s_f: np.ndarray, s_p: np.ndarray
+) -> tuple[ReweightParams, np.ndarray]:
+    """Planted reweighting model and its weights; a target mean weight overrides `theta_b`."""
+    if spec.target_mean_weight is not None:
+        theta_b = calibrate_bias(
+            spec.theta_f, spec.theta_p, s_f, s_p, spec.c_min, spec.c_max,
+            target=spec.target_mean_weight,
+        )
+    params = ReweightParams(
+        theta_f=spec.theta_f, theta_p=spec.theta_p, theta_b=theta_b,
+        c_min=spec.c_min, c_max=spec.c_max,
+    )
+    return params, weights_array(params, s_f, s_p)
+
+
+def _planted_rates(
+    rng: np.random.Generator, spec: PlantedSpec | DeploymentSimSpec, w: np.ndarray
 ) -> np.ndarray:
-    """Binary measurements with per-model rates correlated with planted weights."""
-    k = spec.n_models
-    base = rng.uniform(*spec.base_accuracy, size=k)
-    skill = rng.normal(0.0, spec.skill_std, size=k)
+    """Per-(model, sample) success rates correlated with the planted weights.
+
+    Each model draws a base accuracy and a skill; its rate on a sample moves
+    in logit space with the sample's centered weight, clipped to [0.02, 0.98].
+    """
+    base = rng.uniform(*spec.base_accuracy, size=spec.n_models)
+    skill = rng.normal(0.0, spec.skill_std, size=spec.n_models)
     centered = w - w.mean()
-    p = expit(logit(base)[:, None] + skill[:, None] * centered[None, :])
-    p = np.clip(p, 0.02, 0.98)
-    return (rng.random(p.shape) < p).astype(np.float64)
+    return np.clip(expit(logit(base)[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
 
 
 def generate(spec: PlantedSpec) -> PlantedBenchmark:
@@ -109,25 +126,7 @@ def generate(spec: PlantedSpec) -> PlantedBenchmark:
     s_p = rng.normal(spec.score_mean_p, spec.score_std_p, size=n)
     s_f = s_p + rng.normal(spec.score_shift_f, spec.score_std_f, size=n)
 
-    theta_b = spec.theta_b
-    if spec.target_mean_weight is not None:
-        theta_b = calibrate_bias(
-            spec.theta_f,
-            spec.theta_p,
-            s_f,
-            s_p,
-            spec.c_min,
-            spec.c_max,
-            target=spec.target_mean_weight,
-        )
-    params = ReweightParams(
-        theta_f=spec.theta_f,
-        theta_p=spec.theta_p,
-        theta_b=theta_b,
-        c_min=spec.c_min,
-        c_max=spec.c_max,
-    )
-    w = weights_array(params, s_f, s_p)
+    params, w = _planted_weights(spec, spec.theta_b, s_f, s_p)
 
     sample_ids = tuple(f"ps-{i:06d}" for i in range(n))
     scores = [
@@ -139,7 +138,8 @@ def generate(spec: PlantedSpec) -> PlantedBenchmark:
     matrices = []
     noise_per_set = []
     for s in range(spec.n_sets):
-        chi = _chi_matrix(rng, spec, w)
+        p = _planted_rates(rng, spec, w)
+        chi = (rng.random(p.shape) < p).astype(np.float64)
         s_offline = chi @ w / n
         alpha_1, alpha_0 = alphas[s]
         eps = rng.normal(0.0, spec.noise_sigma, size=(spec.n_models, spec.n_metrics))
@@ -232,21 +232,10 @@ def simulate_deployments(
     s_f = np.array([by_id[ex.id].s_f for ex in dataset])
     s_p = np.array([by_id[ex.id].s_p for ex in dataset])
 
-    theta_b = calibrate_bias(
-        spec.theta_f, spec.theta_p, s_f, s_p, spec.c_min, spec.c_max,
-        target=spec.target_mean_weight,
-    )
-    params = ReweightParams(
-        theta_f=spec.theta_f, theta_p=spec.theta_p, theta_b=theta_b,
-        c_min=spec.c_min, c_max=spec.c_max,
-    )
-    w = weights_array(params, s_f, s_p)
+    params, w = _planted_weights(spec, 0.0, s_f, s_p)
 
     rng = np.random.default_rng(spec.seed)
-    base = rng.uniform(*spec.base_accuracy, size=spec.n_models)
-    skill = rng.normal(0.0, spec.skill_std, size=spec.n_models)
-    centered = w - w.mean()
-    p1 = np.clip(expit(logit(base)[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
+    p1 = _planted_rates(rng, spec, w)
 
     outputs = []
     for j in range(spec.n_models):

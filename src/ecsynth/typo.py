@@ -9,14 +9,13 @@ corrupted; targets pass through untouched.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .records import ECExample
+from .records import ECExample, _read_records
 from .util import derive_seed
 
 # rows staggered as on a phone keyboard; diagonal neighbors included
@@ -69,15 +68,9 @@ QWERTY = KeyboardModel(layout_name="qwerty", adjacency=_qwerty_adjacency())
 
 def load_keyboard(path: str | Path, layout_name: str | None = None) -> KeyboardModel:
     """Layout file: one JSON record {char, neighbors[]} per line."""
-    adj: dict[str, frozenset[str]] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            adj[obj["char"]] = frozenset(obj["neighbors"])
+    adj = _read_records(path, "layout entry", lambda obj: (obj["char"], frozenset(obj["neighbors"])))
     name = layout_name if layout_name is not None else str(path)
-    return KeyboardModel(layout_name=name, adjacency=adj)
+    return KeyboardModel(layout_name=name, adjacency=dict(adj))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,15 +9,17 @@ import pytest
 
 from ecsynth import records
 from ecsynth.cli import (
-    ConfigError,
     STAGE_ORDER,
+    ConfigError,
+    PathsConfig,
+    PipelineConfig,
+    build_parser,
     load_config,
     main,
-    read_clusters,
     run_pipeline,
 )
 from ecsynth.demo import DEMO_CONFIG, materialize
-from ecsynth.records import ECExample
+from ecsynth.records import ECExample, read_clusters
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,78 @@ def test_invalid_config_exits_1_before_any_work(demo_dir, tmp_path):
     rc = main(["run", "--config", str(p)])
     assert rc == 1
     assert not (demo_dir / "artifacts").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cluster.k", "50"),
+        ("sample.per_cluster", 2.5),
+        ("grammar.failure_rate", "0.4"),
+        ("mix.filter_threshold", None),
+        ("cluster.max_iters", True),
+        ("seed", 1.5),
+    ],
+)
+def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
+    materialize(tmp_path)
+    cfg = json.loads(json.dumps(DEMO_CONFIG))
+    *sections, name = key.split(".")
+    target = cfg[sections[0]] if sections else cfg
+    target[name] = value
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(p)
+    assert main(["run", "--config", str(p)]) == 1
+    assert not (tmp_path / "artifacts").exists()
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_stage_flag_defaults_are_config_defaults():
+    defaults = PipelineConfig(seed=0, paths=PathsConfig("c", "d", "o", "w"))
+    subcommands = _subcommands()
+    for stage in STAGE_ORDER:
+        # section-field flags are stored under "<section>.<field>"
+        fields = [a for a in subcommands[stage]._actions if "." in a.dest]
+        assert fields, stage
+        for action in fields:
+            section, name = action.dest.split(".")
+            expected = getattr(getattr(defaults, section), name)
+            assert action.default == expected, (stage, action.option_strings)
+    options = {
+        stage: {o: a.default for a in subcommands[stage]._actions for o in a.option_strings}
+        for stage in STAGE_ORDER
+    }
+    assert options["inject-grammar"]["--failure-rate"] == 0.4
+    assert options["cluster"]["--max-iters"] == 50
+    assert options["fit-reweight"]["--max-iters"] == 500
+    assert options["fit-reweight"]["--grad-tol"] == 1e-8
+    assert "--cv" not in options["fit-reweight"]
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_command_help_exits_0(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cluster", "--k", "5.5"], ["mix", "--ratio", "1:2:3"], ["plan", "--strategy", "Cont"]],
+)
+def test_stage_subcommand_rejects_mistyped_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {argv[1]}:" in capsys.readouterr().err
 
 
 def test_unknown_stage_rejected(demo_dir):
@@ -223,7 +299,7 @@ def test_inject_score_filter_mix_plan_subcommands(demo_dir, tmp_path):
 def test_fit_reweight_and_simbench_subcommands(tmp_path):
     rc = main(
         [
-            "simbench",
+            "planted",
             "--n", "120",
             "--k", "8",
             "--d", "2",
@@ -296,6 +372,17 @@ def test_run_stage_subset(demo_dir):
     assert (workdir / "runlog" / "cluster.json").exists()
     record = json.loads((workdir / "runlog" / "cluster.json").read_text(encoding="utf-8"))
     assert set(record) == {"stage", "seed", "config_hash", "inputs", "outputs", "counts"}
+
+
+def test_rerun_with_fewer_models_drops_stale_outputs(tmp_path):
+    config = load_config(materialize(tmp_path))
+    run_pipeline(config, config_dir=tmp_path)
+    fewer = dataclasses.replace(config, simbench=dataclasses.replace(config.simbench, n_models=4))
+    workdir = run_pipeline(fewer, config_dir=tmp_path, stages=["simbench", "evaluate"])
+    assert len(list((workdir / "outputs").glob("*.jsonl"))) == 4
+    runlog = workdir / "runlog"
+    assert len(json.loads((runlog / "simbench.json").read_text(encoding="utf-8"))["outputs"]) == 6
+    assert json.loads((runlog / "evaluate.json").read_text(encoding="utf-8"))["counts"]["models"] == 4
 
 
 def test_stage_order_constant_complete():

@@ -12,6 +12,7 @@ from ecsynth.records import (
     EvalMatrix,
     RecordError,
     ScoredSample,
+    read_clusters,
     read_corpus,
     read_ec_dataset,
     read_eval_matrix,
@@ -256,3 +257,18 @@ def test_weights_round_trip(tmp_path):
     path = tmp_path / "weights.jsonl"
     write_weights(weights, path)
     assert read_weights(path) == weights
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ('{"k": 1}\n', 1),
+        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"doc_id": "a"}\n', 2),
+        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"cluster": 0}\n', 2),
+    ],
+)
+def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
+    path = tmp_path / "clusters.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RecordError, match=f"clusters.jsonl.*line {line}"):
+        read_clusters(path)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ecsynth.records import ECExample
+from ecsynth.records import ECExample, RecordError
 from ecsynth.typo import (
     QWERTY,
     KeyboardModel,
@@ -174,3 +174,11 @@ def test_load_keyboard(tmp_path):
     kb = load_keyboard(path, layout_name="tiny")
     assert kb.neighbors("a") == ("b",)
     assert kb.neighbors("z") == ()
+
+
+@pytest.mark.parametrize("entry", ['{"char": "a"}', '{"neighbors": ["b"]}'])
+def test_load_keyboard_malformed_names_file_and_line(tmp_path, entry):
+    path = tmp_path / "layout.jsonl"
+    path.write_text('{"char": "b", "neighbors": ["a"]}\n' + entry + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match="layout.jsonl.*line 2"):
+        load_keyboard(path)
