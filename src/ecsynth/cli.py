@@ -143,6 +143,8 @@ class EvalSection:
     def __post_init__(self) -> None:
         if self.judge == "http" and not self.judge_endpoint:
             raise ConfigError("eval.judge http requires eval.judge_endpoint")
+        if self.judge == "http" and not eval_mod.has_placeholders(self.judge_prompt):
+            raise ConfigError("eval.judge_prompt needs {candidate} and {target} placeholders")
 
 
 @dataclass(frozen=True)
@@ -569,9 +571,7 @@ def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
             if not p.exists():
                 raise FileNotFoundError(f"{key} dataset not found: {p}")
             paths[key] = os.path.relpath(p, out.parent)
-    manifest = mix_mod.continue_plan(
-        cfg.plan.strategy, paths, mix_mod.MixSpec(seed=seed), require_files=False
-    )
+    manifest = mix_mod.continue_plan(cfg.plan.strategy, paths, require_files=False)
     out.write_text(manifest.to_json() + "\n", encoding="utf-8")
     return {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)}
 

@@ -1,18 +1,17 @@
 """Offline evaluation: sequence accuracy, top-k good ratio, reweighted metrics.
 
 A Judge decides whether one candidate correction is acceptable against the
-clean target. Good ratio at k takes the best of the first k ranked
-candidates per sample and averages the 0/1 outcomes; the weighted variants
-scale each sample's outcome by its reweighting score and normalize by N, the
-same form the live-metric regression consumes.
+clean target; `verdicts` alone calls it, once per (sample, rank), and every
+metric reduces its (N, k) array. Good ratio at k takes the best of the first
+k ranked candidates per sample and averages the 0/1 outcomes; the weighted
+variants scale each sample's outcome by its reweighting score and normalize
+by N, the same form the live-metric regression consumes.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import string
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
@@ -20,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .records import ECExample, EvalMatrix, _read_records, _write_records
-from .util import nfc
+from .util import nfc, post_text
 
 
 @dataclass(frozen=True)
@@ -66,21 +65,25 @@ class NormalizedJudge:
         return int(self._norm(candidate) == self._norm(target))
 
 
+def has_placeholders(prompt_template: str) -> bool:
+    """Whether an HTTP judge prompt template has its {candidate} and {target} slots."""
+    return "{candidate}" in prompt_template and "{target}" in prompt_template
+
+
 class ExternalJudge:
     """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}.
 
     The prompt template must contain {candidate} and {target} placeholders.
-    Verdicts are cached by (candidate, target) so repeated runs are
-    deterministic and cheap.
+    Requests use `util.post_text`'s default timeout and retries; verdicts are
+    cached by (candidate, target) so repeated runs are deterministic and cheap.
     """
 
-    def __init__(self, endpoint: str, prompt_template: str, token: str = "", timeout: float = 30.0):
-        if "{candidate}" not in prompt_template or "{target}" not in prompt_template:
+    def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
+        if not has_placeholders(prompt_template):
             raise ValueError("prompt_template needs {candidate} and {target} placeholders")
         self.endpoint = endpoint
         self.prompt_template = prompt_template
         self.token = token
-        self.timeout = timeout
         self._cache: dict[tuple[str, str], int] = {}
 
     def judge(self, candidate: str, target: str) -> int:
@@ -88,13 +91,7 @@ class ExternalJudge:
         if key in self._cache:
             return self._cache[key]
         prompt = self.prompt_template.format(candidate=candidate, target=target)
-        payload = json.dumps({"prompt": prompt}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        req = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-        with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-            text = json.loads(resp.read().decode("utf-8"))["text"]
+        text = post_text(self.endpoint, prompt, self.token)
         first = text.strip().lower().split()
         if not first or first[0] not in ("yes", "no"):
             raise ValueError(f"judge returned neither yes nor no: {text!r}")
@@ -103,25 +100,38 @@ class ExternalJudge:
         return verdict
 
 
-def _aligned_targets(outputs: ModelOutputs, dataset: Sequence[ECExample]) -> list[tuple[str, str, tuple[str, ...]]]:
-    rows = []
+def verdicts(
+    outputs: ModelOutputs, dataset: Sequence[ECExample], judge: Judge, k: int
+) -> np.ndarray:
+    """(N, k) bool array: the judge's verdict on sample i's candidate at rank r.
+
+    The judge is called exactly once for each of a sample's first k
+    candidates; ranks past its last candidate are False.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     for ex in dataset:
         if ex.id not in outputs.candidates:
             raise ValueError(f"model {outputs.model_id!r}: no outputs for sample {ex.id!r}")
-        rows.append((ex.id, ex.target, outputs.candidates[ex.id]))
-    return rows
+    v = np.zeros((len(dataset), k), dtype=bool)
+    for i, ex in enumerate(dataset):
+        for r, candidate in enumerate(outputs.candidates[ex.id][:k]):
+            v[i, r] = judge.judge(candidate, ex.target)
+    return v
+
+
+def _weight_vector(dataset: Sequence[ECExample], weights: Mapping[str, float]) -> np.ndarray:
+    missing = [ex.id for ex in dataset if ex.id not in weights]
+    if missing:
+        raise ValueError(f"weights missing for sample ids: {missing[:5]}")
+    return np.array([weights[ex.id] for ex in dataset])
 
 
 def export_chi_row(
     outputs: ModelOutputs, dataset: Sequence[ECExample], judge: Judge, k: int
 ) -> np.ndarray:
     """Per-sample best-of-k verdicts as a 0/1 vector aligned with the dataset."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    chi = np.zeros(len(dataset))
-    for i, (_, target, cands) in enumerate(_aligned_targets(outputs, dataset)):
-        chi[i] = max(judge.judge(c, target) for c in cands[:k])
-    return chi
+    return verdicts(outputs, dataset, judge, k).any(axis=1).astype(np.float64)
 
 
 def good_ratio(
@@ -146,11 +156,8 @@ def weighted_metric(
     weights: Mapping[str, float],
 ) -> float:
     """(1/N) * sum_i w_i * chi_i; weights must cover every sample."""
-    missing = [ex.id for ex in dataset if ex.id not in weights]
-    if missing:
-        raise ValueError(f"weights missing for sample ids: {missing[:5]}")
+    w = _weight_vector(dataset, weights)
     chi = export_chi_row(outputs, dataset, judge, k)
-    w = np.array([weights[ex.id] for ex in dataset])
     return float((w * chi).sum() / len(dataset))
 
 
@@ -200,23 +207,26 @@ def eval_report(
 ) -> EvalReport:
     """Metric grid over labeled groups of runs; mean ± std across runs per group.
 
-    Without weights the (w) columns repeat the unweighted values with w == 1.
+    Each run is judged once, at the largest k. Without weights the (w) columns
+    repeat the unweighted values with w == 1.
     """
-    unit = {ex.id: 1.0 for ex in dataset}
-    w = dict(unit) if weights is None else dict(weights)
-    columns: list[str] = []
-    for k in ks:
-        columns.extend([f"Top-{k}", f"Top-{k} (w)"])
+    if min(ks) < 1:
+        raise ValueError("k must be >= 1")
+    if not dataset:
+        raise ValueError("empty dataset")
+    w = np.ones(len(dataset)) if weights is None else _weight_vector(dataset, weights)
+    columns = [c for k in ks for c in (f"Top-{k}", f"Top-{k} (w)")]
     rows = []
     for label, runs in groups:
         if not runs:
             raise ValueError(f"group {label!r} has no runs")
         per_run = []
         for outputs in runs:
+            v = verdicts(outputs, dataset, judge, max(ks))
             cells = []
             for k in ks:
-                cells.append(good_ratio(outputs, dataset, judge, k))
-                cells.append(weighted_metric(outputs, dataset, judge, k, w))
+                chi = v[:, :k].any(axis=1).astype(np.float64)
+                cells += [float(chi.mean()), float((w * chi).sum() / len(dataset))]
             per_run.append(cells)
         arr = np.array(per_run)
         rows.append(

@@ -13,18 +13,14 @@ Responses are parsed from a fixed marker format:
     ...
     **Corrected sentences**: <corrected text>
 
-Two clients are provided: an HTTP client (POST {"prompt": ...} returning
-{"text": ...}) and a deterministic rule-based mock that exercises the full
+Two clients are provided: an HTTP client (`util.post_text`, shared with the
+HTTP judge) and a deterministic rule-based mock that exercises the full
 render/parse/filter path without any external service.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import time
-import urllib.error
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -32,7 +28,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .records import Document, ECExample, ErrorAnnotation
-from .util import derive_seed, nfc
+from .util import TRANSIENT_ERRORS, derive_seed, nfc, post_text
 
 # the sentence slot is fenced so clients (and the mock) can recover it exactly
 _SLOT_OPEN = "<<<"
@@ -388,6 +384,7 @@ class MockInjector:
         return self.inject(clean).raw
 
 
+@dataclass
 class HttpInjector:
     """External completion endpoint: POST {"prompt": ...} -> {"text": ...}.
 
@@ -396,39 +393,21 @@ class HttpInjector:
     and count the example rather than silently skip it.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        token: str = "",
-        timeout: float = 30.0,
-        max_retries: int = 2,
-        retry_backoff: float = 0.2,
-    ):
-        self.endpoint = endpoint
-        self.token = token
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
+    endpoint: str
+    token: str = ""
+    timeout: float = 30.0
+    max_retries: int = 2
+    retry_backoff: float = 0.2
 
     def complete(self, prompt: str) -> str:
-        payload = json.dumps({"prompt": prompt}).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
-            try:
-                req = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-                with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                    body = json.loads(resp.read().decode("utf-8"))
-                return body["text"]
-            except (urllib.error.URLError, TimeoutError, OSError, KeyError, ValueError) as e:
-                last_error = e
-                if attempt < self.max_retries:
-                    time.sleep(self.retry_backoff * (attempt + 1))
-        raise InjectionError(
-            f"injection failed after {self.max_retries + 1} attempts: {last_error}"
-        ) from last_error
+        try:
+            return post_text(
+                self.endpoint, prompt, self.token,
+                self.timeout, self.max_retries, self.retry_backoff,
+            )
+        except TRANSIENT_ERRORS as e:
+            attempts = max(self.max_retries, 0) + 1
+            raise InjectionError(f"injection failed after {attempts} attempts: {e}") from e
 
 
 @dataclass(frozen=True)

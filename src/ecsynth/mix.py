@@ -30,7 +30,6 @@ STRATEGIES = ("ContOrig", "ContMix", "ContMixFil")
 @dataclass(frozen=True)
 class MixSpec:
     ratio: tuple[int, int] = (1, 4)  # original : synthetic
-    filter_threshold: float | None = 1.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -166,7 +165,6 @@ def mix_datasets(
 def continue_plan(
     strategy: str,
     paths: dict[str, str],
-    spec: MixSpec,
     total_steps: int = DEFAULT_TOTAL_STEPS,
     phase1_steps: int = DEFAULT_PHASE1_STEPS,
     checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS,
@@ -186,7 +184,7 @@ def continue_plan(
             raise ValueError(f"strategy {strategy} requires a {key!r} dataset path")
         if require_files and not Path(paths[key]).exists():
             raise FileNotFoundError(f"{key} dataset not found: {paths[key]}")
-    manifest = TrainingManifest(
+    return TrainingManifest(
         strategy=strategy,
         phases=(
             Phase(
@@ -204,4 +202,3 @@ def continue_plan(
         ),
         checkpoints=tuple(checkpoints),
     )
-    return manifest

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .evaluate import Judge, ModelOutputs, NormalizedJudge
+from .evaluate import Judge, ModelOutputs, NormalizedJudge, export_chi_row
 from .records import ECExample, EvalMatrix, ScoredSample
 from .reweight import ReweightParams, calibrate_bias, weights_array
 
@@ -191,7 +191,6 @@ class DeploymentSimSpec:
     top3_rescue: float = 0.15
     casing_slip: float = 0.2  # fraction of correct top-1s emitted as a casing variant
     noise_sigma: float = 1e-3
-    judge_k: int = 3
     seed: int = 0
 
 
@@ -214,17 +213,15 @@ def simulate_deployments(
     dataset: Sequence[ECExample],
     scores: Sequence[ScoredSample],
     spec: DeploymentSimSpec,
-    judge: Judge | None = None,
+    judge: Judge = NormalizedJudge(),  # stateless, so one shared default is safe
 ) -> DeploymentSim:
     """Planted stand-in for live A/B testing over an actual EC dataset.
 
     The measurement matrix is produced by judging the synthesized candidate
-    strings (top judge_k) with the same judge the evaluation stage uses, and
+    strings (top 3) with the same judge the evaluation stage uses, and
     live metrics are an affine function of the planted weighted offline
     metric plus Gaussian noise.
     """
-    if judge is None:
-        judge = NormalizedJudge()
     by_id = {s.sample_id: s for s in scores}
     missing = [ex.id for ex in dataset if ex.id not in by_id]
     if missing:
@@ -259,23 +256,9 @@ def simulate_deployments(
             candidates[ex.id] = cands
         outputs.append(ModelOutputs(model_id=f"model{j:02d}", candidates=candidates))
 
-    alpha_1 = np.array([1.5, 0.8])[: spec.n_metrics]
-    alpha_0 = np.array([0.05, 0.2])[: spec.n_metrics]
-    if spec.n_metrics > 2:
-        alpha_1 = np.resize(alpha_1, spec.n_metrics)
-        alpha_0 = np.resize(alpha_0, spec.n_metrics)
-    chi = np.stack(
-        [
-            np.array(
-                [
-                    max(judge.judge(c, ex.target) for c in o.candidates[ex.id][: spec.judge_k])
-                    for ex in dataset
-                ],
-                dtype=np.float64,
-            )
-            for o in outputs
-        ]
-    )
+    alpha_1 = np.resize([1.5, 0.8], spec.n_metrics)  # cycled past two metrics
+    alpha_0 = np.resize([0.05, 0.2], spec.n_metrics)
+    chi = np.stack([export_chi_row(o, dataset, judge, 3) for o in outputs])
     s_offline = chi @ w / len(dataset)
     eps = rng.normal(0.0, spec.noise_sigma, size=(spec.n_models, spec.n_metrics))
     v = np.outer(s_offline, alpha_1) + alpha_0 + eps

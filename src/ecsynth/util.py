@@ -1,4 +1,4 @@
-"""Deterministic hashing, seeding, and normalization helpers.
+"""Deterministic hashing, seeding, and normalization helpers, and the one HTTP POST.
 
 Python's builtin hash() is salted per process, so every derived seed in the
 pipeline goes through blake2b instead. All text comparison in the toolkit is
@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 import unicodedata
+import urllib.request
 from pathlib import Path
 
 
@@ -48,3 +50,31 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+# what a POST retries: transport errors (URLError and TimeoutError are OSErrors), bad replies
+TRANSIENT_ERRORS = (OSError, KeyError, ValueError)
+
+
+def post_text(
+    endpoint: str, prompt: str, token: str = "",
+    timeout: float = 30.0, max_retries: int = 2, retry_backoff: float = 0.2,
+) -> str:
+    """POST {"prompt": prompt} as JSON with an optional bearer token; return the reply's "text".
+
+    A TRANSIENT_ERRORS failure is retried max_retries times, sleeping
+    retry_backoff * attempt seconds before each retry; the last one is raised.
+    """
+    payload = json.dumps({"prompt": prompt}).encode("utf-8")
+    headers = {"Content-Type": "application/json"}
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    for attempt in range(max(max_retries, 0) + 1):  # always one attempt
+        try:
+            req = urllib.request.Request(endpoint, data=payload, headers=headers)
+            with urllib.request.urlopen(req, timeout=timeout) as resp:
+                return json.loads(resp.read().decode("utf-8"))["text"]
+        except TRANSIENT_ERRORS:
+            if attempt >= max_retries:
+                raise
+            time.sleep(retry_backoff * (attempt + 1))

@@ -84,6 +84,8 @@ def test_invalid_config_exits_1_before_any_work(demo_dir, tmp_path):
         ("mix.filter_threshold", None),
         ("cluster.max_iters", True),
         ("seed", 1.5),
+        # an http judge whose prompt lacks the {candidate} and {target} placeholders
+        ("eval", {"judge": "http", "judge_endpoint": "http://127.0.0.1:9/judge"}),
     ],
 )
 def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+import urllib.error
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -18,6 +19,7 @@ from ecsynth.evaluate import (
     good_ratio,
     read_outputs,
     sequence_accuracy,
+    verdicts,
     weighted_metric,
     write_outputs,
 )
@@ -38,6 +40,15 @@ def _outputs(dataset, correct_at=None):
             cands[correct_at[i]] = ex.target
         candidates[ex.id] = tuple(cands)
     return ModelOutputs(model_id="m", candidates=candidates)
+
+
+class _CountingJudge(ExactJudge):
+    def __init__(self):
+        self.calls = 0
+
+    def judge(self, candidate, target):
+        self.calls += 1
+        return super().judge(candidate, target)
 
 
 def test_sequence_accuracy_counting():
@@ -138,6 +149,8 @@ def test_weighted_metric_missing_weight_errors():
     outputs = _outputs(dataset, {0: 0})
     with pytest.raises(ValueError, match="s2"):
         weighted_metric(outputs, dataset, ExactJudge(), 1, {"s0": 1.0, "s1": 1.0})
+    with pytest.raises(ValueError, match="s2"):
+        eval_report([("m", [outputs])], dataset, ExactJudge(), weights={"s0": 1.0, "s1": 1.0})
 
 
 def test_export_chi_row_consistency():
@@ -206,13 +219,42 @@ def test_eval_report_grid():
     assert top1_std == pytest.approx(0.125)
     rendered = report.render()
     assert "Top-3 (w)" in rendered and "method" in rendered
+    for ks in [(0,), (0, 3)]:
+        with pytest.raises(ValueError, match="k must be"):
+            eval_report([("method", [run1])], dataset, ExactJudge(), ks=ks)
+
+
+def test_eval_report_judges_each_candidate_once():
+    dataset = _dataset(5)
+    runs = [_outputs(dataset, {0: 0}), _outputs(dataset, {1: 2}), _outputs(dataset)]
+    judge = _CountingJudge()
+    eval_report([("a", runs[:2]), ("b", runs[2:])], dataset, judge, ks=(1, 3))
+    assert judge.calls == 3 * len(runs) * len(dataset)
+
+
+def test_verdicts_ranks_past_last_candidate_are_false():
+    dataset = _dataset(2)
+    outputs = ModelOutputs(model_id="m", candidates={"s0": ("target 0",), "s1": ("x", "target 1")})
+    judge = _CountingJudge()
+    v = verdicts(outputs, dataset, judge, 3)
+    assert v.tolist() == [[True, False, False], [False, True, False]]
+    assert judge.calls == 3
+    with pytest.raises(ValueError, match="k must be"):
+        verdicts(outputs, dataset, judge, 0)
 
 
 class _JudgeHandler(BaseHTTPRequestHandler):
     calls = 0
+    fail_next = 0
 
     def do_POST(self):
-        type(self).calls += 1
+        cls = type(self)
+        cls.calls += 1
+        if cls.fail_next > 0:
+            cls.fail_next -= 1
+            self.send_response(500)
+            self.end_headers()
+            return
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         verdict = "yes" if "target target" in body["prompt"] else "no"
         self.send_response(200)
@@ -229,6 +271,7 @@ def judge_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _JudgeHandler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     _JudgeHandler.calls = 0
+    _JudgeHandler.fail_next = 0
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -243,6 +286,22 @@ def test_external_judge_caches(judge_server):
     assert _JudgeHandler.calls == 1
     assert judge.judge("nope", "anything") == 0
     assert _JudgeHandler.calls == 2
+
+
+def test_external_judge_retries_a_transient_failure(judge_server):
+    _JudgeHandler.fail_next = 1
+    judge = ExternalJudge(endpoint=judge_server, prompt_template="{candidate} vs {target}")
+    assert judge.judge("target target", "anything") == 1
+    assert _JudgeHandler.calls == 2
+
+
+def test_external_judge_raises_when_every_attempt_fails(judge_server):
+    _JudgeHandler.fail_next = 100
+    judge = ExternalJudge(endpoint=judge_server, prompt_template="{candidate} vs {target}")
+    # the shared POST policy: 2 retries after the first attempt, then the last error
+    with pytest.raises(urllib.error.HTTPError):
+        judge.judge("target target", "anything")
+    assert _JudgeHandler.calls == 3
 
 
 def test_external_judge_template_validation():

@@ -132,7 +132,7 @@ def test_continue_plan_contmixfil(tmp_path):
         p = tmp_path / f"{key}.jsonl"
         p.write_text("", encoding="utf-8")
         paths[key] = str(p)
-    manifest = continue_plan("ContMixFil", paths, MixSpec())
+    manifest = continue_plan("ContMixFil", paths)
     assert len(manifest.phases) == 2
     assert manifest.phases[0].dataset_path == paths["synthetic"]
     assert manifest.phases[1].dataset_path == paths["mix_filtered"]
@@ -148,7 +148,7 @@ def test_continue_plan_contorig(tmp_path):
         p = tmp_path / f"{key}.jsonl"
         p.write_text("", encoding="utf-8")
         paths[key] = str(p)
-    manifest = continue_plan("ContOrig", paths, MixSpec())
+    manifest = continue_plan("ContOrig", paths)
     assert manifest.phases[1].dataset_path == paths["original"]
 
 
@@ -156,18 +156,17 @@ def test_continue_plan_missing_dataset(tmp_path):
     p = tmp_path / "synthetic.jsonl"
     p.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="mix_filtered"):
-        continue_plan("ContMixFil", {"synthetic": str(p)}, MixSpec())
+        continue_plan("ContMixFil", {"synthetic": str(p)})
     with pytest.raises(FileNotFoundError):
         continue_plan(
             "ContMixFil",
             {"synthetic": str(p), "mix_filtered": str(tmp_path / "nope.jsonl")},
-            MixSpec(),
         )
 
 
 def test_continue_plan_unknown_strategy():
     with pytest.raises(ValueError, match="strategy"):
-        continue_plan("ContNothing", {}, MixSpec())
+        continue_plan("ContNothing", {})
 
 
 def test_manifest_ranges_validated():
