@@ -56,6 +56,8 @@ class StageError(RuntimeError):
 #
 # Field metadata: "key" is the field's config key when it differs from the
 # field name (and then also its flag); "flag" is its stage-subcommand flag.
+# A section that configures a module object builds it when it is constructed,
+# so the module's own rules reject out-of-range values before any stage runs.
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,15 @@ class TypoSection:
     max_errors: int = 3
     layout: str = ""
 
+    def __post_init__(self) -> None:
+        self.build()
+
+    def build(self, seed: int = 0) -> typo_mod.TypoConfig:
+        return typo_mod.TypoConfig(
+            p_transpose=self.p_transpose, p_omit=self.p_omit, p_repeat=self.p_repeat,
+            p_spatial=self.p_spatial, max_errors_per_example=self.max_errors, seed=seed,
+        )
+
 
 @dataclass(frozen=True)
 class ScoringSection:
@@ -127,11 +138,23 @@ class ReweightSection:
     max_iters: int = 500
     grad_tol: float = 1e-8
 
+    def __post_init__(self) -> None:
+        self.params()
+
+    def params(self) -> reweight_mod.ReweightParams:
+        return reweight_mod.ReweightParams(c_min=self.c_min, c_max=self.c_max, lam=self.lam)
+
 
 @dataclass(frozen=True)
 class MixSection:
     ratio: tuple[int, int] = (1, 4)
     filter_threshold: float = field(default=1.0, metadata={"flag": "threshold"})
+
+    def __post_init__(self) -> None:
+        self.build()
+
+    def build(self, seed: int = 0) -> mix_mod.MixSpec:
+        return mix_mod.MixSpec(ratio=self.ratio, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -233,7 +256,7 @@ def _load_section(name: str, cls: type, obj: object):
             raise ConfigError(f"{name}.{key}: {e}") from e
     try:
         return cls(**values)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"section {name!r}: {e}") from e
 
 
@@ -342,7 +365,8 @@ def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings, out) -> dict
 def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus, out) -> dict:
     model = records.read_clusters(clusters)
     docs = {d.id: d for d in records.read_corpus(corpus)}
-    sampled = [docs[i] for i in cluster_mod.quota_sample(model, cfg.sample.per_cluster, seed=seed)]
+    picked = cluster_mod.quota_sample(model, cfg.sample.per_cluster, seed=seed)
+    sampled = records.by_id(picked, docs, "corpus documents")
     records.write_corpus(sampled, out)
     return {"sampled": len(sampled)}
 
@@ -373,18 +397,9 @@ def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus, out) -> dict:
 
 
 def _inject_typos(cfg: PipelineConfig, seed: int, *, dataset, layout, out) -> dict:
-    t = cfg.typo
     examples = records.read_ec_dataset(dataset)
-    typo_cfg = typo_mod.TypoConfig(
-        p_transpose=t.p_transpose,
-        p_omit=t.p_omit,
-        p_repeat=t.p_repeat,
-        p_spatial=t.p_spatial,
-        max_errors_per_example=t.max_errors,
-        seed=seed,
-    )
     keyboard = typo_mod.load_keyboard(layout) if layout else typo_mod.QWERTY
-    corrupted = typo_mod.corrupt_dataset(examples, typo_cfg, keyboard)
+    corrupted = typo_mod.corrupt_dataset(examples, cfg.typo.build(seed), keyboard)
     records.write_ec_dataset(corrupted, out)
     return {"examples": len(corrupted)}
 
@@ -394,11 +409,8 @@ def _score(
 ) -> dict:
     examples = records.read_ec_dataset(dataset)
     if import_scores:
-        by_id = {s.sample_id: s for s in records.read_scores(import_scores)}
-        missing = [ex.id for ex in examples if ex.id not in by_id]
-        if missing:
-            raise ValueError(f"imported scores missing sample ids: {missing[:5]}")
-        scores = [by_id[ex.id] for ex in examples]
+        imported = {s.sample_id: s for s in records.read_scores(import_scores)}
+        scores = records.by_id([ex.id for ex in examples], imported, "imported scores")
     elif public_corpus and domain_corpus:
         s = cfg.scoring
         public = scoring_mod.train_ngram(records.read_corpus(public_corpus), s.order, s.delta)
@@ -503,9 +515,9 @@ def _fit_reweight(
     matrices = [records.read_eval_matrix(p) for p in eval_matrix]
     score_list = records.read_scores(scores)
     fit = reweight_mod.fit(
-        matrices[0] if len(matrices) == 1 else matrices,
+        matrices,
         score_list,
-        init=reweight_mod.ReweightParams(c_min=r.c_min, c_max=r.c_max, lam=r.lam),
+        init=r.params(),
         opts=reweight_mod.FitOptions(
             max_iters=r.max_iters, grad_tol=r.grad_tol, restarts=r.restarts, seed=seed
         ),
@@ -519,8 +531,7 @@ def _fit_reweight(
     if weights_out:
         records.write_weights(weights, weights_out)
     if weighted:
-        examples = records.read_ec_dataset(dataset)
-        records.write_ec_dataset([ex.with_weight(weights[ex.id]) for ex in examples], weighted)
+        records.write_ec_dataset(_with_weights(records.read_ec_dataset(dataset), weights), weighted)
     return {
         "residual_train": fit.residual_train,
         "uniform": fit.baseline_residuals["uniform"],
@@ -529,14 +540,15 @@ def _fit_reweight(
     }
 
 
+def _with_weights(examples: list[records.ECExample], weights: dict[str, float]) -> list:
+    ws = records.by_id([ex.id for ex in examples], weights, "weights")
+    return [ex.with_weight(w) for ex, w in zip(examples, ws)]
+
+
 def _filter(cfg: PipelineConfig, seed: int, *, dataset, weights, out) -> dict:
     examples = records.read_ec_dataset(dataset)
     if weights:
-        by_id = records.read_weights(weights)
-        missing = [ex.id for ex in examples if ex.id not in by_id]
-        if missing:
-            raise ValueError(f"weights missing for sample ids: {missing[:5]}")
-        examples = [ex.with_weight(by_id[ex.id]) for ex in examples]
+        examples = _with_weights(examples, records.read_weights(weights))
     threshold = cfg.mix.filter_threshold
     kept = mix_mod.filter_by_weight(examples, threshold)
     records.write_ec_dataset(kept, out)
@@ -553,7 +565,7 @@ def _mix(
 ) -> dict:
     if (filtered is None) != (mix_filtered is None):
         raise ConfigError("--filtered and --mix-filtered go together")
-    spec = mix_mod.MixSpec(ratio=cfg.mix.ratio, seed=seed)
+    spec = cfg.mix.build(seed)
     original_set = records.read_ec_dataset(original)
     for src, dst in ((synthetic, out), (filtered, mix_filtered)):
         if src:

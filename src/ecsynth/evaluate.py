@@ -18,7 +18,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .records import ECExample, EvalMatrix, _read_records, _write_records
+from .records import ECExample, EvalMatrix, _read_records, _write_records, by_id
 from .util import nfc, post_text
 
 
@@ -110,21 +110,17 @@ def verdicts(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    for ex in dataset:
-        if ex.id not in outputs.candidates:
-            raise ValueError(f"model {outputs.model_id!r}: no outputs for sample {ex.id!r}")
+    ids = [ex.id for ex in dataset]
+    ranked = by_id(ids, outputs.candidates, f"model {outputs.model_id!r}: outputs")
     v = np.zeros((len(dataset), k), dtype=bool)
-    for i, ex in enumerate(dataset):
-        for r, candidate in enumerate(outputs.candidates[ex.id][:k]):
+    for i, (ex, candidates) in enumerate(zip(dataset, ranked)):
+        for r, candidate in enumerate(candidates[:k]):
             v[i, r] = judge.judge(candidate, ex.target)
     return v
 
 
 def _weight_vector(dataset: Sequence[ECExample], weights: Mapping[str, float]) -> np.ndarray:
-    missing = [ex.id for ex in dataset if ex.id not in weights]
-    if missing:
-        raise ValueError(f"weights missing for sample ids: {missing[:5]}")
-    return np.array([weights[ex.id] for ex in dataset])
+    return np.array(by_id([ex.id for ex in dataset], weights, "weights"))
 
 
 def export_chi_row(

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -188,6 +188,17 @@ class EvalMatrix:
         )
 
 
+T = TypeVar("T")
+
+
+def by_id(ids: Sequence[str], table: Mapping[str, T], what: str) -> list[T]:
+    """`table[i]` for each id in order; a ValueError names up to five ids the table lacks."""
+    missing = [i for i in ids if i not in table]
+    if missing:
+        raise ValueError(f"{what} missing for ids: {missing[:5]}")
+    return [table[i] for i in ids]
+
+
 # -- line-delimited I/O --
 
 
@@ -203,9 +214,6 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict):
                 raise RecordError(f"{path}: malformed record on line {lineno}: not an object")
             yield lineno, obj
-
-
-T = TypeVar("T")
 
 
 def _read_records(

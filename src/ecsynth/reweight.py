@@ -17,6 +17,10 @@ metric scales differ across deployments; theta is shared.
 Uniform weights (w == 1) are reachable inside the hypothesis class, and one
 restart always starts there, so the fitted training residual can never land
 above the uniform baseline.
+
+One weight function, `_weights`, serves the fit, the bias calibration and
+both planted simulators in `simbench`; the residual, the objective sum and
+the held-out error are likewise each defined once.
 """
 
 from __future__ import annotations
@@ -26,15 +30,19 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import expit
 
-from .records import EvalMatrix, ScoredSample
+from .records import EvalMatrix, ScoredSample, by_id
 from .scoring import heuristic_weight
 
 # keeps weights strictly inside (c_min, c_max) in float64 even when the
 # sigmoid saturates; 1 - 1e-12 survives the multiply by (c_max - c_min)
 _SIG_EPS = 1e-12
+
+# standard deviation of the random restart inits of theta, and the magnitude
+# of the sign-pattern inits
+_THETA_SCALE = 5.0
 
 
 @dataclass(frozen=True)
@@ -113,7 +121,6 @@ class FitOptions:
     grad_tol: float = 1e-8
     restarts: int = 8
     seed: int = 0
-    theta_scale: float = 5.0
 
 
 @dataclass(frozen=True)
@@ -127,21 +134,25 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return np.clip(expit(z), _SIG_EPS, 1.0 - _SIG_EPS)
 
 
+def _weights(
+    theta: Sequence[float], c_min: float, c_max: float, s_f: np.ndarray, s_p: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bounded sigmoid weights, and the clipped sigmoid the gradient needs."""
+    sig = sigmoid(theta[0] * s_f + theta[1] * s_p + theta[2])
+    return c_min + (c_max - c_min) * sig, sig
+
+
 def weight(params: ReweightParams, s: ScoredSample) -> float:
     """Bounded sigmoid weight of one sample, strictly inside (c_min, c_max)."""
-    z = params.theta_f * s.s_f + params.theta_p * s.s_p + params.theta_b
-    return float(params.c_min + (params.c_max - params.c_min) * sigmoid(z))
+    return float(weights_array(params, s.s_f, s.s_p))
 
 
 def weights_array(params: ReweightParams, s_f: np.ndarray, s_p: np.ndarray) -> np.ndarray:
-    z = params.theta_f * s_f + params.theta_p * s_p + params.theta_b
-    return params.c_min + (params.c_max - params.c_min) * sigmoid(z)
+    return _weights(params.theta, params.c_min, params.c_max, s_f, s_p)[0]
 
 
 def weights_for(params: ReweightParams, scores: Sequence[ScoredSample]) -> dict[str, float]:
-    s_f = np.array([s.s_f for s in scores])
-    s_p = np.array([s.s_p for s in scores])
-    w = weights_array(params, s_f, s_p)
+    w = weights_array(params, np.array([s.s_f for s in scores]), np.array([s.s_p for s in scores]))
     return {s.sample_id: float(x) for s, x in zip(scores, w)}
 
 
@@ -165,56 +176,60 @@ def _as_matrices(data: EvalMatrix | Sequence[EvalMatrix]) -> tuple[EvalMatrix, .
     return matrices
 
 
-def _aligned(matrix: EvalMatrix, scores: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray]:
-    by_id = {s.sample_id: s for s in scores}
-    missing = [sid for sid in matrix.sample_ids if sid not in by_id]
-    if missing:
-        raise ValueError(f"scores missing for sample ids: {missing[:5]}")
-    s_f = np.array([by_id[sid].s_f for sid in matrix.sample_ids])
-    s_p = np.array([by_id[sid].s_p for sid in matrix.sample_ids])
-    return s_f, s_p
+def aligned_scores(
+    ids: Sequence[str], scores: Sequence[ScoredSample]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_f, s_p) of each id in order; a ValueError names the ids without a score."""
+    rows = by_id(ids, {s.sample_id: s for s in scores}, "scores")
+    return np.array([r.s_f for r in rows]), np.array([r.s_p for r in rows])
 
 
 def _problem(
-    data: EvalMatrix | Sequence[EvalMatrix],
-    scores: Sequence[ScoredSample],
-    min_models: int = 2,
+    data: EvalMatrix | Sequence[EvalMatrix], scores: Sequence[ScoredSample]
 ) -> list[_SetData]:
     sets = []
     for m in _as_matrices(data):
-        if m.n_models < min_models:
-            raise ValueError(f"need at least {min_models} models per metric set, got {m.n_models}")
-        s_f, s_p = _aligned(m, scores)
+        if m.n_models < 2:
+            raise ValueError(f"need at least 2 models per metric set, got {m.n_models}")
+        s_f, s_p = aligned_scores(m.sample_ids, scores)
         sets.append(_SetData(chi=m.chi, v=m.live_metrics, s_f=s_f, s_p=s_p))
     return sets
 
 
-def _eval_set(
-    theta: np.ndarray,
-    alpha_1: np.ndarray,
-    alpha_0: np.ndarray,
-    st: _SetData,
-    c_min: float,
-    c_max: float,
-    lam: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Objective value and gradients for one metric set."""
-    n = st.chi.shape[1]
-    z = theta[0] * st.s_f + theta[1] * st.s_p + theta[2]
-    sig = sigmoid(z)
-    w = c_min + (c_max - c_min) * sig
-    s = st.chi @ w / n                               # (K,)
-    resid = np.outer(s, alpha_1) + alpha_0 - st.v    # (K, d)
-    wbar = float(w.mean())
-    value = float((resid * resid).sum() + lam * (wbar - 1.0) ** 2)
+def _set_metric(w: np.ndarray, st: _SetData) -> np.ndarray:
+    return st.chi @ w / st.chi.shape[1]
 
-    d_resid_ds = 2.0 * (resid @ alpha_1)             # (K,)
-    g_w = (st.chi.T @ d_resid_ds) / n + 2.0 * lam * (wbar - 1.0) / n
-    g_z = g_w * (c_max - c_min) * sig * (1.0 - sig)
-    grad_theta = np.array([g_z @ st.s_f, g_z @ st.s_p, g_z.sum()])
-    grad_a1 = 2.0 * (resid * s[:, None]).sum(axis=0)
-    grad_a0 = 2.0 * resid.sum(axis=0)
-    return value, grad_theta, grad_a1, grad_a0
+
+def _resid(s: np.ndarray, alpha_1: np.ndarray, alpha_0: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(K, d) regression residual of per-model offline metrics s (K,) against live metrics v."""
+    return np.outer(s, alpha_1) + alpha_0 - v
+
+
+def _eval_sets(
+    theta: np.ndarray,
+    alphas: Sequence[RegressionParams],
+    sets: Sequence[_SetData],
+    params: ReweightParams,
+) -> tuple[float, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Value and gradients of the objective summed over sets; `params` gives c_min, c_max, lambda."""
+    c_min, c_max, lam = params.c_min, params.c_max, params.lam
+    value = 0.0
+    grad_theta = np.zeros(3)
+    grad_alpha = []
+    for st, a in zip(sets, alphas):
+        n = st.chi.shape[1]
+        w, sig = _weights(theta, c_min, c_max, st.s_f, st.s_p)
+        s = _set_metric(w, st)                           # (K,)
+        resid = _resid(s, a.alpha_1, a.alpha_0, st.v)    # (K, d)
+        wbar = float(w.mean())
+        value += float((resid * resid).sum() + lam * (wbar - 1.0) ** 2)
+
+        d_resid_ds = 2.0 * (resid @ a.alpha_1)           # (K,)
+        g_w = (st.chi.T @ d_resid_ds) / n + 2.0 * lam * (wbar - 1.0) / n
+        g_z = g_w * (c_max - c_min) * sig * (1.0 - sig)
+        grad_theta += np.array([g_z @ st.s_f, g_z @ st.s_p, g_z.sum()])
+        grad_alpha.append((2.0 * (resid * s[:, None]).sum(axis=0), 2.0 * resid.sum(axis=0)))
+    return value, grad_theta, grad_alpha
 
 
 def objective(
@@ -228,19 +243,9 @@ def objective(
     sets = _problem(data, scores)
     if len(alpha_list) != len(sets):
         raise ValueError(f"got {len(alpha_list)} regressions for {len(sets)} metric sets")
-    theta = params.theta
-    value = 0.0
-    grad_theta = np.zeros(3)
-    grad_alpha = []
-    for st, a in zip(sets, alpha_list):
-        if a.alpha_1.shape[0] != st.v.shape[1]:
-            raise ValueError("regression dimension does not match metric dimension")
-        val, g_t, g_a1, g_a0 = _eval_set(
-            theta, a.alpha_1, a.alpha_0, st, params.c_min, params.c_max, params.lam
-        )
-        value += val
-        grad_theta += g_t
-        grad_alpha.append((g_a1, g_a0))
+    if any(a.alpha_1.shape[0] != st.v.shape[1] for st, a in zip(sets, alpha_list)):
+        raise ValueError("regression dimension does not match metric dimension")
+    value, grad_theta, grad_alpha = _eval_sets(params.theta, alpha_list, sets, params)
     return ObjectiveEval(value=value, grad_theta=grad_theta, grad_alpha=tuple(grad_alpha))
 
 
@@ -263,17 +268,13 @@ def _closed_form_alpha(s: np.ndarray, v: np.ndarray) -> RegressionParams:
     return RegressionParams(alpha_1=alpha_1, alpha_0=alpha_0)
 
 
-def _set_metric(w: np.ndarray, st: _SetData) -> np.ndarray:
-    return st.chi @ w / st.chi.shape[1]
-
-
 def _residual_with_weights(w_by_set: list[np.ndarray], sets: list[_SetData]) -> tuple[float, list[RegressionParams]]:
     total = 0.0
     alphas = []
     for w, st in zip(w_by_set, sets):
         s = _set_metric(w, st)
         a = _closed_form_alpha(s, st.v)
-        resid = np.outer(s, a.alpha_1) + a.alpha_0 - st.v
+        resid = _resid(s, a.alpha_1, a.alpha_0, st.v)
         total += float((resid * resid).sum())
         alphas.append(a)
     return total, alphas
@@ -285,7 +286,7 @@ def refit_regression_only(
     scores: Sequence[ScoredSample],
 ) -> tuple[tuple[RegressionParams, ...], float]:
     """Closed-form regression at a fixed reweighting model; returns (alphas, residual)."""
-    sets = _problem(data, scores, min_models=2)
+    sets = _problem(data, scores)
     w_by_set = [weights_array(fixed, st.s_f, st.s_p) for st in sets]
     residual, alphas = _residual_with_weights(w_by_set, sets)
     return tuple(alphas), residual
@@ -303,15 +304,10 @@ def baseline_residuals(
     """
     sets = _problem(data, scores)
     uniform, _ = _residual_with_weights([np.ones(st.chi.shape[1]) for st in sets], sets)
-    heuristic_w = []
-    for st in sets:
-        hw = np.array(
-            [
-                heuristic_weight(ScoredSample(sample_id=str(i), s_p=p, s_f=f))
-                for i, (p, f) in enumerate(zip(st.s_p, st.s_f))
-            ]
-        )
-        heuristic_w.append(hw)
+    heuristic_w = [
+        np.array([heuristic_weight(ScoredSample("", s_p=p, s_f=f)) for p, f in zip(st.s_p, st.s_f)])
+        for st in sets
+    ]
     heuristic, _ = _residual_with_weights(heuristic_w, sets)
     return {"uniform": uniform, "heuristic": heuristic}
 
@@ -353,12 +349,9 @@ def calibrate_bias(
     """
     if not c_min < target < c_max:
         raise ValueError(f"target mean weight must lie inside ({c_min}, {c_max})")
-    from scipy.optimize import brentq
-
-    lin = theta_f * s_f + theta_p * s_p
 
     def gap(b: float) -> float:
-        return float((c_min + (c_max - c_min) * sigmoid(lin + b)).mean()) - target
+        return float(_weights((theta_f, theta_p, b), c_min, c_max, s_f, s_p)[0].mean()) - target
 
     lo, hi = -80.0, 80.0
     while gap(lo) > 0 and lo > -1e6:
@@ -383,7 +376,7 @@ def fit(
     subproblem is exactly separable), then a joint quasi-Newton polish over
     (theta, alpha) from the best point. Restart inits: the caller's theta (or
     zero), the exact uniform-weight theta, four sign-pattern directions with
-    the bias calibrated to mean weight 1, and N(0, theta_scale^2) draws.
+    the bias calibrated to mean weight 1, and N(0, _THETA_SCALE^2) draws.
 
     The uniform-weight init guarantees the fitted training residual never
     lands above the uniform baseline.
@@ -397,7 +390,7 @@ def fit(
     matrices = _as_matrices(data)
     sets = _problem(matrices, scores)
     dims = [st.v.shape[1] for st in sets]
-    c_min, c_max, lam = params.c_min, params.c_max, params.lam
+    c_min, c_max = params.c_min, params.c_max
     lbfgs_options = {
         "maxiter": options.max_iters,
         "maxcor": 10,
@@ -406,41 +399,27 @@ def fit(
     }
 
     def closed_alphas(theta: np.ndarray) -> list[RegressionParams]:
-        out = []
-        for st in sets:
-            w = c_min + (c_max - c_min) * sigmoid(theta[0] * st.s_f + theta[1] * st.s_p + theta[2])
-            out.append(_closed_form_alpha(_set_metric(w, st), st.v))
-        return out
+        ws = [_weights(theta, c_min, c_max, st.s_f, st.s_p)[0] for st in sets]
+        return [_closed_form_alpha(_set_metric(w, st), st.v) for w, st in zip(ws, sets)]
 
-    def joint_fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        theta, alphas = _unpack(x, dims)
-        value = 0.0
-        grad_theta = np.zeros(3)
-        grads = []
-        for st, a in zip(sets, alphas):
-            val, g_t, g_a1, g_a0 = _eval_set(theta, a.alpha_1, a.alpha_0, st, c_min, c_max, lam)
-            value += val
-            grad_theta += g_t
-            grads.extend([g_a1, g_a0])
+    def finite_eval(theta: np.ndarray, alphas: Sequence[RegressionParams]):
+        value, grad_theta, grad_alpha = _eval_sets(theta, alphas, sets, params)
         if not np.isfinite(value):
             raise _NonFiniteObjective
-        return value, np.concatenate([grad_theta, *grads])
+        return value, grad_theta, grad_alpha
+
+    def joint_fun(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, grad_theta, grad_alpha = finite_eval(*_unpack(x, dims))
+        return value, np.concatenate([grad_theta, *(g for pair in grad_alpha for g in pair)])
 
     def projected_fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         # envelope theorem: d/dtheta of min_alpha f equals the partial in
         # theta at the solved alpha, so the projected gradient is exact
-        value = 0.0
-        grad_theta = np.zeros(3)
-        for st, a in zip(sets, closed_alphas(theta)):
-            val, g_t, _, _ = _eval_set(theta, a.alpha_1, a.alpha_0, st, c_min, c_max, lam)
-            value += val
-            grad_theta += g_t
-        if not np.isfinite(value):
-            raise _NonFiniteObjective
+        value, grad_theta, _ = finite_eval(theta, closed_alphas(theta))
         return value, grad_theta
 
     rng = np.random.default_rng(options.seed)
-    scale = options.theta_scale
+    scale = _THETA_SCALE
     theta_inits = [params.theta, np.array(ReweightParams.uniform_theta(c_min, c_max))]
     for tf, tp in ((scale, -scale), (-scale, scale), (scale, scale), (-scale, -scale)):
         try:
@@ -487,17 +466,12 @@ def fit(
     except _NonFiniteObjective:
         pass
     theta_hat, _ = _unpack(best_x, dims)
-    # final alpha always from the closed form at theta_hat (never worse)
-    alpha_hat = closed_alphas(theta_hat)
-    best_val = min(best_val, joint_fun(_pack(theta_hat, alpha_hat))[0])
     fitted = params.with_theta(theta_hat)
-    residual_train = 0.0
-    for st, a in zip(sets, alpha_hat):
-        w = weights_array(fitted, st.s_f, st.s_p)
-        resid = np.outer(_set_metric(w, st), a.alpha_1) + a.alpha_0 - st.v
-        residual_train += float((resid * resid).sum())
+    # final alpha always from the closed form at theta_hat (never worse)
+    w_by_set = [weights_array(fitted, st.s_f, st.s_p) for st in sets]
+    residual_train, alpha_hat = _residual_with_weights(w_by_set, sets)
+    best_val = min(best_val, joint_fun(_pack(theta_hat, alpha_hat))[0])
     baselines = baseline_residuals(matrices, scores)
-    all_w = np.concatenate([weights_array(fitted, st.s_f, st.s_p) for st in sets])
     containment = residual_train <= baselines["uniform"] + 1e-9
 
     cv = holdout_cv(matrices[0], scores, init=params, opts=options) if with_cv else None
@@ -510,7 +484,7 @@ def fit(
         regression=tuple(alpha_hat),
         objective_train=best_val,
         residual_train=residual_train,
-        mean_weight=float(all_w.mean()),
+        mean_weight=float(np.concatenate(w_by_set).mean()),
         baseline_residuals=baselines,
         containment_ok=bool(containment),
         restarts_run=len(theta_inits) - failures,
@@ -532,20 +506,14 @@ def holdout_cv(
     if matrix.n_models < 3:
         raise ValueError(f"holdout_cv needs at least 3 models, got {matrix.n_models}")
     params = init if init is not None else ReweightParams()
+    s_f, s_p = aligned_scores(matrix.sample_ids, scores)
     residuals = []
     for j in range(matrix.n_models):
-        sub = matrix.without_model(j)
-        f = fit(sub, scores, init=params, opts=opts)
-        s_f, s_p = _aligned(matrix, scores)
+        f = fit(matrix.without_model(j), scores, init=params, opts=opts)
         w = weights_array(f.params, s_f, s_p)
         s_j = float(matrix.chi[j] @ w / matrix.n_samples)
-        pred = f.regression[0].alpha_1 * s_j + f.regression[0].alpha_0
-        err = pred - matrix.live_metrics[j]
-        residuals.append(float(err @ err))
-    arr = np.array(residuals)
-    return ResidualSummary(
-        per_holdout=tuple(residuals), mean=float(arr.mean()), std=float(arr.std())
-    )
+        residuals.append(_holdout_error(f.regression[0], s_j, matrix.live_metrics[j]))
+    return _summary(residuals)
 
 
 def _validation_residuals(
@@ -556,14 +524,22 @@ def _validation_residuals(
     """Held-one-out on a validation set, refitting only regression at fixed theta."""
     residuals: list[float] = []
     for matrix in _as_matrices(val_data):
-        s_f, s_p = _aligned(matrix, scores)
-        w = weights_array(fitted, s_f, s_p)
+        w = weights_array(fitted, *aligned_scores(matrix.sample_ids, scores))
         s_all = matrix.chi @ w / matrix.n_samples
         for j in range(matrix.n_models):
             keep = [i for i in range(matrix.n_models) if i != j]
             a = _closed_form_alpha(s_all[keep], matrix.live_metrics[keep])
-            err = a.alpha_1 * s_all[j] + a.alpha_0 - matrix.live_metrics[j]
-            residuals.append(float(err @ err))
+            residuals.append(_holdout_error(a, s_all[j], matrix.live_metrics[j]))
+    return _summary(residuals)
+
+
+def _holdout_error(a: RegressionParams, s_j: float, v_j: np.ndarray) -> float:
+    """Squared error of the regression's prediction for a held-out model."""
+    err = a.alpha_1 * s_j + a.alpha_0 - v_j
+    return float(err @ err)
+
+
+def _summary(residuals: list[float]) -> ResidualSummary:
     arr = np.array(residuals)
     return ResidualSummary(
         per_holdout=tuple(residuals), mean=float(arr.mean()), std=float(arr.std())

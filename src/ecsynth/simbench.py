@@ -10,6 +10,9 @@ By default the planted bias term is calibrated so the mean planted weight is
 exactly 1 (the regularizer's fixed point), making the noiseless instance
 fully realizable by the fitting objective. Two metric sets with deliberately
 different scales are generated to exercise the per-set regression protocol.
+
+`generate` and `simulate_deployments` share one planted model: `reweight`'s
+weight function, `_planted_rates` and `_live_metrics`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,12 @@ from scipy.special import expit, logit
 
 from .evaluate import Judge, ModelOutputs, NormalizedJudge, export_chi_row
 from .records import ECExample, EvalMatrix, ScoredSample
-from .reweight import ReweightParams, calibrate_bias, weights_array
+from .reweight import ReweightParams, aligned_scores, calibrate_bias, weights_array
+
+# names of the deployment simulator's first live metrics; the rest are metric_{m}
+_METRIC_NAMES = ("click_through_rate", "accept_rate")
+# fraction of correct top-1s the deployment simulator emits as a casing variant
+_CASING_SLIP = 0.2
 
 
 @dataclass(frozen=True)
@@ -119,6 +127,15 @@ def _planted_rates(
     return np.clip(expit(logit(base)[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
 
 
+def _live_metrics(
+    rng: np.random.Generator, chi: np.ndarray, w: np.ndarray, alpha: tuple[np.ndarray, np.ndarray],
+    noise_sigma: float,
+) -> tuple[np.ndarray, float]:
+    """Live metrics affine in the weighted offline metric plus noise; and the noise's sum of squares."""
+    eps = rng.normal(0.0, noise_sigma, size=(chi.shape[0], len(alpha[0])))
+    return np.outer(chi @ w / chi.shape[1], alpha[0]) + alpha[1] + eps, float((eps * eps).sum())
+
+
 def generate(spec: PlantedSpec) -> PlantedBenchmark:
     """Deterministic benchmark instance for the given spec."""
     rng = np.random.default_rng(spec.seed)
@@ -140,11 +157,8 @@ def generate(spec: PlantedSpec) -> PlantedBenchmark:
     for s in range(spec.n_sets):
         p = _planted_rates(rng, spec, w)
         chi = (rng.random(p.shape) < p).astype(np.float64)
-        s_offline = chi @ w / n
-        alpha_1, alpha_0 = alphas[s]
-        eps = rng.normal(0.0, spec.noise_sigma, size=(spec.n_models, spec.n_metrics))
-        v = np.outer(s_offline, alpha_1) + alpha_0 + eps
-        noise_per_set.append(float((eps * eps).sum()))
+        v, noise = _live_metrics(rng, chi, w, alphas[s], spec.noise_sigma)
+        noise_per_set.append(noise)
         matrices.append(
             EvalMatrix(
                 model_ids=tuple(f"set{s}-model{j:02d}" for j in range(spec.n_models)),
@@ -180,7 +194,6 @@ class DeploymentSimSpec:
 
     n_models: int = 8
     n_metrics: int = 2
-    metric_names: tuple[str, ...] = ("click_through_rate", "accept_rate")
     theta_f: float = 8.0
     theta_p: float = -6.0
     target_mean_weight: float = 1.0
@@ -189,7 +202,6 @@ class DeploymentSimSpec:
     base_accuracy: tuple[float, float] = (0.55, 0.9)
     skill_std: float = 1.5
     top3_rescue: float = 0.15
-    casing_slip: float = 0.2  # fraction of correct top-1s emitted as a casing variant
     noise_sigma: float = 1e-3
     seed: int = 0
 
@@ -222,12 +234,7 @@ def simulate_deployments(
     live metrics are an affine function of the planted weighted offline
     metric plus Gaussian noise.
     """
-    by_id = {s.sample_id: s for s in scores}
-    missing = [ex.id for ex in dataset if ex.id not in by_id]
-    if missing:
-        raise ValueError(f"scores missing for sample ids: {missing[:5]}")
-    s_f = np.array([by_id[ex.id].s_f for ex in dataset])
-    s_p = np.array([by_id[ex.id].s_p for ex in dataset])
+    s_f, s_p = aligned_scores([ex.id for ex in dataset], scores)
 
     params, w = _planted_weights(spec, 0.0, s_f, s_p)
 
@@ -243,7 +250,7 @@ def simulate_deployments(
             u = rng.random()
             if u < p1[j, i]:
                 top = ex.target
-                if rng.random() < spec.casing_slip:
+                if rng.random() < _CASING_SLIP:
                     top = _near_miss(ex.target)
                 cands = (top, wrong_a, wrong_b)
             elif u < p1[j, i] + spec.top3_rescue:
@@ -256,24 +263,23 @@ def simulate_deployments(
             candidates[ex.id] = cands
         outputs.append(ModelOutputs(model_id=f"model{j:02d}", candidates=candidates))
 
-    alpha_1 = np.resize([1.5, 0.8], spec.n_metrics)  # cycled past two metrics
-    alpha_0 = np.resize([0.05, 0.2], spec.n_metrics)
+    # cycled past two metrics
+    alpha = (np.resize([1.5, 0.8], spec.n_metrics), np.resize([0.05, 0.2], spec.n_metrics))
     chi = np.stack([export_chi_row(o, dataset, judge, 3) for o in outputs])
-    s_offline = chi @ w / len(dataset)
-    eps = rng.normal(0.0, spec.noise_sigma, size=(spec.n_models, spec.n_metrics))
-    v = np.outer(s_offline, alpha_1) + alpha_0 + eps
+    v, noise_floor = _live_metrics(rng, chi, w, alpha, spec.noise_sigma)
+    names = _METRIC_NAMES + tuple(f"metric_{m}" for m in range(len(_METRIC_NAMES), spec.n_metrics))
     matrix = EvalMatrix(
         model_ids=tuple(o.model_id for o in outputs),
         sample_ids=tuple(ex.id for ex in dataset),
         chi=chi,
         live_metrics=v,
-        metric_names=spec.metric_names[: spec.n_metrics],
+        metric_names=names[: spec.n_metrics],
     )
     return DeploymentSim(
         outputs=tuple(outputs),
         matrix=matrix,
         params=params,
         weights=w,
-        alpha=(alpha_1, alpha_0),
-        noise_floor=float((eps * eps).sum()),
+        alpha=alpha,
+        noise_floor=noise_floor,
     )

@@ -102,6 +102,53 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
     assert not (tmp_path / "artifacts").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("reweight.c_min", 2.0, "c_min < c_max"),
+        ("mix.ratio", [0, 4], "ratio"),
+        ("typo.p_omit", 1.5, "rates"),
+    ],
+)
+def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):
+    materialize(tmp_path)
+    cfg = json.loads(json.dumps(DEMO_CONFIG))
+    section, name = key.split(".")
+    cfg[section][name] = value
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_config(p)
+    assert main(["run", "--config", str(p)]) == 1
+    assert not (tmp_path / "artifacts").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simbench", "--c-min", "3.0"],
+        ["mix", "--ratio", "0:4"],
+        ["inject-typos", "--p-omit", "1.5"],
+    ],
+)
+def test_stage_subcommand_rejects_out_of_range_flag(tmp_path, capsys, argv):
+    dataset = tmp_path / "ec.jsonl"
+    records.write_ec_dataset([ECExample(id="e1", source="teh cat", target="the cat")], dataset)
+    records.write_scores([records.ScoredSample("e1", s_p=-4.0, s_f=-3.0)], tmp_path / "scores.jsonl")
+    files = {
+        "simbench": ["--dataset", str(dataset), "--scores", str(tmp_path / "scores.jsonl"),
+                     "--outputs", str(tmp_path / "outputs"),
+                     "--eval-matrix", str(tmp_path / "m.jsonl"),
+                     "--planted", str(tmp_path / "planted.json")],
+        "mix": ["--original", str(dataset), "--synthetic", str(dataset),
+                "--out", str(tmp_path / "mix.jsonl")],
+        "inject-typos": ["--dataset", str(dataset), "--out", str(tmp_path / "typos.jsonl")],
+    }[argv[0]]
+    assert main(argv + files) == 1
+    assert "error:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ec.jsonl", "scores.jsonl"]
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -195,6 +242,45 @@ def test_cluster_and_sample_subcommands(demo_dir, tmp_path):
     )
     assert rc == 0
     assert len(records.read_corpus(sampled)) == sum(min(5, s) for s in model.sizes)
+
+
+def test_sample_subcommand_names_documents_missing_from_corpus(demo_dir, tmp_path, capsys):
+    corpus = records.read_corpus(demo_dir / "demo_corpus.jsonl")
+    clusters = tmp_path / "clusters.jsonl"
+    assert main(
+        ["cluster", "--corpus", str(demo_dir / "demo_corpus.jsonl"), "--k", "4",
+         "--out", str(clusters)]
+    ) == 0
+    kept = tmp_path / "kept.jsonl"
+    records.write_corpus(corpus[1:], kept)  # the clusters still name corpus[0]
+    rc = main(
+        ["sample", "--clusters", str(clusters), "--corpus", str(kept),
+         "--per-cluster", "2000", "--out", str(tmp_path / "sampled.jsonl")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "missing" in err and corpus[0].id in err
+
+
+def test_fit_reweight_weighted_names_dataset_ids_without_weights(tmp_path, capsys):
+    assert main(["planted", "--n", "60", "--k", "4", "--seed", "2",
+                 "--out-prefix", str(tmp_path / "bench")]) == 0
+    scored = records.read_scores(tmp_path / "bench_scores.jsonl")
+    dataset = tmp_path / "ec.jsonl"
+    records.write_ec_dataset(
+        [ECExample(id=s.sample_id, source="teh cat", target="the cat") for s in scored[:3]]
+        + [ECExample(id="not-scored", source="teh dog", target="the dog")],
+        dataset,
+    )
+    rc = main(
+        ["fit-reweight", "--eval-matrix", str(tmp_path / "bench_matrix0.jsonl"),
+         "--scores", str(tmp_path / "bench_scores.jsonl"), "--restarts", "2",
+         "--dataset", str(dataset), "--weighted", str(tmp_path / "weighted.jsonl"),
+         "--report", str(tmp_path / "fit.json")]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "missing" in err and "not-scored" in err
 
 
 def test_inject_score_filter_mix_plan_subcommands(demo_dir, tmp_path):

@@ -225,6 +225,18 @@ def test_refit_regression_only_planted_truth():
     assert residual <= bench.truth.noise_total + 1e-12
 
 
+def test_fit_agrees_with_regression_only_refit_at_fitted_params():
+    bench = generate(PlantedSpec(n_samples=150, n_models=6, noise_sigma=1e-3, seed=7))
+    f = fit(bench.matrices, bench.scores, opts=FitOptions(seed=7, restarts=3))
+    alphas, residual = refit_regression_only(f.params, bench.matrices, bench.scores)
+    assert residual == f.residual_train
+    assert len(alphas) == len(f.regression)
+    for a, b in zip(alphas, f.regression):
+        assert np.array_equal(a.alpha_1, b.alpha_1)
+        assert np.array_equal(a.alpha_0, b.alpha_0)
+        assert a.degenerate == b.degenerate
+
+
 def test_baseline_residuals_heuristic_equals_uniform_when_all_pass():
     rng = np.random.default_rng(4)
     matrix, _ = _random_instance(rng)

@@ -122,6 +122,15 @@ def test_simulate_deployments_fit_recovers():
     assert f.residual_train < 1e-8
 
 
+def test_simulate_deployments_names_metrics_past_the_second():
+    dataset = _dataset(20)
+    sim = simulate_deployments(
+        dataset, _scores(dataset, seed=2), DeploymentSimSpec(n_models=3, n_metrics=3, seed=2)
+    )
+    assert sim.matrix.live_metrics.shape == (3, 3)
+    assert sim.matrix.metric_names == ("click_through_rate", "accept_rate", "metric_2")
+
+
 def test_simulate_deployments_requires_scores():
     dataset = _dataset(5)
     with pytest.raises(ValueError, match="missing"):
