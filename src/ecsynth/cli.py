@@ -57,7 +57,8 @@ class StageError(RuntimeError):
 # Field metadata: "key" is the field's config key when it differs from the
 # field name (and then also its flag); "flag" is its stage-subcommand flag.
 # A section that configures a module object builds it when it is constructed,
-# so the module's own rules reject out-of-range values before any stage runs.
+# or calls the module's own check where there is no such object, so the
+# module's rules reject out-of-range values before any stage runs.
 
 
 @dataclass(frozen=True)
@@ -75,10 +76,17 @@ class ClusterSection:
     max_iters: int = 50
     tol: float = 1e-8
 
+    def __post_init__(self) -> None:
+        cluster_mod.check_embed_dim(self.embed_dim)
+        cluster_mod.check_kmeans_args(self.k, self.max_iters, self.tol)
+
 
 @dataclass(frozen=True)
 class SampleSection:
     per_cluster: int = 10
+
+    def __post_init__(self) -> None:
+        cluster_mod.check_quota(self.per_cluster)
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,9 @@ class SimbenchSection:
     n_metrics: int = 2
     noise_sigma: float = 1e-3
     top3_rescue: float = 0.15
+
+    def __post_init__(self) -> None:
+        simbench_mod.DeploymentSimSpec(**dataclasses.asdict(self))
 
 
 @dataclass(frozen=True)

@@ -53,25 +53,47 @@ class ClusterStats:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count) buckets
 
 
-def _sqdist(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, shape (N, k).
+# Byte budget of one row block's (rows x k) distance matrix in `_nearest`.
+# The demo's 2,000 x 50 assignment fits in one block, so its artifacts equal
+# an unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
+_BLOCK_BYTES = 4 << 20
 
-    Canonical distance for the whole module: fitting and any fixed-point
-    verification must use the same float path so ties break identically.
+
+def _distances(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, cc: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the rows of x to the centroids, shape (rows, k).
+
+    xx and cc are the squared row norms of x and of the centroids. Canonical
+    distance for the whole module: fitting and any fixed-point verification
+    must use the same float path so ties break identically.
     """
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        - 2.0 * (x @ centroids.T)
-        + np.sum(centroids * centroids, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    return np.maximum(xx[:, None] - 2.0 * (x @ centroids.T) + cc[None, :], 0.0)
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid, in O(block x k) memory rather than O(N x k).
+
+    argmin breaks ties toward the lowest index.
+    """
+    n, k = x.shape[0], centroids.shape[0]
+    cc = np.sum(centroids * centroids, axis=1)
+    rows = max(1, _BLOCK_BYTES // (8 * k))
+    assign = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        assign[block] = np.argmin(_distances(x[block], xx[block], centroids, cc), axis=1)
+    return assign
+
+
+def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
+
+    def to_point(i: int) -> np.ndarray:
+        c = x[i][None, :]
+        return _distances(x, xx, c, np.sum(c * c, axis=1))[:, 0]
+
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    closest = _sqdist(x, x[chosen[0]][None, :])[:, 0]
+    closest = to_point(chosen[0])
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -80,8 +102,28 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             chosen[c] = rng.choice(candidates)
         else:
             chosen[c] = rng.choice(n, p=closest / total)
-        closest = np.minimum(closest, _sqdist(x, x[chosen[c]][None, :])[:, 0])
+        closest = np.minimum(closest, to_point(chosen[c]))
     return x[chosen].copy()
+
+
+def check_kmeans_args(k: int, max_iters: int, tol: float) -> None:
+    """The rules of `kmeans`'s arguments that do not depend on the data."""
+    if k < 1:
+        raise ValueError("kmeans: k must be positive")
+    if max_iters < 1:
+        raise ValueError("kmeans: max_iters must be positive")
+    if tol < 0:
+        raise ValueError("kmeans: tol must be >= 0")
+
+
+def check_embed_dim(dim: int) -> None:
+    if dim < 8:
+        raise ValueError("hash_embed: dim must be >= 8")
+
+
+def check_quota(docs_per_cluster: int) -> None:
+    if docs_per_cluster < 1:
+        raise ValueError("quota_sample: docs_per_cluster must be positive")
 
 
 def kmeans(
@@ -99,29 +141,24 @@ def kmeans(
     """
     if not docs:
         raise ValueError("kmeans: empty input")
-    if k < 1:
-        raise ValueError("kmeans: k must be positive")
+    check_kmeans_args(k, max_iters, tol)
     if k > len(docs):
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({len(docs)})")
-    if max_iters < 1:
-        raise ValueError("kmeans: max_iters must be positive")
-    if tol < 0:
-        raise ValueError("kmeans: tol must be >= 0")
     dims = {d.vector.shape[0] for d in docs}
     if len(dims) != 1:
         raise ValueError(f"kmeans: inconsistent embedding dimensions {sorted(dims)}")
 
     x = np.stack([d.vector for d in docs])
     n = x.shape[0]
+    xx = np.sum(x * x, axis=1)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
+    centroids = _kmeans_pp_init(x, xx, k, rng)
 
     prev_obj = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
     for it in range(max_iters):
-        d2 = _sqdist(x, centroids)
-        assign = np.argmin(d2, axis=1)  # argmin breaks ties toward the lowest index
+        assign = _nearest(x, xx, centroids)
         # objective by direct subtraction: exact zero for coincident points,
         # unlike the expanded form used for the argmin
         diff = x - centroids[assign]
@@ -167,8 +204,7 @@ def quota_sample(model: ClusterModel, docs_per_cluster: int, seed: int) -> list[
     Ids are sorted within each cluster before drawing, so the result depends
     only on (model, quota, seed) and not on assignment insertion order.
     """
-    if docs_per_cluster < 1:
-        raise ValueError("quota_sample: docs_per_cluster must be positive")
+    check_quota(docs_per_cluster)
     by_cluster: dict[int, list[str]] = {}
     for doc_id, c in model.assignments.items():
         by_cluster.setdefault(c, []).append(doc_id)
@@ -203,7 +239,7 @@ def cluster_stats(model: ClusterModel, buckets: int = 10) -> ClusterStats:
 def verify_nearest_assignment(model: ClusterModel, docs: Sequence[EmbeddedDoc]) -> bool:
     """Fixed-point check: reassigning every point to its nearest centroid changes nothing."""
     x = np.stack([d.vector for d in docs])
-    assign = np.argmin(_sqdist(x, model.centroids), axis=1)
+    assign = _nearest(x, np.sum(x * x, axis=1), model.centroids)
     return all(model.assignments[d.doc_id] == int(c) for d, c in zip(docs, assign))
 
 
@@ -213,19 +249,23 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> list[EmbeddedDo
     Test stand-in for an external embedding model: same text always maps to
     the same unit vector, disjoint vocabularies land near-orthogonal.
     """
-    if dim < 8:
-        raise ValueError("hash_embed: dim must be >= 8")
+    check_embed_dim(dim)
     key = str(seed).encode("utf-8")
+    # gram -> (slot, sign); entries are sums of +-1.0, exact in any order
+    memo: dict[str, tuple[int, float]] = {}
     out: list[EmbeddedDoc] = []
     for doc in docs:
         words = doc.text.lower().split()
         grams = words + [f"{a} {b}" for a, b in zip(words, words[1:])]
         vec = np.zeros(dim, dtype=np.float64)
         for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-            h = int.from_bytes(digest, "big")
-            sign = 1.0 if h & 1 else -1.0
-            vec[(h >> 1) % dim] += sign
+            hit = memo.get(gram)
+            if hit is None:
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+                h = int.from_bytes(digest, "big")
+                hit = memo[gram] = ((h >> 1) % dim, 1.0 if h & 1 else -1.0)
+            slot, sign = hit
+            vec[slot] += sign
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

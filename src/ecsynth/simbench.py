@@ -33,6 +33,16 @@ _METRIC_NAMES = ("click_through_rate", "accept_rate")
 _CASING_SLIP = 0.2
 
 
+def _check_sizes(n_models: int, n_metrics: int, noise_sigma: float) -> None:
+    """The size and noise rules both specs share."""
+    if n_models < 2:
+        raise ValueError(f"need at least 2 models, got {n_models}")
+    if n_metrics < 1:
+        raise ValueError(f"need at least 1 metric, got {n_metrics}")
+    if noise_sigma < 0:
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+
+
 @dataclass(frozen=True)
 class PlantedSpec:
     n_samples: int = 500
@@ -57,12 +67,9 @@ class PlantedSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_models < 2:
-            raise ValueError("need at least 2 models")
+        _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
         if self.n_sets < 1 or len(self.set_scales) < self.n_sets:
             raise ValueError("set_scales must cover n_sets")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
         if self.target_mean_weight is not None and not (
             self.c_min < self.target_mean_weight < self.c_max
         ):
@@ -204,6 +211,9 @@ class DeploymentSimSpec:
     top3_rescue: float = 0.15
     noise_sigma: float = 1e-3
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,14 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("reweight.c_min", 2.0, "c_min < c_max"),
         ("mix.ratio", [0, 4], "ratio"),
         ("typo.p_omit", 1.5, "rates"),
+        ("cluster.k", 0, "k must be positive"),
+        ("cluster.embed_dim", 4, "dim must be >= 8"),
+        ("cluster.max_iters", 0, "max_iters must be positive"),
+        ("cluster.tol", -1, "tol must be >= 0"),
+        ("sample.per_cluster", 0, "docs_per_cluster must be positive"),
+        ("simbench.n_metrics", 0, "at least 1 metric"),
+        ("simbench.noise_sigma", -1, "noise_sigma must be >= 0"),
+        ("simbench.n_models", 1, "at least 2 models"),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):

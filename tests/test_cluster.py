@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from ecsynth import cluster
 from ecsynth.cluster import (
     ClusterModel,
     EmbeddedDoc,
@@ -65,6 +70,36 @@ def test_kmeans_objective_monotone_and_fixed_point():
         assert (diffs <= 1e-9).all()
         assert verify_nearest_assignment(model, docs)
         assert int(model.sizes.sum()) == 80
+
+
+def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
+    rng = np.random.default_rng(7)
+    centers = rng.normal(scale=10.0, size=(5, 8))
+    x = np.vstack([rng.normal(loc=c, scale=0.5, size=(200, 8)) for c in centers])
+    docs = _docs(x)
+    whole = kmeans(docs, k=5, seed=1, max_iters=20)
+    # 300-row blocks: 1,000 points span three full blocks and a partial one
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 5 * 300)
+    blocked = kmeans(docs, k=5, seed=1, max_iters=20)
+    assert blocked.assignments == whole.assignments
+    np.testing.assert_array_equal(blocked.sizes, whole.sizes)
+    assert blocked.objective_history == whole.objective_history
+    assert verify_nearest_assignment(blocked, docs)
+
+
+def test_kmeans_memory_stays_below_n_by_k():
+    n, k = 20_000, 1_000
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(n, 16))
+    docs = _docs(x / np.linalg.norm(x, axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        kmeans(docs, k=k, seed=0, max_iters=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one N x k float64 matrix is 160 MB; the blocked assignment never builds one
+    assert peak < n * k * 8 / 4
 
 
 def test_kmeans_input_validation():
@@ -168,6 +203,40 @@ def test_hash_embed_deterministic_and_normalized():
     for e in embedded:
         assert abs(np.linalg.norm(e.vector) - 1.0) < 1e-9
     assert not np.array_equal(embedded[0].vector, embedded[2].vector)
+
+
+def _hash_embed_reference(docs: list[Document], dim: int, seed: int) -> np.ndarray:
+    """One blake2b per gram occurrence, no memo."""
+    key = str(seed).encode("utf-8")
+    rows = []
+    for doc in docs:
+        words = doc.text.lower().split()
+        vec = np.zeros(dim)
+        for gram in words + [f"{a} {b}" for a, b in zip(words, words[1:])]:
+            h = int.from_bytes(
+                hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest(), "big"
+            )
+            vec[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
+        norm = float(np.linalg.norm(vec))
+        rows.append(vec / norm if norm > 0.0 else vec)
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_hash_embed_memo_matches_per_occurrence_hashing(seed):
+    texts = [
+        "the cat sat on the mat the cat sat",
+        "the cat sat on the mat the cat sat",
+        "Über straße naïve café über STRASSE 東京 東京",
+        "a a a a a a a a a a",
+        "the mat sat on the cat",
+    ]
+    docs = [Document(id=f"t{i}", text=t) for i, t in enumerate(texts)]
+    # Document refuses an empty text; hash_embed reads only id and text
+    docs.insert(3, SimpleNamespace(id="empty", text=""))
+    got = np.stack([e.vector for e in hash_embed(docs, dim=16, seed=seed)])
+    want = _hash_embed_reference(docs, dim=16, seed=seed)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_hash_embed_dim_floor():
