@@ -128,6 +128,9 @@ class ScoringSection:
     delta: float = 0.1
     import_scores: str = ""
 
+    def __post_init__(self) -> None:
+        scoring_mod.check_ngram_args(self.order, self.delta)
+
 
 @dataclass(frozen=True)
 class SimbenchSection:
@@ -325,7 +328,9 @@ class Slot:
 class Stage:
     name: str
     help: str
-    body: Callable[..., dict]  # body(config, seed, **slots, **extras) -> counts
+    # body(config, seed, **slots, **extras) -> counts; a stage that reads the
+    # "eval" section also gets judge=, one judge for the whole run
+    body: Callable[..., dict]
     sections: tuple[str, ...]  # config sections ("cluster") or single fields ("mix.ratio") it reads
     inputs: tuple[Slot, ...]
     outputs: tuple[Slot, ...]
@@ -336,6 +341,10 @@ class Stage:
     def slots(self) -> tuple[Slot, ...]:
         return self.inputs + self.outputs
 
+    @property
+    def judged(self) -> bool:
+        return "eval" in self.sections
+
 
 def _write_json(path: Path, obj: object) -> None:
     with open(path, "w", encoding="utf-8") as f:
@@ -344,9 +353,11 @@ def _write_json(path: Path, obj: object) -> None:
 
 
 def _judge(e: EvalSection) -> eval_mod.Judge:
+    """The judge of one run or stage subcommand; it asks each distinct pair once."""
     if e.judge != "http":
-        return {"exact": eval_mod.ExactJudge, "normalized": eval_mod.NormalizedJudge}[e.judge]()
-    return eval_mod.ExternalJudge(
+        inner = {"exact": eval_mod.ExactJudge, "normalized": eval_mod.NormalizedJudge}[e.judge]()
+        return eval_mod.MemoJudge(inner)
+    return eval_mod.ExternalJudge(  # memoizes its own verdicts
         endpoint=e.judge_endpoint,
         prompt_template=e.judge_prompt,
         token=os.environ.get(TOKEN_ENV_VAR, ""),
@@ -434,7 +445,7 @@ def _score(
 
 
 def _simbench(
-    cfg: PipelineConfig, seed: int, *, dataset, scores, outputs, eval_matrix, planted
+    cfg: PipelineConfig, seed: int, *, dataset, scores, outputs, eval_matrix, planted, judge
 ) -> dict:
     examples = records.read_ec_dataset(dataset)
     spec = simbench_mod.DeploymentSimSpec(
@@ -444,7 +455,7 @@ def _simbench(
         seed=seed,
     )
     sim = simbench_mod.simulate_deployments(
-        examples, records.read_scores(scores), spec, judge=_judge(cfg.eval)
+        examples, records.read_scores(scores), spec, judge=judge
     )
     outputs.mkdir(parents=True, exist_ok=True)
     for o in sim.outputs:
@@ -600,12 +611,12 @@ def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
 
 
 def _evaluate(
-    cfg: PipelineConfig, seed: int, *, outputs, dataset, weights, report, report_json, k
+    cfg: PipelineConfig, seed: int, *, outputs, dataset, weights, report, report_json, k, judge
 ) -> dict:
     examples = records.read_ec_dataset(dataset)
     weight_map = records.read_weights(weights) if weights else None
     groups = [(p.stem, [eval_mod.read_outputs(p)]) for p in outputs]
-    result = eval_mod.eval_report(groups, examples, _judge(cfg.eval), weights=weight_map, ks=tuple(k))
+    result = eval_mod.eval_report(groups, examples, judge, weights=weight_map, ks=tuple(k))
     if report:
         report.write_text(result.render() + "\n", encoding="utf-8")
     if report_json:
@@ -741,6 +752,7 @@ class RunContext:
     config_dir: Path
     workdir: Path
     cfg_hash: str
+    judge: eval_mod.Judge  # shared by every judged stage, so each pair is judged once per run
 
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.config.seed, stage)
@@ -793,6 +805,8 @@ def _run_stage(ctx: RunContext, stage: Stage) -> None:
             # evaluate and the run log must not pick up an earlier run's files
             shutil.rmtree(files[slot.name])
     extras = {name: kw["default"] for name, kw in stage.extras.items()}
+    if stage.judged:
+        extras["judge"] = ctx.judge
     counts = stage.body(ctx.config, ctx.stage_seed(stage.name), **files, **extras)
     ctx.log(stage.name, _hashed(stage.inputs, files), _hashed(stage.outputs, files), counts)
 
@@ -810,7 +824,10 @@ def run_pipeline(
     workdir = config_dir / config.paths.workdir
     workdir.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(dataclasses.asdict(config))
-    ctx = RunContext(config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash)
+    ctx = RunContext(
+        config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash,
+        judge=_judge(config.eval),
+    )
     for stage in STAGES:
         if stages is not None and stage.name not in stages:
             continue
@@ -849,6 +866,8 @@ def _cmd_stage(stage: Stage, args: argparse.Namespace) -> int:
         **{section: types[section](**kw) for section, kw in sections.items()},
     )
     kwargs = {name: values[name] for name in [s.name for s in stage.slots] + list(stage.extras)}
+    if stage.judged:
+        kwargs["judge"] = _judge(config.eval)
     counts = stage.body(config, args.seed, **kwargs)
     print(json.dumps(counts, sort_keys=True))
     return 0

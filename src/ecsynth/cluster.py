@@ -59,14 +59,25 @@ class ClusterStats:
 _BLOCK_BYTES = 4 << 20
 
 
-def _distances(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, cc: np.ndarray) -> np.ndarray:
+def _distances(
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, cc: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared Euclidean distances of the rows of x to the centroids, shape (rows, k).
 
     xx and cc are the squared row norms of x and of the centroids. Canonical
     distance for the whole module: fitting and any fixed-point verification
-    must use the same float path so ties break identically.
+    must use the same float path so ties break identically. It evaluates
+    max(xx - 2 * (x @ C.T) + cc, 0) in that order, in place in `out` (a new
+    array when None), so a caller can reuse one buffer across calls.
     """
-    return np.maximum(xx[:, None] - 2.0 * (x @ centroids.T) + cc[None, :], 0.0)
+    if out is None:
+        out = np.empty((x.shape[0], centroids.shape[0]))
+    np.matmul(x, centroids.T, out=out)
+    out *= 2.0
+    np.subtract(xx[:, None], out, out=out)
+    out += cc
+    return np.maximum(out, 0.0, out=out)
 
 
 def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -77,23 +88,27 @@ def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray
     n, k = x.shape[0], centroids.shape[0]
     cc = np.sum(centroids * centroids, axis=1)
     rows = max(1, _BLOCK_BYTES // (8 * k))
+    buf = np.empty((min(rows, n), k))
     assign = np.empty(n, dtype=np.int64)
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
-        assign[block] = np.argmin(_distances(x[block], xx[block], centroids, cc), axis=1)
+        d = _distances(x[block], xx[block], centroids, cc, out=buf[: min(rows, n - lo)])
+        assign[block] = np.argmin(d, axis=1)
     return assign
 
 
 def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
+    col = np.empty((n, 1))
 
     def to_point(i: int) -> np.ndarray:
+        """Distances to point i, in `col`: valid until the next call."""
         c = x[i][None, :]
-        return _distances(x, xx, c, np.sum(c * c, axis=1))[:, 0]
+        return _distances(x, xx, c, np.sum(c * c, axis=1), out=col)[:, 0]
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    closest = to_point(chosen[0])
+    closest = to_point(chosen[0]).copy()
     for c in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -102,7 +117,7 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Genera
             chosen[c] = rng.choice(candidates)
         else:
             chosen[c] = rng.choice(n, p=closest / total)
-        closest = np.minimum(closest, to_point(chosen[c]))
+        np.minimum(closest, to_point(chosen[c]), out=closest)
     return x[chosen].copy()
 
 

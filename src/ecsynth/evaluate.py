@@ -70,34 +70,57 @@ def has_placeholders(prompt_template: str) -> bool:
     return "{candidate}" in prompt_template and "{target}" in prompt_template
 
 
-class ExternalJudge:
-    """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}.
+class MemoJudge:
+    """Asks the judge it wraps once per distinct (candidate, target) pair.
 
-    The prompt template must contain {candidate} and {target} placeholders.
-    Requests use `util.post_text`'s default timeout and retries; verdicts are
-    cached by (candidate, target) so repeated runs are deterministic and cheap.
+    The one verdict memo: a pipeline run shares one across its stages, and
+    `ExternalJudge` keeps one so that each pair is requested once.
     """
 
-    def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
-        if not has_placeholders(prompt_template):
-            raise ValueError("prompt_template needs {candidate} and {target} placeholders")
-        self.endpoint = endpoint
-        self.prompt_template = prompt_template
-        self.token = token
-        self._cache: dict[tuple[str, str], int] = {}
+    def __init__(self, inner: Judge):
+        self.inner = inner
+        self._verdicts: dict[tuple[str, str], int] = {}
 
     def judge(self, candidate: str, target: str) -> int:
         key = (candidate, target)
-        if key in self._cache:
-            return self._cache[key]
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self.inner.judge(candidate, target)
+        return verdict
+
+
+class _HttpJudge:
+    """One POST per verdict; the reply's first word must be yes or no."""
+
+    def __init__(self, endpoint: str, prompt_template: str, token: str):
+        self.endpoint = endpoint
+        self.prompt_template = prompt_template
+        self.token = token
+
+    def judge(self, candidate: str, target: str) -> int:
         prompt = self.prompt_template.format(candidate=candidate, target=target)
         text = post_text(self.endpoint, prompt, self.token)
         first = text.strip().lower().split()
         if not first or first[0] not in ("yes", "no"):
             raise ValueError(f"judge returned neither yes nor no: {text!r}")
-        verdict = int(first[0] == "yes")
-        self._cache[key] = verdict
-        return verdict
+        return int(first[0] == "yes")
+
+
+class ExternalJudge:
+    """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}.
+
+    The prompt template must contain {candidate} and {target} placeholders.
+    Requests use `util.post_text`'s default timeout and retries; verdicts are
+    memoized by (candidate, target) so repeated runs are deterministic and cheap.
+    """
+
+    def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
+        if not has_placeholders(prompt_template):
+            raise ValueError("prompt_template needs {candidate} and {target} placeholders")
+        self._memo = MemoJudge(_HttpJudge(endpoint, prompt_template, token))
+
+    def judge(self, candidate: str, target: str) -> int:
+        return self._memo.judge(candidate, target)
 
 
 def verdicts(

@@ -205,31 +205,61 @@ def _resid(s: np.ndarray, alpha_1: np.ndarray, alpha_0: np.ndarray, v: np.ndarra
     return np.outer(s, alpha_1) + alpha_0 - v
 
 
+# one set's regression as plain arrays: (alpha_1, alpha_0), each (d,)
+_Alpha = tuple[np.ndarray, np.ndarray]
+
+
 def _eval_sets(
     theta: np.ndarray,
-    alphas: Sequence[RegressionParams],
+    alphas: Sequence[_Alpha] | None,
     sets: Sequence[_SetData],
     params: ReweightParams,
-) -> tuple[float, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Value and gradients of the objective summed over sets; `params` gives c_min, c_max, lambda."""
+) -> tuple[float, np.ndarray, list[_Alpha], list[_Alpha]]:
+    """Value and gradients of the objective summed over sets; `params` gives c_min, c_max, lambda.
+
+    `alphas` gives each set's regression; None solves it in closed form from
+    the same weighted metrics (variable projection). Returns the value, the
+    theta gradient, per set the alpha gradient (none for a solved alpha, where
+    it vanishes) and per set the alpha used.
+    """
     c_min, c_max, lam = params.c_min, params.c_max, params.lam
     value = 0.0
     grad_theta = np.zeros(3)
     grad_alpha = []
-    for st, a in zip(sets, alphas):
+    used = []
+    for i, st in enumerate(sets):
         n = st.chi.shape[1]
         w, sig = _weights(theta, c_min, c_max, st.s_f, st.s_p)
         s = _set_metric(w, st)                           # (K,)
-        resid = _resid(s, a.alpha_1, a.alpha_0, st.v)    # (K, d)
+        alpha_1, alpha_0 = _closed_form(s, st.v)[:2] if alphas is None else alphas[i]
+        resid = _resid(s, alpha_1, alpha_0, st.v)        # (K, d)
         wbar = float(w.mean())
         value += float((resid * resid).sum() + lam * (wbar - 1.0) ** 2)
 
-        d_resid_ds = 2.0 * (resid @ a.alpha_1)           # (K,)
+        d_resid_ds = 2.0 * (resid @ alpha_1)             # (K,)
         g_w = (st.chi.T @ d_resid_ds) / n + 2.0 * lam * (wbar - 1.0) / n
         g_z = g_w * (c_max - c_min) * sig * (1.0 - sig)
         grad_theta += np.array([g_z @ st.s_f, g_z @ st.s_p, g_z.sum()])
-        grad_alpha.append((2.0 * (resid * s[:, None]).sum(axis=0), 2.0 * resid.sum(axis=0)))
-    return value, grad_theta, grad_alpha
+        if alphas is not None:
+            grad_alpha.append((2.0 * (resid * s[:, None]).sum(axis=0), 2.0 * resid.sum(axis=0)))
+        used.append((alpha_1, alpha_0))
+    return value, grad_theta, grad_alpha, used
+
+
+class _NonFiniteObjective(RuntimeError):
+    pass
+
+
+def _finite_eval(
+    theta: np.ndarray,
+    alphas: Sequence[_Alpha] | None,
+    sets: Sequence[_SetData],
+    params: ReweightParams,
+) -> tuple[float, np.ndarray, list[_Alpha], list[_Alpha]]:
+    out = _eval_sets(theta, alphas, sets, params)
+    if not np.isfinite(out[0]):
+        raise _NonFiniteObjective
+    return out
 
 
 def objective(
@@ -245,12 +275,14 @@ def objective(
         raise ValueError(f"got {len(alpha_list)} regressions for {len(sets)} metric sets")
     if any(a.alpha_1.shape[0] != st.v.shape[1] for st, a in zip(sets, alpha_list)):
         raise ValueError("regression dimension does not match metric dimension")
-    value, grad_theta, grad_alpha = _eval_sets(params.theta, alpha_list, sets, params)
+    value, grad_theta, grad_alpha, _ = _eval_sets(
+        params.theta, [(a.alpha_1, a.alpha_0) for a in alpha_list], sets, params
+    )
     return ObjectiveEval(value=value, grad_theta=grad_theta, grad_alpha=tuple(grad_alpha))
 
 
-def _closed_form_alpha(s: np.ndarray, v: np.ndarray) -> RegressionParams:
-    """Least-squares alpha for fixed per-model offline metrics s (K,) vs v (K, d).
+def _closed_form(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Least-squares (alpha_1, alpha_0, degenerate) for fixed per-model offline metrics s (K,) vs v (K, d).
 
     All-equal s is degenerate: the slope is set to 0 and the intercept to the
     metric mean, and the result is flagged.
@@ -259,13 +291,14 @@ def _closed_form_alpha(s: np.ndarray, v: np.ndarray) -> RegressionParams:
     v_mean = v.mean(axis=0)
     var = float(((s - s_mean) ** 2).sum())
     if var < 1e-300 or not np.isfinite(var):
-        return RegressionParams(
-            alpha_1=np.zeros(v.shape[1]), alpha_0=v_mean.copy(), degenerate=True
-        )
+        return np.zeros(v.shape[1]), v_mean, True
     cov = (s - s_mean) @ (v - v_mean)  # (d,)
     alpha_1 = cov / var
-    alpha_0 = v_mean - alpha_1 * s_mean
-    return RegressionParams(alpha_1=alpha_1, alpha_0=alpha_0)
+    return alpha_1, v_mean - alpha_1 * s_mean, False
+
+
+def _closed_form_alpha(s: np.ndarray, v: np.ndarray) -> RegressionParams:
+    return RegressionParams(*_closed_form(s, v))
 
 
 def _residual_with_weights(w_by_set: list[np.ndarray], sets: list[_SetData]) -> tuple[float, list[RegressionParams]]:
@@ -300,7 +333,7 @@ def baseline_residuals(
 
     "uniform" is w == 1 for every sample; "heuristic" is the binary filter
     rule. If the heuristic zeroes out every sample the regression degenerates
-    to the metric mean (flagged inside _closed_form_alpha).
+    to the metric mean (flagged inside _closed_form).
     """
     sets = _problem(data, scores)
     uniform, _ = _residual_with_weights([np.ones(st.chi.shape[1]) for st in sets], sets)
@@ -312,25 +345,21 @@ def baseline_residuals(
     return {"uniform": uniform, "heuristic": heuristic}
 
 
-def _pack(theta: np.ndarray, alphas: Sequence[RegressionParams]) -> np.ndarray:
+def _pack(theta: np.ndarray, alphas: Sequence[_Alpha]) -> np.ndarray:
     parts = [theta]
-    for a in alphas:
-        parts.extend([a.alpha_1, a.alpha_0])
+    for alpha_1, alpha_0 in alphas:
+        parts.extend([alpha_1, alpha_0])
     return np.concatenate(parts)
 
 
-def _unpack(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, list[RegressionParams]]:
+def _unpack(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, list[_Alpha]]:
     theta = x[:3]
     alphas = []
     off = 3
     for d in dims:
-        alphas.append(RegressionParams(alpha_1=x[off : off + d], alpha_0=x[off + d : off + 2 * d]))
+        alphas.append((x[off : off + d], x[off + d : off + 2 * d]))
         off += 2 * d
     return theta, alphas
-
-
-class _NonFiniteObjective(RuntimeError):
-    pass
 
 
 def calibrate_bias(
@@ -361,36 +390,34 @@ def calibrate_bias(
     return float(brentq(gap, lo, hi, xtol=1e-13))
 
 
-def fit(
-    data: EvalMatrix | Sequence[EvalMatrix],
-    scores: Sequence[ScoredSample],
-    init: ReweightParams | None = None,
-    opts: FitOptions | None = None,
-    val_data: EvalMatrix | Sequence[EvalMatrix] | None = None,
-    with_cv: bool = False,
-) -> ReweightFit:
-    """Joint minimization over (theta, alpha), best of seeded restarts.
-
-    Each restart runs quasi-Newton on theta alone with the regression solved
-    in closed form at every step (variable projection: the regression
-    subproblem is exactly separable), then a joint quasi-Newton polish over
-    (theta, alpha) from the best point. Restart inits: the caller's theta (or
-    zero), the exact uniform-weight theta, four sign-pattern directions with
-    the bias calibrated to mean weight 1, and N(0, _THETA_SCALE^2) draws.
-
-    The uniform-weight init guarantees the fitted training residual never
-    lands above the uniform baseline.
-
-    val_data, when given, is scored by held-one-out regression-only refits at
-    the fitted theta. with_cv runs full held-one-out cross validation on the
-    first metric set.
-    """
-    params = init if init is not None else ReweightParams()
-    options = opts if opts is not None else FitOptions()
-    matrices = _as_matrices(data)
-    sets = _problem(matrices, scores)
-    dims = [st.v.shape[1] for st in sets]
+def _theta_inits(params: ReweightParams, options: FitOptions, st: _SetData) -> list[np.ndarray]:
+    """Restart inits: the caller's theta, the exact uniform-weight theta, four
+    sign-pattern directions with the bias calibrated to mean weight 1 over
+    st's scores, and N(0, _THETA_SCALE^2) draws."""
     c_min, c_max = params.c_min, params.c_max
+    rng = np.random.default_rng(options.seed)
+    scale = _THETA_SCALE
+    theta_inits = [params.theta, np.array(ReweightParams.uniform_theta(c_min, c_max))]
+    for tf, tp in ((scale, -scale), (-scale, scale), (scale, scale), (-scale, -scale)):
+        try:
+            b = calibrate_bias(tf, tp, st.s_f, st.s_p, c_min, c_max)
+        except ValueError:
+            b = 0.0
+        theta_inits.append(np.array([tf, tp, b]))
+    theta_inits = theta_inits[: max(options.restarts, 2)]
+    while len(theta_inits) < max(options.restarts, 2):
+        theta_inits.append(rng.normal(0.0, scale, size=3))
+    return theta_inits
+
+
+def _fit_theta(
+    sets: list[_SetData],
+    params: ReweightParams,
+    options: FitOptions,
+    theta_inits: Sequence[np.ndarray],
+) -> tuple[np.ndarray, float, int]:
+    """Best-of-restarts projected quasi-Newton, then a joint polish; (theta, objective, restarts run)."""
+    dims = [st.v.shape[1] for st in sets]
     lbfgs_options = {
         "maxiter": options.max_iters,
         "maxcor": 10,
@@ -398,38 +425,16 @@ def fit(
         "ftol": 1e-18,
     }
 
-    def closed_alphas(theta: np.ndarray) -> list[RegressionParams]:
-        ws = [_weights(theta, c_min, c_max, st.s_f, st.s_p)[0] for st in sets]
-        return [_closed_form_alpha(_set_metric(w, st), st.v) for w, st in zip(ws, sets)]
-
-    def finite_eval(theta: np.ndarray, alphas: Sequence[RegressionParams]):
-        value, grad_theta, grad_alpha = _eval_sets(theta, alphas, sets, params)
-        if not np.isfinite(value):
-            raise _NonFiniteObjective
-        return value, grad_theta, grad_alpha
-
     def joint_fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad_theta, grad_alpha = finite_eval(*_unpack(x, dims))
+        theta, alphas = _unpack(x, dims)
+        value, grad_theta, grad_alpha, _ = _finite_eval(theta, alphas, sets, params)
         return value, np.concatenate([grad_theta, *(g for pair in grad_alpha for g in pair)])
 
     def projected_fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
         # envelope theorem: d/dtheta of min_alpha f equals the partial in
         # theta at the solved alpha, so the projected gradient is exact
-        value, grad_theta, _ = finite_eval(theta, closed_alphas(theta))
+        value, grad_theta, _, _ = _finite_eval(theta, None, sets, params)
         return value, grad_theta
-
-    rng = np.random.default_rng(options.seed)
-    scale = _THETA_SCALE
-    theta_inits = [params.theta, np.array(ReweightParams.uniform_theta(c_min, c_max))]
-    for tf, tp in ((scale, -scale), (-scale, scale), (scale, scale), (-scale, -scale)):
-        try:
-            b = calibrate_bias(tf, tp, sets[0].s_f, sets[0].s_p, c_min, c_max)
-        except ValueError:
-            b = 0.0
-        theta_inits.append(np.array([tf, tp, b]))
-    theta_inits = theta_inits[: max(options.restarts, 2)]
-    while len(theta_inits) < max(options.restarts, 2):
-        theta_inits.append(rng.normal(0.0, scale, size=3))
 
     best_theta: np.ndarray | None = None
     best_val = np.inf
@@ -457,7 +462,7 @@ def fit(
         raise RuntimeError(f"fit failed: all {len(theta_inits)} restarts diverged")
 
     # joint polish over (theta, alpha) from the best projected solution
-    x0 = _pack(best_theta, closed_alphas(best_theta))
+    x0 = _pack(best_theta, _eval_sets(best_theta, None, sets, params)[3])
     best_x = x0
     try:
         res = minimize(joint_fun, x0, jac=True, method="L-BFGS-B", options=lbfgs_options)
@@ -465,12 +470,42 @@ def fit(
             best_val, best_x = float(res.fun), res.x
     except _NonFiniteObjective:
         pass
-    theta_hat, _ = _unpack(best_x, dims)
+    return best_x[:3], best_val, len(theta_inits) - failures
+
+
+def fit(
+    data: EvalMatrix | Sequence[EvalMatrix],
+    scores: Sequence[ScoredSample],
+    init: ReweightParams | None = None,
+    opts: FitOptions | None = None,
+    val_data: EvalMatrix | Sequence[EvalMatrix] | None = None,
+    with_cv: bool = False,
+) -> ReweightFit:
+    """Joint minimization over (theta, alpha), best of seeded restarts.
+
+    Each restart runs quasi-Newton on theta alone with the regression solved
+    in closed form at every step (variable projection: the regression
+    subproblem is exactly separable), then a joint quasi-Newton polish over
+    (theta, alpha) from the best point. `_theta_inits` lists the restart inits.
+
+    The uniform-weight init guarantees the fitted training residual never
+    lands above the uniform baseline.
+
+    val_data, when given, is scored by held-one-out regression-only refits at
+    the fitted theta. with_cv runs full held-one-out cross validation on the
+    first metric set.
+    """
+    params = init if init is not None else ReweightParams()
+    options = opts if opts is not None else FitOptions()
+    matrices = _as_matrices(data)
+    sets = _problem(matrices, scores)
+    theta_inits = _theta_inits(params, options, sets[0])
+    theta_hat, best_val, restarts_run = _fit_theta(sets, params, options, theta_inits)
     fitted = params.with_theta(theta_hat)
     # final alpha always from the closed form at theta_hat (never worse)
     w_by_set = [weights_array(fitted, st.s_f, st.s_p) for st in sets]
     residual_train, alpha_hat = _residual_with_weights(w_by_set, sets)
-    best_val = min(best_val, joint_fun(_pack(theta_hat, alpha_hat))[0])
+    best_val = min(best_val, _finite_eval(theta_hat, None, sets, params)[0])
     baselines = baseline_residuals(matrices, scores)
     containment = residual_train <= baselines["uniform"] + 1e-9
 
@@ -487,7 +522,7 @@ def fit(
         mean_weight=float(np.concatenate(w_by_set).mean()),
         baseline_residuals=baselines,
         containment_ok=bool(containment),
-        restarts_run=len(theta_inits) - failures,
+        restarts_run=restarts_run,
         residual_cv=cv,
         residual_val=val_summary,
     )
@@ -499,20 +534,29 @@ def holdout_cv(
     init: ReweightParams | None = None,
     opts: FitOptions | None = None,
 ) -> ResidualSummary:
-    """Held-one-out CV over models: fit on K-1, report the squared residual on the held-out one."""
+    """Held-one-out CV over models: fit on K-1, report the squared residual on the held-out one.
+
+    Each fold is `fit`'s theta search on the matrix without one model row.
+    The folds share the scores, so they share the restart inits too.
+    """
     matrix = data
     if not isinstance(matrix, EvalMatrix):
         raise TypeError("holdout_cv operates on a single eval matrix")
     if matrix.n_models < 3:
         raise ValueError(f"holdout_cv needs at least 3 models, got {matrix.n_models}")
     params = init if init is not None else ReweightParams()
-    s_f, s_p = aligned_scores(matrix.sample_ids, scores)
+    options = opts if opts is not None else FitOptions()
+    (st,) = _problem(matrix, scores)
+    theta_inits = _theta_inits(params, options, st)
     residuals = []
     for j in range(matrix.n_models):
-        f = fit(matrix.without_model(j), scores, init=params, opts=opts)
-        w = weights_array(f.params, s_f, s_p)
+        keep = [i for i in range(matrix.n_models) if i != j]
+        fold = _SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)
+        theta, _, _ = _fit_theta([fold], params, options, theta_inits)
+        w = weights_array(params.with_theta(theta), st.s_f, st.s_p)
         s_j = float(matrix.chi[j] @ w / matrix.n_samples)
-        residuals.append(_holdout_error(f.regression[0], s_j, matrix.live_metrics[j]))
+        a = _closed_form_alpha(_set_metric(w, fold), fold.v)
+        residuals.append(_holdout_error(a, s_j, matrix.live_metrics[j]))
     return _summary(residuals)
 
 

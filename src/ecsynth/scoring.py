@@ -74,14 +74,19 @@ class NGramScorer:
         return total / (len(padded) - start)
 
 
-def train_ngram(corpus: Sequence[Document], order: int, delta: float) -> NGramScorer:
-    """Count n-grams over lowercased whitespace tokens with boundary padding."""
-    if not corpus:
-        raise ValueError("train_ngram: empty corpus")
+def check_ngram_args(order: int, delta: float) -> None:
+    """The rules of `train_ngram`'s arguments that do not depend on the corpus."""
     if not 1 <= order <= 5:
         raise ValueError(f"train_ngram: order must be in [1, 5], got {order}")
     if not delta > 0:
         raise ValueError(f"train_ngram: delta must be > 0, got {delta}")
+
+
+def train_ngram(corpus: Sequence[Document], order: int, delta: float) -> NGramScorer:
+    """Count n-grams over lowercased whitespace tokens with boundary padding."""
+    if not corpus:
+        raise ValueError("train_ngram: empty corpus")
+    check_ngram_args(order, delta)
 
     vocab: set[str] = {EOS}
     counts: dict[tuple[str, ...], Counter] = {}
@@ -92,7 +97,10 @@ def train_ngram(corpus: Sequence[Document], order: int, delta: float) -> NGramSc
         padded = [BOS] * (order - 1) + toks + [EOS]
         for i in range(order - 1, len(padded)):
             ctx = tuple(padded[i - order + 1 : i])
-            counts.setdefault(ctx, Counter())[padded[i]] += 1
+            ctx_counts = counts.get(ctx)
+            if ctx_counts is None:
+                ctx_counts = counts[ctx] = Counter()
+            ctx_counts[padded[i]] += 1
             totals[ctx] = totals.get(ctx, 0) + 1
     return NGramScorer(
         order=order, delta=delta, vocab=frozenset(vocab), counts=counts, context_totals=totals

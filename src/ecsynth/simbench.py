@@ -214,6 +214,8 @@ class DeploymentSimSpec:
 
     def __post_init__(self) -> None:
         _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
+        if not 0 <= self.top3_rescue <= 1:
+            raise ValueError(f"top3_rescue must be in [0, 1], got {self.top3_rescue}")
 
 
 @dataclass(frozen=True)

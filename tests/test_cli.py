@@ -19,6 +19,7 @@ from ecsynth.cli import (
     run_pipeline,
 )
 from ecsynth.demo import DEMO_CONFIG, materialize
+from ecsynth.evaluate import NormalizedJudge, read_outputs
 from ecsynth.records import ECExample, read_clusters
 
 
@@ -116,6 +117,11 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("simbench.n_metrics", 0, "at least 1 metric"),
         ("simbench.noise_sigma", -1, "noise_sigma must be >= 0"),
         ("simbench.n_models", 1, "at least 2 models"),
+        ("scoring.order", 0, "order must be in"),
+        ("scoring.order", 6, "order must be in"),
+        ("scoring.delta", 0, "delta must be > 0"),
+        ("simbench.top3_rescue", -1, "top3_rescue must be in"),
+        ("simbench.top3_rescue", 2, "top3_rescue must be in"),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):
@@ -479,6 +485,28 @@ def test_rerun_with_fewer_models_drops_stale_outputs(tmp_path):
     runlog = workdir / "runlog"
     assert len(json.loads((runlog / "simbench.json").read_text(encoding="utf-8"))["outputs"]) == 6
     assert json.loads((runlog / "evaluate.json").read_text(encoding="utf-8"))["counts"]["models"] == 4
+
+
+def test_pipeline_judges_each_distinct_pair_once(tmp_path, monkeypatch):
+    # simbench and evaluate judge the same top-3 candidates; one run-wide
+    # judge asks its inner judge once per distinct (candidate, target) pair
+    calls = []
+    original = NormalizedJudge.judge
+
+    def counting(self, candidate, target):
+        calls.append((candidate, target))
+        return original(self, candidate, target)
+
+    monkeypatch.setattr(NormalizedJudge, "judge", counting)
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path)
+    targets = {ex.id: ex.target for ex in records.read_ec_dataset(workdir / "ec_synth.jsonl")}
+    pairs = set()
+    for p in (workdir / "outputs").glob("*.jsonl"):
+        for sid, candidates in read_outputs(p).candidates.items():
+            pairs.update((c, targets[sid]) for c in candidates[:3])
+    assert len(calls) == len(pairs)
+    assert set(calls) == pairs
 
 
 def test_stage_order_constant_complete():

@@ -87,6 +87,22 @@ def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     assert verify_nearest_assignment(blocked, docs)
 
 
+@pytest.mark.parametrize("n, k, dim", [(7, 3, 4), (1000, 50, 64), (257, 1, 16)])
+def test_distances_in_place_equal_the_expression(n, k, dim):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, dim))
+    c = rng.normal(size=(k, dim))
+    xx = np.sum(x * x, axis=1)
+    cc = np.sum(c * c, axis=1)
+    expected = np.maximum(xx[:, None] - 2.0 * (x @ c.T) + cc[None, :], 0.0)
+    assert cluster._distances(x, xx, c, cc).tobytes() == expected.tobytes()
+    # a reused buffer, and a leading slice of a larger one as for a last partial block
+    for buf in (np.full((n, k), np.nan), np.full((n + 5, k), np.nan)[:n]):
+        got = cluster._distances(x, xx, c, cc, out=buf)
+        assert got is buf
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_kmeans_memory_stays_below_n_by_k():
     n, k = 20_000, 1_000
     rng = np.random.default_rng(9)

@@ -11,6 +11,7 @@ import pytest
 from ecsynth.evaluate import (
     ExactJudge,
     ExternalJudge,
+    MemoJudge,
     ModelOutputs,
     NormalizedJudge,
     build_eval_matrix,
@@ -181,6 +182,20 @@ def test_normalized_judge_rules():
     assert j.judge("HELLO WORLD!!!", "hello world") == 1
     assert j.judge("hello world extra", "hello world") == 0
     assert j.judge("hello", "hello world") == 0
+
+
+def test_memo_judge_asks_once_per_distinct_pair():
+    asked = []
+
+    class Counting:
+        def judge(self, candidate, target):
+            asked.append((candidate, target))
+            return int(candidate == target)
+
+    judge = MemoJudge(Counting())
+    pairs = [("a", "a"), ("a", "b"), ("a", "a"), ("b", "a"), ("a", "b")]
+    assert [judge.judge(c, t) for c, t in pairs] == [1, 0, 1, 0, 0]
+    assert asked == [("a", "a"), ("a", "b"), ("b", "a")]
 
 
 def test_exact_judge_nfc():

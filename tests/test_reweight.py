@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from ecsynth import reweight
 from ecsynth.records import EvalMatrix, ScoredSample
 from ecsynth.reweight import (
     FitOptions,
@@ -235,6 +236,30 @@ def test_fit_agrees_with_regression_only_refit_at_fitted_params():
         assert np.array_equal(a.alpha_1, b.alpha_1)
         assert np.array_equal(a.alpha_0, b.alpha_0)
         assert a.degenerate == b.degenerate
+
+
+@pytest.mark.parametrize("n_sets", [1, 2])
+def test_projected_objective_equals_objective_at_closed_form_alpha(monkeypatch, n_sets):
+    bench = generate(PlantedSpec(n_samples=120, n_models=6, n_sets=n_sets, seed=5))
+    params = ReweightParams()
+    funs = []
+    real = reweight.minimize
+
+    def spy(fun, x0, **kwargs):
+        funs.append(fun)
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(reweight, "minimize", spy)
+    fit(bench.matrices, bench.scores, init=params, opts=FitOptions(restarts=2, max_iters=3))
+    projected = funs[0]  # the first restart minimizes over theta alone
+    rng = np.random.default_rng(11)
+    for theta in rng.normal(0.0, 3.0, size=(100, 3)):
+        value, grad = projected(theta)
+        at = params.with_theta(theta)
+        alphas, _ = refit_regression_only(at, bench.matrices, bench.scores)
+        expected = objective(at, alphas, bench.matrices, bench.scores)
+        assert value == expected.value
+        assert grad.tobytes() == expected.grad_theta.tobytes()
 
 
 def test_baseline_residuals_heuristic_equals_uniform_when_all_pass():
