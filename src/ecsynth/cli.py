@@ -101,6 +101,9 @@ class GrammarSection:
     def __post_init__(self) -> None:
         if self.client == "http" and not self.endpoint:
             raise ConfigError("grammar.client http requires grammar.endpoint")
+        grammar_mod.check_failure_rate(self.failure_rate)
+        grammar_mod.check_concurrency(self.concurrency)
+        grammar_mod.check_timeout(self.timeout)
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,15 @@ class ReweightSection:
 
     def __post_init__(self) -> None:
         self.params()
+        self.options()
 
     def params(self) -> reweight_mod.ReweightParams:
         return reweight_mod.ReweightParams(c_min=self.c_min, c_max=self.c_max, lam=self.lam)
+
+    def options(self, seed: int = 0) -> reweight_mod.FitOptions:
+        return reweight_mod.FitOptions(
+            max_iters=self.max_iters, grad_tol=self.grad_tol, restarts=self.restarts, seed=seed
+        )
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,14 @@ def load_config(path: str | Path) -> PipelineConfig:
         seed = _typed(int, obj["seed"])
     except TypeError as e:
         raise ConfigError(f"{path}: seed: {e}") from e
-    return PipelineConfig(seed=seed, **sections)
+    config = PipelineConfig(seed=seed, **sections)
+    # the pipeline's input files; stage subcommands take theirs from flags
+    for name in ("corpus", "domain_corpus", "original_dataset"):
+        if name == "domain_corpus" and config.scoring.import_scores:
+            continue  # imported scores need no domain corpus
+        if not getattr(config.paths, name):
+            raise ConfigError(f"{path}: paths.{name} must not be empty")
+    return config
 
 
 # -- stage registry --
@@ -474,30 +490,33 @@ def _simbench(
     return {"models": len(sim.outputs), "noise_floor": sim.noise_floor}
 
 
-def _fit_report_text(fit: reweight_mod.ReweightFit) -> str:
+def _fit_report_text(report: dict) -> str:
+    """fit_report.txt, rendered from `_fit_report_json`'s dict."""
     lines = ["reweighting fit report", ""]
-    p = fit.params
+    tf, tp, tb = report["theta"]
+    lines.append(f"theta: (theta_f={tf:.6g}, theta_p={tp:.6g}, theta_b={tb:.6g})")
     lines.append(
-        f"theta: (theta_f={p.theta_f:.6g}, theta_p={p.theta_p:.6g}, theta_b={p.theta_b:.6g})"
+        f"bounds: c_min={report['c_min']}, c_max={report['c_max']}, lambda={report['lambda']}"
     )
-    lines.append(f"bounds: c_min={p.c_min}, c_max={p.c_max}, lambda={p.lam}")
-    for i, a in enumerate(fit.regression):
-        a1 = ", ".join(f"{x:.6g}" for x in a.alpha_1)
-        a0 = ", ".join(f"{x:.6g}" for x in a.alpha_0)
-        flag = " (degenerate)" if a.degenerate else ""
+    for i, a in enumerate(report["regression"]):
+        a1 = ", ".join(f"{x:.6g}" for x in a["alpha_1"])
+        a0 = ", ".join(f"{x:.6g}" for x in a["alpha_0"])
+        flag = " (degenerate)" if a["degenerate"] else ""
         lines.append(f"alpha set {i}: alpha_1=[{a1}] alpha_0=[{a0}]{flag}")
-    lines.append(f"mean weight: {fit.mean_weight:.6f}")
+    lines.append(f"mean weight: {report['mean_weight']:.6f}")
     lines.append("")
     lines.append(f"{'residual':<10}{'w=1':>14}{'heuristic':>14}{'fitted':>14}")
-    b = fit.baseline_residuals
+    b = report["baselines"]
     lines.append(
-        f"{'train':<10}{b['uniform']:>14.4e}{b['heuristic']:>14.4e}{fit.residual_train:>14.4e}"
+        f"{'train':<10}{b['uniform']:>14.4e}{b['heuristic']:>14.4e}"
+        f"{report['residual_train']:>14.4e}"
     )
-    for label, r in (("crossval", fit.residual_cv), ("val", fit.residual_val)):
-        if r is not None:
-            lines.append(f"{label:<10}{'':>14}{'':>14}{r.mean:>10.4e} ± {r.std:.2e}")
+    for label, key in (("crossval", "residual_cv"), ("val", "residual_val")):
+        if key in report:
+            r = report[key]
+            lines.append(f"{label:<10}{'':>14}{'':>14}{r['mean']:>10.4e} ± {r['std']:.2e}")
     lines.append("")
-    lines.append(f"containment (fitted <= uniform + 1e-9): {fit.containment_ok}")
+    lines.append(f"containment (fitted <= uniform + 1e-9): {report['containment_ok']}")
     return "\n".join(lines) + "\n"
 
 
@@ -540,15 +559,14 @@ def _fit_reweight(
         matrices,
         score_list,
         init=r.params(),
-        opts=reweight_mod.FitOptions(
-            max_iters=r.max_iters, grad_tol=r.grad_tol, restarts=r.restarts, seed=seed
-        ),
+        opts=r.options(seed),
         val_data=[records.read_eval_matrix(p) for p in val_matrix] if val_matrix else None,
         with_cv=matrices[0].n_models >= 3,
     )
-    _write_json(report, _fit_report_json(fit))
+    report_obj = _fit_report_json(fit)
+    _write_json(report, report_obj)
     if report_txt:
-        report_txt.write_text(_fit_report_text(fit), encoding="utf-8")
+        report_txt.write_text(_fit_report_text(report_obj), encoding="utf-8")
     weights = reweight_mod.weights_for(fit.params, score_list)
     if weights_out:
         records.write_weights(weights, weights_out)

@@ -235,8 +235,8 @@ def quota_sample(model: ClusterModel, docs_per_cluster: int, seed: int) -> list[
     return out
 
 
-def cluster_stats(model: ClusterModel, buckets: int = 10) -> ClusterStats:
-    """Mean (exactly N/k), population std, and a bucketed size histogram."""
+def cluster_stats(model: ClusterModel) -> ClusterStats:
+    """Mean (exactly N/k), population std, and a 10-bucket size histogram."""
     sizes = model.sizes.astype(np.float64)
     mean = float(sizes.sum() / model.k)
     std = float(np.sqrt(np.mean((sizes - mean) ** 2)))
@@ -244,7 +244,7 @@ def cluster_stats(model: ClusterModel, buckets: int = 10) -> ClusterStats:
     if hi == lo:
         hist = ((lo, hi, int(model.k)),)
     else:
-        counts, edges = np.histogram(sizes, bins=buckets, range=(lo, hi))
+        counts, edges = np.histogram(sizes, bins=10, range=(lo, hi))
         hist = tuple(
             (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(len(counts))
         )

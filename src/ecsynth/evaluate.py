@@ -146,6 +146,11 @@ def _weight_vector(dataset: Sequence[ECExample], weights: Mapping[str, float]) -
     return np.array(by_id([ex.id for ex in dataset], weights, "weights"))
 
 
+def _weighted_mean(w: np.ndarray, chi: np.ndarray) -> float:
+    """(1/N) * sum_i w_i * chi_i of one model's (N,) verdict row."""
+    return float((w * chi).sum() / len(chi))
+
+
 def export_chi_row(
     outputs: ModelOutputs, dataset: Sequence[ECExample], judge: Judge, k: int
 ) -> np.ndarray:
@@ -176,8 +181,7 @@ def weighted_metric(
 ) -> float:
     """(1/N) * sum_i w_i * chi_i; weights must cover every sample."""
     w = _weight_vector(dataset, weights)
-    chi = export_chi_row(outputs, dataset, judge, k)
-    return float((w * chi).sum() / len(dataset))
+    return _weighted_mean(w, export_chi_row(outputs, dataset, judge, k))
 
 
 def build_eval_matrix(
@@ -245,7 +249,7 @@ def eval_report(
             cells = []
             for k in ks:
                 chi = v[:, :k].any(axis=1).astype(np.float64)
-                cells += [float(chi.mean()), float((w * chi).sum() / len(dataset))]
+                cells += [float(chi.mean()), _weighted_mean(w, chi)]
             per_run.append(cells)
         arr = np.array(per_run)
         rows.append(
@@ -257,12 +261,12 @@ def eval_report(
 # -- outputs file I/O ({sample_id, candidates[]} per line) --
 
 
-def read_outputs(path: str | Path, model_id: str | None = None) -> ModelOutputs:
+def read_outputs(path: str | Path) -> ModelOutputs:
+    """One model's outputs; the model id is the file stem."""
     rows = _read_records(
         path, "sample", lambda obj: (obj["sample_id"], tuple(obj["candidates"])), key=lambda r: r[0]
     )
-    name = model_id if model_id is not None else Path(path).stem
-    return ModelOutputs(model_id=name, candidates=dict(rows))
+    return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
 
 
 def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:

@@ -242,6 +242,21 @@ _PLURAL_STOP = {
 }
 
 
+def check_failure_rate(failure_rate: float) -> None:
+    if not 0.0 <= failure_rate <= 1.0:
+        raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate}")
+
+
+def check_concurrency(concurrency: int) -> None:
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
+
+
+def check_timeout(timeout: float) -> None:
+    if not timeout > 0:
+        raise ValueError(f"timeout must be > 0, got {timeout}")
+
+
 def _strip_punct(word: str) -> tuple[str, str]:
     core = word.rstrip(".,!?;:")
     return core, word[len(core):]
@@ -265,8 +280,7 @@ class MockInjector:
         max_errors: int = 3,
         category_weights: dict[str, float] | None = None,
     ):
-        if not 0.0 <= failure_rate <= 1.0:
-            raise ValueError(f"failure_rate must be in [0, 1], got {failure_rate}")
+        check_failure_rate(failure_rate)
         if not 1 <= min_errors <= max_errors:
             raise ValueError("need 1 <= min_errors <= max_errors")
         self.failure_rate = failure_rate
@@ -399,6 +413,9 @@ class HttpInjector:
     max_retries: int = 2
     retry_backoff: float = 0.2
 
+    def __post_init__(self) -> None:
+        check_timeout(self.timeout)
+
     def complete(self, prompt: str) -> str:
         try:
             return post_text(
@@ -423,6 +440,7 @@ def inject_corpus(
     concurrency: int = 1,
 ) -> InjectionRun:
     """Render, complete, and parse every document; results follow input order."""
+    check_concurrency(concurrency)
 
     def one(doc: Document) -> tuple[Document, InjectionResponse | None, str]:
         try:

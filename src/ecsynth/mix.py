@@ -141,6 +141,8 @@ def mix_datasets(
     """
     if not original or not synthetic:
         raise ValueError("both original and synthetic datasets must be non-empty")
+    if total is not None and total < 1:
+        raise ValueError(f"total must be >= 1, got {total}")
     a, b = spec.ratio
     if total is None:
         n_blocks = math.ceil(len(original) / a)
@@ -165,9 +167,6 @@ def mix_datasets(
 def continue_plan(
     strategy: str,
     paths: dict[str, str],
-    total_steps: int = DEFAULT_TOTAL_STEPS,
-    phase1_steps: int = DEFAULT_PHASE1_STEPS,
-    checkpoints: Sequence[int] = DEFAULT_CHECKPOINTS,
     require_files: bool = True,
 ) -> TrainingManifest:
     """Two-phase schedule: full synthetic first, then the strategy's phase-2 set.
@@ -190,15 +189,14 @@ def continue_plan(
             Phase(
                 dataset_path=paths["synthetic"],
                 start_step=0,
-                end_step=phase1_steps,
+                end_step=DEFAULT_PHASE1_STEPS,
                 batch_multiplier=DEFAULT_BATCH_MULTIPLIER,
             ),
             Phase(
                 dataset_path=paths[phase2_key],
-                start_step=phase1_steps,
-                end_step=total_steps,
+                start_step=DEFAULT_PHASE1_STEPS,
+                end_step=DEFAULT_TOTAL_STEPS,
                 batch_multiplier=DEFAULT_BATCH_MULTIPLIER,
             ),
         ),
-        checkpoints=tuple(checkpoints),
     )

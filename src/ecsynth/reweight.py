@@ -19,8 +19,9 @@ restart always starts there, so the fitted training residual can never land
 above the uniform baseline.
 
 One weight function, `_weights`, serves the fit, the bias calibration and
-both planted simulators in `simbench`; the residual, the objective sum and
-the held-out error are likewise each defined once.
+both planted simulators in `simbench`; the weighted offline metric
+(`offline_metric`), the residual, the objective sum and the held-out error
+are likewise each defined once.
 """
 
 from __future__ import annotations
@@ -122,6 +123,14 @@ class FitOptions:
     restarts: int = 8
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.grad_tol < 0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+
 
 @dataclass(frozen=True)
 class ObjectiveEval:
@@ -196,8 +205,9 @@ def _problem(
     return sets
 
 
-def _set_metric(w: np.ndarray, st: _SetData) -> np.ndarray:
-    return st.chi @ w / st.chi.shape[1]
+def offline_metric(chi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """s_j = (1/N) sum_i w_i chi_{j,i}: per model for chi (K, N), or one model's for a row (N,)."""
+    return chi @ w / chi.shape[-1]
 
 
 def _resid(s: np.ndarray, alpha_1: np.ndarray, alpha_0: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -230,7 +240,7 @@ def _eval_sets(
     for i, st in enumerate(sets):
         n = st.chi.shape[1]
         w, sig = _weights(theta, c_min, c_max, st.s_f, st.s_p)
-        s = _set_metric(w, st)                           # (K,)
+        s = offline_metric(st.chi, w)                    # (K,)
         alpha_1, alpha_0 = _closed_form(s, st.v)[:2] if alphas is None else alphas[i]
         resid = _resid(s, alpha_1, alpha_0, st.v)        # (K, d)
         wbar = float(w.mean())
@@ -305,7 +315,7 @@ def _residual_with_weights(w_by_set: list[np.ndarray], sets: list[_SetData]) -> 
     total = 0.0
     alphas = []
     for w, st in zip(w_by_set, sets):
-        s = _set_metric(w, st)
+        s = offline_metric(st.chi, w)
         a = _closed_form_alpha(s, st.v)
         resid = _resid(s, a.alpha_1, a.alpha_0, st.v)
         total += float((resid * resid).sum())
@@ -554,8 +564,8 @@ def holdout_cv(
         fold = _SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)
         theta, _, _ = _fit_theta([fold], params, options, theta_inits)
         w = weights_array(params.with_theta(theta), st.s_f, st.s_p)
-        s_j = float(matrix.chi[j] @ w / matrix.n_samples)
-        a = _closed_form_alpha(_set_metric(w, fold), fold.v)
+        s_j = float(offline_metric(st.chi[j], w))
+        a = _closed_form_alpha(offline_metric(fold.chi, w), fold.v)
         residuals.append(_holdout_error(a, s_j, matrix.live_metrics[j]))
     return _summary(residuals)
 
@@ -569,7 +579,7 @@ def _validation_residuals(
     residuals: list[float] = []
     for matrix in _as_matrices(val_data):
         w = weights_array(fitted, *aligned_scores(matrix.sample_ids, scores))
-        s_all = matrix.chi @ w / matrix.n_samples
+        s_all = offline_metric(matrix.chi, w)
         for j in range(matrix.n_models):
             keep = [i for i in range(matrix.n_models) if i != j]
             a = _closed_form_alpha(s_all[keep], matrix.live_metrics[keep])

@@ -11,8 +11,9 @@ exactly 1 (the regularizer's fixed point), making the noiseless instance
 fully realizable by the fitting objective. Two metric sets with deliberately
 different scales are generated to exercise the per-set regression protocol.
 
-`generate` and `simulate_deployments` share one planted model: `reweight`'s
-weight function, `_planted_rates` and `_live_metrics`.
+`generate` and `simulate_deployments` share one planted model: the module
+constants below, `reweight`'s weight function, `_planted_rates` and
+`_live_metrics`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,20 @@ from scipy.special import expit, logit
 
 from .evaluate import Judge, ModelOutputs, NormalizedJudge, export_chi_row
 from .records import ECExample, EvalMatrix, ScoredSample
-from .reweight import ReweightParams, aligned_scores, calibrate_bias, weights_array
+from .reweight import ReweightParams, aligned_scores, calibrate_bias, offline_metric, weights_array
+
+# the planted model of both simulators: (theta_f, theta_p), the range of each
+# model's uniform base accuracy, and the std of its skill (how far its rate
+# moves with a sample's weight)
+_THETA = (8.0, -6.0)
+_BASE_ACCURACY = (0.55, 0.9)
+_SKILL_STD = 1.5
+# `generate` only: s_p ~ N(-4, 1), s_f - s_p ~ N(0.3, 0.8), the live-metric
+# scale of each metric set, and the fit's default weight bounds
+_S_P = (-4.0, 1.0)
+_S_F_SHIFT = (0.3, 0.8)
+_SET_SCALES = (1.0, 100.0)
+_BOUNDS = ReweightParams()
 
 # names of the deployment simulator's first live metrics; the rest are metric_{m}
 _METRIC_NAMES = ("click_through_rate", "accept_rate")
@@ -49,29 +63,18 @@ class PlantedSpec:
     n_models: int = 12
     n_metrics: int = 2
     n_sets: int = 2
-    set_scales: tuple[float, ...] = (1.0, 100.0)
-    theta_f: float = 8.0
-    theta_p: float = -6.0
     theta_b: float = 0.0
     # when set, theta_b above is ignored and solved so mean weight hits this
     target_mean_weight: float | None = 1.0
-    c_min: float = 0.01
-    c_max: float = 2.0
-    score_mean_p: float = -4.0
-    score_std_p: float = 1.0
-    score_shift_f: float = 0.3
-    score_std_f: float = 0.8
-    base_accuracy: tuple[float, float] = (0.55, 0.9)
-    skill_std: float = 1.5
     noise_sigma: float = 1e-3
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
-        if self.n_sets < 1 or len(self.set_scales) < self.n_sets:
-            raise ValueError("set_scales must cover n_sets")
+        if not 1 <= self.n_sets <= len(_SET_SCALES):
+            raise ValueError(f"n_sets must be in [1, {len(_SET_SCALES)}], got {self.n_sets}")
         if self.target_mean_weight is not None and not (
-            self.c_min < self.target_mean_weight < self.c_max
+            _BOUNDS.c_min < self.target_mean_weight < _BOUNDS.c_max
         ):
             raise ValueError("target mean weight must lie inside (c_min, c_max)")
 
@@ -93,11 +96,9 @@ class PlantedBenchmark:
     truth: GroundTruth
 
 
-def _default_alphas(spec: PlantedSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    d = spec.n_metrics
+def _default_alphas(n_sets: int, d: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     out = []
-    for s in range(spec.n_sets):
-        scale = spec.set_scales[s]
+    for scale in _SET_SCALES[:n_sets]:
         alpha_1 = scale * (1.0 + 0.5 * np.arange(d))
         alpha_0 = scale * 0.1 * (np.arange(d) + 1.0)
         out.append((alpha_1, alpha_0))
@@ -105,31 +106,24 @@ def _default_alphas(spec: PlantedSpec) -> tuple[tuple[np.ndarray, np.ndarray], .
 
 
 def _planted_weights(
-    spec: PlantedSpec | DeploymentSimSpec, theta_b: float, s_f: np.ndarray, s_p: np.ndarray
+    s_f: np.ndarray, s_p: np.ndarray, c_min: float, c_max: float, target: float | None,
+    theta_b: float = 0.0,
 ) -> tuple[ReweightParams, np.ndarray]:
     """Planted reweighting model and its weights; a target mean weight overrides `theta_b`."""
-    if spec.target_mean_weight is not None:
-        theta_b = calibrate_bias(
-            spec.theta_f, spec.theta_p, s_f, s_p, spec.c_min, spec.c_max,
-            target=spec.target_mean_weight,
-        )
-    params = ReweightParams(
-        theta_f=spec.theta_f, theta_p=spec.theta_p, theta_b=theta_b,
-        c_min=spec.c_min, c_max=spec.c_max,
-    )
+    if target is not None:
+        theta_b = calibrate_bias(*_THETA, s_f, s_p, c_min, c_max, target=target)
+    params = ReweightParams(*_THETA, theta_b=theta_b, c_min=c_min, c_max=c_max)
     return params, weights_array(params, s_f, s_p)
 
 
-def _planted_rates(
-    rng: np.random.Generator, spec: PlantedSpec | DeploymentSimSpec, w: np.ndarray
-) -> np.ndarray:
+def _planted_rates(rng: np.random.Generator, n_models: int, w: np.ndarray) -> np.ndarray:
     """Per-(model, sample) success rates correlated with the planted weights.
 
     Each model draws a base accuracy and a skill; its rate on a sample moves
     in logit space with the sample's centered weight, clipped to [0.02, 0.98].
     """
-    base = rng.uniform(*spec.base_accuracy, size=spec.n_models)
-    skill = rng.normal(0.0, spec.skill_std, size=spec.n_models)
+    base = rng.uniform(*_BASE_ACCURACY, size=n_models)
+    skill = rng.normal(0.0, _SKILL_STD, size=n_models)
     centered = w - w.mean()
     return np.clip(expit(logit(base)[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
 
@@ -140,17 +134,19 @@ def _live_metrics(
 ) -> tuple[np.ndarray, float]:
     """Live metrics affine in the weighted offline metric plus noise; and the noise's sum of squares."""
     eps = rng.normal(0.0, noise_sigma, size=(chi.shape[0], len(alpha[0])))
-    return np.outer(chi @ w / chi.shape[1], alpha[0]) + alpha[1] + eps, float((eps * eps).sum())
+    return np.outer(offline_metric(chi, w), alpha[0]) + alpha[1] + eps, float((eps * eps).sum())
 
 
 def generate(spec: PlantedSpec) -> PlantedBenchmark:
     """Deterministic benchmark instance for the given spec."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_samples
-    s_p = rng.normal(spec.score_mean_p, spec.score_std_p, size=n)
-    s_f = s_p + rng.normal(spec.score_shift_f, spec.score_std_f, size=n)
+    s_p = rng.normal(*_S_P, size=n)
+    s_f = s_p + rng.normal(*_S_F_SHIFT, size=n)
 
-    params, w = _planted_weights(spec, spec.theta_b, s_f, s_p)
+    params, w = _planted_weights(
+        s_f, s_p, _BOUNDS.c_min, _BOUNDS.c_max, spec.target_mean_weight, spec.theta_b
+    )
 
     sample_ids = tuple(f"ps-{i:06d}" for i in range(n))
     scores = [
@@ -158,11 +154,11 @@ def generate(spec: PlantedSpec) -> PlantedBenchmark:
         for sid, p, f in zip(sample_ids, s_p, s_f)
     ]
 
-    alphas = _default_alphas(spec)
+    alphas = _default_alphas(spec.n_sets, spec.n_metrics)
     matrices = []
     noise_per_set = []
     for s in range(spec.n_sets):
-        p = _planted_rates(rng, spec, w)
+        p = _planted_rates(rng, spec.n_models, w)
         chi = (rng.random(p.shape) < p).astype(np.float64)
         v, noise = _live_metrics(rng, chi, w, alphas[s], spec.noise_sigma)
         noise_per_set.append(noise)
@@ -195,19 +191,15 @@ class DeploymentSimSpec:
     """Synthesize ranked model outputs plus live metrics for a real dataset.
 
     Per-model top-1 correctness rates are modulated by the planted sample
-    weights exactly as in the raw benchmark; a rescue probability plants the
+    weights exactly as in the raw benchmark, with the bias calibrated to mean
+    weight 1 over the dataset's scores; a rescue probability plants the
     correct answer at rank 2 or 3 so top-3 strictly dominates top-1.
     """
 
     n_models: int = 8
     n_metrics: int = 2
-    theta_f: float = 8.0
-    theta_p: float = -6.0
-    target_mean_weight: float = 1.0
-    c_min: float = 0.01
-    c_max: float = 2.0
-    base_accuracy: tuple[float, float] = (0.55, 0.9)
-    skill_std: float = 1.5
+    c_min: float = ReweightParams.c_min
+    c_max: float = ReweightParams.c_max
     top3_rescue: float = 0.15
     noise_sigma: float = 1e-3
     seed: int = 0
@@ -248,10 +240,10 @@ def simulate_deployments(
     """
     s_f, s_p = aligned_scores([ex.id for ex in dataset], scores)
 
-    params, w = _planted_weights(spec, 0.0, s_f, s_p)
+    params, w = _planted_weights(s_f, s_p, spec.c_min, spec.c_max, target=1.0)
 
     rng = np.random.default_rng(spec.seed)
-    p1 = _planted_rates(rng, spec, w)
+    p1 = _planted_rates(rng, spec.n_models, w)
 
     outputs = []
     for j in range(spec.n_models):

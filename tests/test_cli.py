@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 from pathlib import Path
+from typing import get_origin, get_type_hints
 
 import pytest
 
@@ -13,6 +14,7 @@ from ecsynth.cli import (
     ConfigError,
     PathsConfig,
     PipelineConfig,
+    _section_types,
     build_parser,
     load_config,
     main,
@@ -122,6 +124,15 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("scoring.delta", 0, "delta must be > 0"),
         ("simbench.top3_rescue", -1, "top3_rescue must be in"),
         ("simbench.top3_rescue", 2, "top3_rescue must be in"),
+        ("grammar.failure_rate", 1.5, "failure_rate must be in"),
+        ("grammar.concurrency", 0, "concurrency must be >= 1"),
+        ("grammar.timeout", -1, "timeout must be > 0"),
+        ("reweight.restarts", 0, "restarts must be >= 1"),
+        ("reweight.max_iters", 0, "max_iters must be >= 1"),
+        ("reweight.grad_tol", -1, "grad_tol must be >= 0"),
+        ("paths.corpus", "", "paths.corpus must not be empty"),
+        ("paths.domain_corpus", "", "paths.domain_corpus must not be empty"),
+        ("paths.original_dataset", "", "paths.original_dataset must not be empty"),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):
@@ -137,12 +148,54 @@ def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value,
     assert not (tmp_path / "artifacts").exists()
 
 
+def _boundary_cases() -> list[tuple[str, object]]:
+    """(config key, value): the boundary values of each section field's type but its default."""
+    cases = []
+    for section, cls in _section_types().items():
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            tp = hints[f.name]
+            if tp in (int, float):
+                values = [0, -1]
+            elif get_origin(tp) is tuple:
+                values = [[]]
+            else:  # str or Literal
+                values = [""]
+            key = f"{section}.{f.metadata.get('key', f.name)}"
+            cases += [(key, v) for v in values if v != f.default]
+    return cases
+
+
+_BOUNDARY_CASES = _boundary_cases()
+
+
+@pytest.mark.parametrize(
+    "key, value", _BOUNDARY_CASES, ids=[f"{k}={json.dumps(v)}" for k, v in _BOUNDARY_CASES]
+)
+def test_config_boundary_value_exits_1_before_any_work_or_runs(tmp_path, key, value):
+    materialize(tmp_path)
+    cfg = json.loads(json.dumps(DEMO_CONFIG))
+    section, name = key.split(".")
+    cfg[section][name] = value
+    p = tmp_path / "config.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    rc = main(["run", "--config", str(p)])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert sorted(tmp_path.iterdir()) == before
+    else:
+        workdir = tmp_path / cfg["paths"]["workdir"]
+        assert (workdir / "runlog" / "evaluate.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["simbench", "--c-min", "3.0"],
         ["mix", "--ratio", "0:4"],
         ["inject-typos", "--p-omit", "1.5"],
+        ["mix", "--total", "0"],
     ],
 )
 def test_stage_subcommand_rejects_out_of_range_flag(tmp_path, capsys, argv):
@@ -430,6 +483,27 @@ def test_fit_reweight_and_simbench_subcommands(tmp_path):
     assert fit["residual_train"] <= fit["baselines"]["uniform"] + 1e-9
     w = records.read_weights(weights_out)
     assert all(0.01 < x < 2.0 for x in w.values())
+
+
+def test_fit_report_txt_rows_match_json_report(tmp_path):
+    assert main(["planted", "--n", "80", "--k", "4", "--seed", "5",
+                 "--out-prefix", str(tmp_path / "bench")]) == 0
+    report, report_txt = tmp_path / "fit.json", tmp_path / "fit.txt"
+    rc = main(
+        ["fit-reweight", "--eval-matrix", str(tmp_path / "bench_matrix0.jsonl"),
+         "--val-matrix", str(tmp_path / "bench_matrix1.jsonl"),
+         "--scores", str(tmp_path / "bench_scores.jsonl"), "--restarts", "2",
+         "--report", str(report), "--report-txt", str(report_txt)]
+    )
+    assert rc == 0
+    fit = json.loads(report.read_text(encoding="utf-8"))
+    lines = report_txt.read_text(encoding="utf-8").splitlines()
+    rows = {line.split()[0]: line.split() for line in lines if line}
+    for label, key in (("crossval", "residual_cv"), ("val", "residual_val")):
+        _, mean, plus_minus, std = rows[label]
+        assert plus_minus == "±"
+        assert float(mean) == pytest.approx(fit[key]["mean"], rel=1e-4)
+        assert float(std) == pytest.approx(fit[key]["std"], rel=1e-2)
 
 
 def test_evaluate_subcommand(tmp_path):

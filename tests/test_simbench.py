@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,58 @@ def test_simulate_deployments_requires_scores():
     dataset = _dataset(5)
     with pytest.raises(ValueError, match="missing"):
         simulate_deployments(dataset, [], DeploymentSimSpec(n_models=2, seed=1))
+
+
+def _digest(bench) -> str:
+    """sha256 over every array, id, score and ground-truth number of a planted benchmark."""
+    h = hashlib.sha256()
+    for m in bench.matrices:
+        for names in (m.model_ids, m.sample_ids, m.metric_names):
+            h.update("\n".join(names).encode())
+        h.update(np.ascontiguousarray(m.chi).tobytes())
+        h.update(np.ascontiguousarray(m.live_metrics).tobytes())
+    for s in bench.scores:
+        h.update(f"{s.sample_id} {s.s_p.hex()} {s.s_f.hex()}\n".encode())
+    t = bench.truth
+    p = t.params
+    h.update(" ".join(x.hex() for x in (p.theta_f, p.theta_p, p.theta_b, p.c_min, p.c_max, p.lam)).encode())
+    for a1, a0 in t.alpha_sets:
+        h.update(np.asarray(a1, dtype=np.float64).tobytes())
+        h.update(np.asarray(a0, dtype=np.float64).tobytes())
+    h.update(t.weights.tobytes())
+    h.update(" ".join(x.hex() for x in (t.mean_weight, *t.noise_per_set, t.noise_total)).encode())
+    return h.hexdigest()
+
+
+# recorded from `generate`; a change to the planted model or its draw order moves them
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (PlantedSpec(), "dc245c2ee88a75381ae6b7f34e171f8ae7c2c3f1957b2f4b2b7ead8a0d32a192"),
+        (
+            PlantedSpec(n_samples=120, n_models=4, n_sets=1, noise_sigma=0.01, seed=8),
+            "4b2775860ea4d263d7a2db565d108de554fbdc7181e7ef3d4e9b5123fa2dc0c2",
+        ),
+        (
+            PlantedSpec(n_samples=100, n_models=5, theta_b=0.25, target_mean_weight=None, seed=8),
+            "2a82ba72a9755a0993515a12c6747e03c5c77879268855a498c47cfefd535af7",
+        ),
+        (
+            PlantedSpec(n_samples=80, n_models=3, n_metrics=3, noise_sigma=0.0, seed=2),
+            "d0fe2a6ea97a92287ed645a27495c4bebe9153738ea159ea2567c80c4f7c4833",
+        ),
+        (
+            PlantedSpec(target_mean_weight=1.6, noise_sigma=1e-3, seed=18),
+            "7c25b0753baa05c5cc74196bd0d5a68b700c6a861213bbc47f0e3a6d288d0cd1",
+        ),
+    ],
+    ids=["default", "n_sets=1", "fixed_bias", "n_metrics=3", "target=1.6"],
+)
+def test_generate_bytes_pinned(spec, expected):
+    assert _digest(generate(spec)) == expected
+
+
+@pytest.mark.parametrize("n_sets", [0, 3])
+def test_generate_rejects_n_sets_outside_1_and_2(n_sets):
+    with pytest.raises(ValueError, match="n_sets"):
+        PlantedSpec(n_sets=n_sets)
