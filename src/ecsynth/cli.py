@@ -104,6 +104,7 @@ class GrammarSection:
         grammar_mod.check_failure_rate(self.failure_rate)
         grammar_mod.check_concurrency(self.concurrency)
         grammar_mod.check_timeout(self.timeout)
+        grammar_mod.check_max_retries(self.max_retries)
 
 
 @dataclass(frozen=True)
@@ -158,6 +159,8 @@ class ReweightSection:
     def __post_init__(self) -> None:
         self.params()
         self.options()
+        # the simbench stage calibrates its planted weights to mean 1
+        reweight_mod.check_mean_weight(1.0, self.c_min, self.c_max)
 
     def params(self) -> reweight_mod.ReweightParams:
         return reweight_mod.ReweightParams(c_min=self.c_min, c_max=self.c_max, lam=self.lam)
@@ -834,7 +837,11 @@ def run_pipeline(
     config_dir: str | Path = ".",
     stages: Sequence[str] | None = None,
 ) -> Path:
-    """Execute the requested stages in dependency order; returns the workdir."""
+    """Execute the requested stages in dependency order; returns the workdir.
+
+    The run parses each input and artifact at most once: stages share one
+    `records.record_cache()`, which closes when the run returns or fails.
+    """
     unknown = sorted(set(stages or ()) - set(STAGE_ORDER))
     if unknown:
         raise ConfigError(f"unknown stages: {unknown}")
@@ -846,13 +853,14 @@ def run_pipeline(
         config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash,
         judge=_judge(config.eval),
     )
-    for stage in STAGES:
-        if stages is not None and stage.name not in stages:
-            continue
-        try:
-            _run_stage(ctx, stage)
-        except Exception as e:
-            raise StageError(stage.name, e) from e
+    with records.record_cache():
+        for stage in STAGES:
+            if stages is not None and stage.name not in stages:
+                continue
+            try:
+                _run_stage(ctx, stage)
+            except Exception as e:
+                raise StageError(stage.name, e) from e
     return workdir
 
 

@@ -53,9 +53,10 @@ class ClusterStats:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count) buckets
 
 
-# Byte budget of one row block's (rows x k) distance matrix in `_nearest`.
-# The demo's 2,000 x 50 assignment fits in one block, so its artifacts equal
-# an unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
+# Byte budget of one row block's temporaries: the (rows x k) distance matrix
+# in `_nearest` and the (rows x D) differences in `_point_d2`. The demo's
+# 2,000 x 50 assignment fits in one block, so its artifacts equal an
+# unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -95,6 +96,23 @@ def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray
         d = _distances(x[block], xx[block], centroids, cc, out=buf[: min(rows, n - lo)])
         assign[block] = np.argmin(d, axis=1)
     return assign
+
+
+def _point_d2(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    """Squared distance of each row to its assigned centroid, in O(block x D) memory.
+
+    By direct subtraction: exact zero for coincident points, unlike the
+    expanded form `_distances` uses for the argmin. Each row's sum is the
+    same in any block, so the result does not depend on the block size.
+    """
+    n = x.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        block = slice(lo, lo + rows)
+        diff = x[block] - centroids[assign[block]]
+        out[block] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -174,10 +192,7 @@ def kmeans(
     assign = np.zeros(n, dtype=np.int64)
     for it in range(max_iters):
         assign = _nearest(x, xx, centroids)
-        # objective by direct subtraction: exact zero for coincident points,
-        # unlike the expanded form used for the argmin
-        diff = x - centroids[assign]
-        point_d2 = np.einsum("ij,ij->i", diff, diff)
+        point_d2 = _point_d2(x, centroids, assign)
         obj = float(point_d2.sum())
         if obj > prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise AssertionError(f"kmeans objective increased: {prev_obj} -> {obj} at iter {it}")

@@ -18,7 +18,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .records import ECExample, EvalMatrix, _read_records, _write_records, by_id
+from .records import ECExample, EvalMatrix, _cached_records, _store, _write_records, by_id
 from .util import nfc, post_text
 
 
@@ -263,8 +263,12 @@ def eval_report(
 
 def read_outputs(path: str | Path) -> ModelOutputs:
     """One model's outputs; the model id is the file stem."""
-    rows = _read_records(
-        path, "sample", lambda obj: (obj["sample_id"], tuple(obj["candidates"])), key=lambda r: r[0]
+    rows = _cached_records(
+        "read_outputs",
+        path,
+        "sample",
+        lambda obj: (obj["sample_id"], tuple(obj["candidates"])),
+        key=lambda r: r[0],
     )
     return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
 
@@ -272,3 +276,4 @@ def read_outputs(path: str | Path) -> ModelOutputs:
 def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
     rows = outputs.candidates.items()
     _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))
+    _store("read_outputs", path, tuple(rows))

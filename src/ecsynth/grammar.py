@@ -257,6 +257,11 @@ def check_timeout(timeout: float) -> None:
         raise ValueError(f"timeout must be > 0, got {timeout}")
 
 
+def check_max_retries(max_retries: int) -> None:
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+
+
 def _strip_punct(word: str) -> tuple[str, str]:
     core = word.rstrip(".,!?;:")
     return core, word[len(core):]
@@ -415,6 +420,7 @@ class HttpInjector:
 
     def __post_init__(self) -> None:
         check_timeout(self.timeout)
+        check_max_retries(self.max_retries)
 
     def complete(self, prompt: str) -> str:
         try:
@@ -423,7 +429,7 @@ class HttpInjector:
                 self.timeout, self.max_retries, self.retry_backoff,
             )
         except TRANSIENT_ERRORS as e:
-            attempts = max(self.max_retries, 0) + 1
+            attempts = self.max_retries + 1
             raise InjectionError(f"injection failed after {attempts} attempts: {e}") from e
 
 

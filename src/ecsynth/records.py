@@ -11,10 +11,19 @@ Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
 every constructible record. Records are immutable and safe to share across
 threads.
+
+Inside `record_cache()`, which `cli.run_pipeline` opens for one run, a reader
+parses each file at most once: an entry is keyed by (reader, resolved path,
+sha256 of the file's bytes), so a file changed on disk is parsed again, and a
+writer stores the records it wrote, so the next stage parses nothing. Readers
+return fresh lists and dicts of the shared immutable records. The cache lasts
+until the block exits; outside it every read parses its file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -23,7 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequenc
 
 import numpy as np
 
-from .util import nfc
+from .util import file_sha256, nfc
 
 if TYPE_CHECKING:
     from .cluster import ClusterModel, EmbeddedDoc
@@ -240,8 +249,7 @@ def _read_records(
     return out
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
+_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _write_records(path: str | Path, objs: Iterable[dict]) -> None:
@@ -250,9 +258,80 @@ def _write_records(path: str | Path, objs: Iterable[dict]) -> None:
             f.write(_dump(obj) + "\n")
 
 
+# -- run-scoped record cache --
+
+# (reader, resolved path, sha256 of the file) -> what the reader builds from that
+# file; None outside `record_cache()`. A context variable, so runs in two threads
+# keep two caches.
+_cache: contextvars.ContextVar[dict[tuple[str, Path, str], object] | None] = (
+    contextvars.ContextVar("record_cache", default=None)
+)
+
+
+@contextlib.contextmanager
+def record_cache() -> Iterator[None]:
+    """Within the block, each reader parses a given file content at most once.
+
+    A nested block shares the cache that is already open.
+    """
+    if _cache.get() is not None:
+        yield
+        return
+    token = _cache.set({})
+    try:
+        yield
+    finally:
+        _cache.reset(token)
+
+
+def _cached(reader: str, path: str | Path, parse: Callable[[], T]) -> T:
+    """parse(), or the value stored for the reader and the file's current content.
+
+    `reader` is the name of the public reader, so two readers of one file
+    keep separate entries.
+    """
+    cache = _cache.get()
+    if cache is None:
+        return parse()
+    key = (reader, Path(path).resolve(), file_sha256(path))
+    if key not in cache:
+        cache[key] = parse()
+    return cache[key]  # type: ignore[return-value]
+
+
+def _cached_records(
+    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
+    key: Callable[[T], str] | None = None,
+) -> list[T]:
+    """`_read_records` through the cache: a fresh list of the shared records."""
+    return list(_cached(reader, path, lambda: tuple(_read_records(path, what, build, key))))
+
+
+def _store(reader: str, path: str | Path, value: object) -> None:
+    """Write-through: `value` is what `reader` builds from the file just written."""
+    cache = _cache.get()
+    if cache is not None:
+        cache[(reader, Path(path).resolve(), file_sha256(path))] = value
+
+
+# What a writer checks before it stores its records: a reader rejects a
+# repeated id, and it reads a number back as a builtin type, so a float
+# subclass such as numpy.float64 would not equal a fresh parse in type.
+
+
+def _unique(ids: Iterable[str]) -> bool:
+    ids = list(ids)
+    return len(set(ids)) == len(ids)
+
+
+def _floats(values: Iterable[object]) -> bool:
+    return all(type(v) is float for v in values)
+
+
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
-    return _read_records(
+    return _cached_records(
+        "read_corpus",
         path,
         "document",
         lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", "")),
@@ -262,6 +341,8 @@ def read_corpus(path: str | Path) -> list[Document]:
 
 def write_corpus(docs: Sequence[Document], path: str | Path) -> None:
     _write_records(path, ({"id": d.id, "text": d.text, "source_tag": d.source_tag} for d in docs))
+    if _cache.get() is not None and _unique(d.id for d in docs):
+        _store("read_corpus", path, tuple(docs))
 
 
 def _example_to_obj(ex: ECExample) -> dict:
@@ -291,15 +372,20 @@ def _example_from_obj(obj: dict) -> ECExample:
 
 def read_ec_dataset(path: str | Path) -> list[ECExample]:
     """Read an EC dataset. Repeated ids are allowed: mixed datasets oversample."""
-    return _read_records(path, "example", _example_from_obj)
+    return _cached_records("read_ec_dataset", path, "example", _example_from_obj)
 
 
 def write_ec_dataset(examples: Sequence[ECExample], path: str | Path) -> None:
     _write_records(path, map(_example_to_obj, examples))
+    if _cache.get() is not None and all(
+        ex.weight is None or type(ex.weight) in (bool, int, float) for ex in examples
+    ):
+        _store("read_ec_dataset", path, tuple(examples))
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
-    return _read_records(
+    return _cached_records(
+        "read_scores",
         path,
         "sample",
         lambda obj: ScoredSample(obj["sample_id"], s_p=float(obj["s_p"]), s_f=float(obj["s_f"])),
@@ -309,22 +395,38 @@ def read_scores(path: str | Path) -> list[ScoredSample]:
 
 def write_scores(scores: Sequence[ScoredSample], path: str | Path) -> None:
     _write_records(path, ({"sample_id": s.sample_id, "s_p": s.s_p, "s_f": s.s_f} for s in scores))
+    if (
+        _cache.get() is not None
+        and _unique(s.sample_id for s in scores)
+        and _floats(v for s in scores for v in (s.s_p, s.s_f))
+    ):
+        _store("read_scores", path, tuple(scores))
 
 
 def read_weights(path: str | Path) -> dict[str, float]:
     return dict(
-        _read_records(
-            path, "sample", lambda obj: (obj["sample_id"], float(obj["weight"])), key=lambda r: r[0]
+        _cached_records(
+            "read_weights",
+            path,
+            "sample",
+            lambda obj: (obj["sample_id"], float(obj["weight"])),
+            key=lambda r: r[0],
         )
     )
 
 
 def write_weights(weights: dict[str, float], path: str | Path) -> None:
     _write_records(path, ({"sample_id": sid, "weight": w} for sid, w in weights.items()))
+    if _cache.get() is not None and _floats(weights.values()):
+        _store("read_weights", path, tuple(weights.items()))
 
 
 def read_eval_matrix(path: str | Path) -> EvalMatrix:
     """Read header + K chi rows + K live-metric rows; rejects chi entries outside {0,1}."""
+    return _cached("read_eval_matrix", path, lambda: _parse_eval_matrix(path))
+
+
+def _parse_eval_matrix(path: str | Path) -> EvalMatrix:
     rows = list(_read_lines(path))
     if not rows:
         raise RecordError(f"{path}: empty eval-matrix file")
@@ -373,10 +475,30 @@ def write_eval_matrix(matrix: EvalMatrix, path: str | Path) -> None:
         {"model_id": m, "live": [float(x) for x in row]} for m, row in zip(ids, matrix.live_metrics)
     )
     _write_records(path, itertools.chain([header], chi, live))
+    _store("read_eval_matrix", path, matrix)
 
 
 def read_clusters(path: str | Path) -> ClusterModel:
     """Read a clusters file: header line, then one assignment line per document."""
+    return _fresh_clusters(_cached("read_clusters", path, lambda: _parse_clusters(path)))
+
+
+def _fresh_clusters(model: ClusterModel) -> ClusterModel:
+    """The model as `read_clusters` builds it from the model's file.
+
+    New arrays and a new dict, the file's number types, no objective history.
+    """
+    from .cluster import ClusterModel
+
+    return ClusterModel(
+        centroids=np.array(model.centroids, dtype=np.float64),
+        assignments={doc_id: int(c) for doc_id, c in model.assignments.items()},
+        sizes=np.array(model.sizes, dtype=np.int64),
+        objective=float(model.objective),
+    )
+
+
+def _parse_clusters(path: str | Path) -> ClusterModel:
     from .cluster import ClusterModel
 
     rows = _read_lines(path)
@@ -408,3 +530,5 @@ def write_clusters(model: ClusterModel, path: str | Path, docs: Sequence[Embedde
     diffs = ((i, c, vectors[i] - model.centroids[c]) for i, c in model.assignments.items())
     rows = ({"doc_id": i, "cluster": int(c), "distance": float(d @ d)} for i, c, d in diffs)
     _write_records(path, itertools.chain([header], rows))
+    if _cache.get() is not None:
+        _store("read_clusters", path, _fresh_clusters(model))

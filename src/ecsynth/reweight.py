@@ -372,6 +372,12 @@ def _unpack(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, list[_Alpha
     return theta, alphas
 
 
+def check_mean_weight(target: float, c_min: float, c_max: float) -> None:
+    """Weights lie in (c_min, c_max), so only a mean weight inside that range is reachable."""
+    if not c_min < target < c_max:
+        raise ValueError(f"target mean weight {target} must lie inside ({c_min}, {c_max})")
+
+
 def calibrate_bias(
     theta_f: float,
     theta_p: float,
@@ -386,8 +392,7 @@ def calibrate_bias(
     The mean weight is monotone increasing in the bias, so this is a plain
     root find on a widening bracket.
     """
-    if not c_min < target < c_max:
-        raise ValueError(f"target mean weight must lie inside ({c_min}, {c_max})")
+    check_mean_weight(target, c_min, c_max)
 
     def gap(b: float) -> float:
         return float(_weights((theta_f, theta_p, b), c_min, c_max, s_f, s_p)[0].mean()) - target

@@ -26,7 +26,14 @@ from scipy.special import expit, logit
 
 from .evaluate import Judge, ModelOutputs, NormalizedJudge, export_chi_row
 from .records import ECExample, EvalMatrix, ScoredSample
-from .reweight import ReweightParams, aligned_scores, calibrate_bias, offline_metric, weights_array
+from .reweight import (
+    ReweightParams,
+    aligned_scores,
+    calibrate_bias,
+    check_mean_weight,
+    offline_metric,
+    weights_array,
+)
 
 # the planted model of both simulators: (theta_f, theta_p), the range of each
 # model's uniform base accuracy, and the std of its skill (how far its rate
@@ -73,10 +80,8 @@ class PlantedSpec:
         _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
         if not 1 <= self.n_sets <= len(_SET_SCALES):
             raise ValueError(f"n_sets must be in [1, {len(_SET_SCALES)}], got {self.n_sets}")
-        if self.target_mean_weight is not None and not (
-            _BOUNDS.c_min < self.target_mean_weight < _BOUNDS.c_max
-        ):
-            raise ValueError("target mean weight must lie inside (c_min, c_max)")
+        if self.target_mean_weight is not None:
+            check_mean_weight(self.target_mean_weight, _BOUNDS.c_min, _BOUNDS.c_max)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,18 @@ import json
 from pathlib import Path
 from typing import get_origin, get_type_hints
 
+import numpy as np
 import pytest
 
+from ecsynth import cli as cli_mod
+from ecsynth import evaluate as eval_mod
 from ecsynth import records
 from ecsynth.cli import (
     STAGE_ORDER,
     ConfigError,
     PathsConfig,
     PipelineConfig,
+    StageError,
     _section_types,
     build_parser,
     load_config,
@@ -127,9 +131,12 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("grammar.failure_rate", 1.5, "failure_rate must be in"),
         ("grammar.concurrency", 0, "concurrency must be >= 1"),
         ("grammar.timeout", -1, "timeout must be > 0"),
+        ("grammar.max_retries", -1, "max_retries must be >= 0"),
         ("reweight.restarts", 0, "restarts must be >= 1"),
         ("reweight.max_iters", 0, "max_iters must be >= 1"),
         ("reweight.grad_tol", -1, "grad_tol must be >= 0"),
+        ("reweight.c_min", 1.5, "target mean weight 1.0 must lie inside"),
+        ("reweight.c_max", 0.9, "target mean weight 1.0 must lie inside"),
         ("paths.corpus", "", "paths.corpus must not be empty"),
         ("paths.domain_corpus", "", "paths.domain_corpus must not be empty"),
         ("paths.original_dataset", "", "paths.original_dataset must not be empty"),
@@ -581,6 +588,122 @@ def test_pipeline_judges_each_distinct_pair_once(tmp_path, monkeypatch):
             pairs.update((c, targets[sid]) for c in candidates[:3])
     assert len(calls) == len(pairs)
     assert set(calls) == pairs
+
+
+@pytest.fixture
+def parsed(monkeypatch) -> list[Path]:
+    """The resolved path of each file `records._read_lines` parses, in call order."""
+    paths: list[Path] = []
+    original = records._read_lines
+
+    def counting(path):
+        paths.append(Path(path).resolve())
+        return original(path)
+
+    monkeypatch.setattr(records, "_read_lines", counting)
+    return paths
+
+
+def test_pipeline_parses_each_input_once_and_no_artifact_it_wrote(tmp_path, parsed):
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path).resolve()
+    # cluster, sample and score all read paths.corpus
+    assert parsed.count((tmp_path / config.paths.corpus).resolve()) == 1
+    assert len(parsed) == len(set(parsed))
+    assert [p for p in parsed if p.is_relative_to(workdir)] == []
+
+
+def _same(a: object, b: object) -> bool:
+    """Equal in value and in type, through containers, records and arrays."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, dict):
+        a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+READERS = {
+    "read_corpus": records.read_corpus,
+    "read_ec_dataset": records.read_ec_dataset,
+    "read_scores": records.read_scores,
+    "read_weights": records.read_weights,
+    "read_eval_matrix": records.read_eval_matrix,
+    "read_clusters": records.read_clusters,
+    "read_outputs": read_outputs,
+}
+
+
+def test_pipeline_write_through_equals_a_fresh_parse(tmp_path, monkeypatch, parsed):
+    stored = []
+    original = records._store
+
+    def spy(reader, path, value):
+        stored.append((reader, Path(path).resolve(), value))
+        original(reader, path, value)
+
+    monkeypatch.setattr(records, "_store", spy)
+    monkeypatch.setattr(eval_mod, "_store", spy)
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path).resolve()
+    # every JSONL artifact of the run is stored as it is written
+    assert sorted(p for _, p, _ in stored) == sorted(workdir.rglob("*.jsonl"))
+    assert {reader for reader, _, _ in stored} == set(READERS)
+    for reader, path, value in stored:
+        with records.record_cache():
+            original(reader, path, value)
+            n = len(parsed)
+            served = READERS[reader](path)
+            assert len(parsed) == n, path
+        assert _same(served, READERS[reader](path)), path
+
+
+def test_no_record_cache_outlives_a_run(tmp_path, monkeypatch, parsed):
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path, stages=["cluster", "sample"])
+    # the run wrote sampled.jsonl through the cache; after it, every read parses
+    sampled = workdir / "sampled.jsonl"
+    records.read_corpus(sampled)
+    records.read_corpus(sampled)
+    assert parsed.count(sampled.resolve()) == 2
+    sampled.write_text('{"id": "x", "text": "rewritten"}\n', encoding="utf-8")
+    assert records.read_corpus(sampled) == [records.Document(id="x", text="rewritten")]
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("typo model broke")
+
+    monkeypatch.setattr(cli_mod.typo_mod, "corrupt_dataset", fail)
+    stages = ["cluster", "sample", "inject-grammar", "inject-typos"]
+    with pytest.raises(StageError, match="inject-typos"):
+        run_pipeline(config, config_dir=tmp_path, stages=stages)
+    grammar = workdir / "ec_grammar.jsonl"
+    records.read_ec_dataset(grammar)
+    records.read_ec_dataset(grammar)
+    assert parsed.count(grammar.resolve()) == 2
+
+
+def test_pipeline_parses_an_input_changed_during_the_run_again(tmp_path, monkeypatch, parsed):
+    config = load_config(materialize(tmp_path))
+    corpus = (tmp_path / config.paths.corpus).resolve()
+    original = records.read_clusters
+
+    def edit_corpus_then_read(path):
+        # the sample stage reads the clusters, then the corpus
+        docs = records.read_corpus(corpus)
+        edited = [{"id": d.id, "text": d.text + " (edited)"} for d in docs]
+        corpus.write_text("".join(json.dumps(o) + "\n" for o in edited), encoding="utf-8")
+        return original(path)
+
+    monkeypatch.setattr(records, "read_clusters", edit_corpus_then_read)
+    workdir = run_pipeline(config, config_dir=tmp_path, stages=["cluster", "sample"])
+    assert parsed.count(corpus) == 2
+    sampled = records.read_corpus(workdir / "sampled.jsonl")
+    assert sampled and all(d.text.endswith(" (edited)") for d in sampled)
 
 
 def test_stage_order_constant_complete():

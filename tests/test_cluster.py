@@ -118,6 +118,36 @@ def test_kmeans_memory_stays_below_n_by_k():
     assert peak < n * k * 8 / 4
 
 
+def test_kmeans_memory_stays_below_few_n_by_d():
+    n, dim = 40_000, 64
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(n, dim))
+    docs = _docs(x / np.linalg.norm(x, axis=1, keepdims=True))
+    tracemalloc.start()
+    try:
+        kmeans(docs, k=8, seed=0, max_iters=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one N x D float64 matrix is 19.5 MB; kmeans stacks the vectors into one,
+    # and the blocked objective builds no second or third
+    assert peak < 2.5 * n * dim * 8
+
+
+@pytest.mark.parametrize(
+    "n, k, dim, block_rows", [(7, 3, 4, 2), (1000, 50, 64, 300), (257, 1, 16, 257)]
+)
+def test_point_d2_blocks_equal_the_expression(monkeypatch, n, k, dim, block_rows):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, dim))
+    c = rng.normal(size=(k, dim))
+    assign = rng.integers(k, size=n)
+    diff = x - c[assign]
+    expected = np.einsum("ij,ij->i", diff, diff)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * dim * block_rows)
+    assert cluster._point_d2(x, c, assign).tobytes() == expected.tobytes()
+
+
 def test_kmeans_input_validation():
     rng = np.random.default_rng(4)
     docs = _docs(rng.normal(size=(5, 2)))

@@ -350,6 +350,14 @@ def test_http_injector_timeout(http_server):
     assert time.time() - start < 0.9
 
 
+@pytest.mark.parametrize(
+    "kwargs, match", [({"timeout": 0.0}, "timeout must be > 0"), ({"max_retries": -1}, "max_retries")]
+)
+def test_http_injector_rejects_out_of_range_settings(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        HttpInjector(endpoint="http://127.0.0.1:9/inject", **kwargs)
+
+
 def test_inject_corpus_counts_failures_not_silently(http_server):
     _Handler.fail_next = 100
     client = HttpInjector(endpoint=http_server, timeout=5.0, max_retries=0, retry_backoff=0.0)

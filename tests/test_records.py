@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsynth import records
+from ecsynth.evaluate import ModelOutputs, read_outputs, write_outputs
 from ecsynth.records import (
     Document,
     ECExample,
@@ -18,6 +22,7 @@ from ecsynth.records import (
     read_eval_matrix,
     read_scores,
     read_weights,
+    record_cache,
     write_corpus,
     write_ec_dataset,
     write_eval_matrix,
@@ -272,3 +277,78 @@ def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(RecordError, match=f"clusters.jsonl.*line {line}"):
         read_clusters(path)
+
+
+# -- run-scoped record cache --
+
+
+@pytest.fixture
+def parsed(monkeypatch) -> list[str]:
+    """The name of each file `_read_lines` parses, in call order."""
+    names: list[str] = []
+    original = records._read_lines
+
+    def counting(path):
+        names.append(Path(path).name)
+        return original(path)
+
+    monkeypatch.setattr(records, "_read_lines", counting)
+    return names
+
+
+def test_record_cache_parses_each_file_content_once(tmp_path, parsed):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "text": "one"}\n', encoding="utf-8")
+    with record_cache():
+        first = read_corpus(path)
+        first.append(Document(id="b", text="added by the caller"))
+        assert read_corpus(path) == [Document(id="a", text="one")]  # a fresh list
+        assert parsed == ["corpus.jsonl"]
+        # changed on disk, not through a writer: parsed again
+        path.write_text('{"id": "a", "text": "two"}\n', encoding="utf-8")
+        assert read_corpus(path) == [Document(id="a", text="two")]
+        assert parsed == ["corpus.jsonl"] * 2
+    # outside the block every read parses
+    read_corpus(path)
+    read_corpus(path)
+    assert parsed == ["corpus.jsonl"] * 4
+
+
+def test_record_cache_serves_a_written_file_without_parsing(tmp_path, parsed):
+    scores = [ScoredSample("a", s_p=-3.5, s_f=-2.25)]
+    weights = {"a": 0.5}
+    with record_cache():
+        write_scores(scores, tmp_path / "scores.jsonl")
+        write_weights(weights, tmp_path / "weights.jsonl")
+        got = read_weights(tmp_path / "weights.jsonl")
+        got["b"] = 1.0
+        assert read_scores(tmp_path / "scores.jsonl") == scores
+        assert read_weights(tmp_path / "weights.jsonl") == weights  # a fresh dict
+    assert parsed == []
+
+
+def test_record_cache_writers_store_only_what_reads_back_equal_in_type(tmp_path, parsed):
+    with record_cache():
+        # a repeated id: read_corpus must still reject the file
+        write_corpus([Document(id="a", text="x"), Document(id="a", text="y")], tmp_path / "c.jsonl")
+        with pytest.raises(RecordError, match="'a'"):
+            read_corpus(tmp_path / "c.jsonl")
+        # numpy floats are written as numbers and read back as floats
+        write_scores([ScoredSample("a", s_p=np.float64(-1.5), s_f=-2.0)], tmp_path / "s.jsonl")
+        write_weights({"a": np.float64(0.5)}, tmp_path / "w.jsonl")
+        example = ECExample(id="e", source="s", target="t", weight=np.float64(0.5))
+        write_ec_dataset([example], tmp_path / "e.jsonl")
+        assert type(read_scores(tmp_path / "s.jsonl")[0].s_p) is float
+        assert type(read_weights(tmp_path / "w.jsonl")["a"]) is float
+        assert type(read_ec_dataset(tmp_path / "e.jsonl")[0].weight) is float
+    assert parsed == ["c.jsonl", "s.jsonl", "w.jsonl", "e.jsonl"]
+
+
+def test_record_cache_keys_by_path(tmp_path):
+    outputs = ModelOutputs(model_id="m1", candidates={"s1": ("a", "b")})
+    with record_cache():
+        write_outputs(outputs, tmp_path / "m1.jsonl")
+        (tmp_path / "m2.jsonl").write_bytes((tmp_path / "m1.jsonl").read_bytes())
+        # the same bytes under another name: the model id is the file stem
+        assert read_outputs(tmp_path / "m1.jsonl").model_id == "m1"
+        assert read_outputs(tmp_path / "m2.jsonl").model_id == "m2"
