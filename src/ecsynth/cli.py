@@ -365,12 +365,6 @@ class Stage:
         return "eval" in self.sections
 
 
-def _write_json(path: Path, obj: object) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _judge(e: EvalSection) -> eval_mod.Judge:
     """The judge of one run or stage subcommand; it asks each distinct pair once."""
     if e.judge != "http":
@@ -386,7 +380,7 @@ def _judge(e: EvalSection) -> eval_mod.Judge:
 def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings, out) -> dict:
     c = cfg.cluster
     if embeddings:
-        embedded = cluster_mod.read_embeddings(embeddings)
+        embedded = records.read_embeddings(embeddings)
     elif corpus:
         embedded = cluster_mod.hash_embed(records.read_corpus(corpus), c.embed_dim, seed=seed)
     else:
@@ -478,10 +472,9 @@ def _simbench(
     )
     outputs.mkdir(parents=True, exist_ok=True)
     for o in sim.outputs:
-        eval_mod.write_outputs(o, outputs / f"{o.model_id}.jsonl")
+        records.write_outputs(o, outputs / f"{o.model_id}.jsonl")
     records.write_eval_matrix(sim.matrix, eval_matrix)
-    _write_json(
-        planted,
+    records.write_json(
         {
             "theta": [sim.params.theta_f, sim.params.theta_p, sim.params.theta_b],
             "alpha_1": [float(x) for x in sim.alpha[0]],
@@ -489,6 +482,7 @@ def _simbench(
             "noise_floor": sim.noise_floor,
             "mean_weight": float(sim.weights.mean()),
         },
+        planted,
     )
     return {"models": len(sim.outputs), "noise_floor": sim.noise_floor}
 
@@ -567,9 +561,9 @@ def _fit_reweight(
         with_cv=matrices[0].n_models >= 3,
     )
     report_obj = _fit_report_json(fit)
-    _write_json(report, report_obj)
+    records.write_json(report_obj, report)
     if report_txt:
-        report_txt.write_text(_fit_report_text(report_obj), encoding="utf-8")
+        records.write_text(_fit_report_text(report_obj), report_txt)
     weights = reweight_mod.weights_for(fit.params, score_list)
     if weights_out:
         records.write_weights(weights, weights_out)
@@ -627,7 +621,7 @@ def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
                 raise FileNotFoundError(f"{key} dataset not found: {p}")
             paths[key] = os.path.relpath(p, out.parent)
     manifest = mix_mod.continue_plan(cfg.plan.strategy, paths, require_files=False)
-    out.write_text(manifest.to_json() + "\n", encoding="utf-8")
+    records.write_text(manifest.to_json() + "\n", out)
     return {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)}
 
 
@@ -636,13 +630,12 @@ def _evaluate(
 ) -> dict:
     examples = records.read_ec_dataset(dataset)
     weight_map = records.read_weights(weights) if weights else None
-    groups = [(p.stem, [eval_mod.read_outputs(p)]) for p in outputs]
+    groups = [(p.stem, [records.read_outputs(p)]) for p in outputs]
     result = eval_mod.eval_report(groups, examples, judge, weights=weight_map, ks=tuple(k))
     if report:
-        report.write_text(result.render() + "\n", encoding="utf-8")
+        records.write_text(result.render() + "\n", report)
     if report_json:
-        _write_json(
-            report_json,
+        records.write_json(
             {
                 "columns": list(result.columns),
                 "rows": [
@@ -650,6 +643,7 @@ def _evaluate(
                     for label, cells in result.rows
                 ],
             },
+            report_json,
         )
     return {"models": len(groups), "samples": len(examples)}
 
@@ -804,7 +798,7 @@ class RunContext:
             "outputs": {p.name: file_sha256(p) for p in outputs},
             "counts": counts,
         }
-        _write_json(logdir / f"{stage}.json", record)
+        records.write_json(record, logdir / f"{stage}.json")
 
 
 def _hashed(slots: Sequence[Slot], files: dict) -> list[Path]:

@@ -13,37 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import Document, _read_records, _write_records
-
-
-@dataclass(frozen=True)
-class EmbeddedDoc:
-    doc_id: str
-    vector: np.ndarray
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64).copy()
-        if vec.ndim != 1 or vec.size < 1:
-            raise ValueError(f"doc {self.doc_id!r}: vector must be 1-D and non-empty")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"doc {self.doc_id!r}: vector has NaN/Inf entries")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
-
-
-@dataclass(frozen=True)
-class ClusterModel:
-    """Fitted k-means state: every doc is assigned to its nearest centroid."""
-
-    centroids: np.ndarray          # (k, D)
-    assignments: dict[str, int]    # doc_id -> cluster index
-    sizes: np.ndarray              # (k,) int64
-    objective: float               # sum of squared distances
-    objective_history: tuple[float, ...] = ()  # objective after each assignment pass
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+from .records import ClusterModel, Document, EmbeddedDoc
 
 
 @dataclass(frozen=True)
@@ -302,18 +272,3 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> list[EmbeddedDo
         out.append(EmbeddedDoc(doc_id=doc.id, vector=vec))
     return out
 
-
-# -- embedding file I/O ({doc_id, vector} per line) --
-
-
-def read_embeddings(path: str) -> list[EmbeddedDoc]:
-    return _read_records(
-        path,
-        "doc",
-        lambda obj: EmbeddedDoc(doc_id=obj["doc_id"], vector=np.array(obj["vector"], dtype=np.float64)),
-        key=lambda doc: doc.doc_id,
-    )
-
-
-def write_embeddings(docs: Sequence[EmbeddedDoc], path: str) -> None:
-    _write_records(path, ({"doc_id": d.doc_id, "vector": [float(v) for v in d.vector]} for d in docs))

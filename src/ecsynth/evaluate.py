@@ -13,30 +13,12 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .records import ECExample, EvalMatrix, _cached_records, _store, _write_records, by_id
+from .records import ECExample, EvalMatrix, ModelOutputs, by_id
 from .util import nfc, post_text
-
-
-@dataclass(frozen=True)
-class ModelOutputs:
-    """Ranked candidate corrections per sample for one model."""
-
-    model_id: str
-    candidates: dict[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        normalized = {}
-        for sid, cands in self.candidates.items():
-            cands = tuple(nfc(c) for c in cands)
-            if not cands:
-                raise ValueError(f"model {self.model_id!r}: empty candidate list for {sid!r}")
-            normalized[sid] = cands
-        object.__setattr__(self, "candidates", normalized)
 
 
 class Judge(Protocol):
@@ -257,23 +239,3 @@ def eval_report(
         )
     return EvalReport(columns=tuple(columns), rows=tuple(rows))
 
-
-# -- outputs file I/O ({sample_id, candidates[]} per line) --
-
-
-def read_outputs(path: str | Path) -> ModelOutputs:
-    """One model's outputs; the model id is the file stem."""
-    rows = _cached_records(
-        "read_outputs",
-        path,
-        "sample",
-        lambda obj: (obj["sample_id"], tuple(obj["candidates"])),
-        key=lambda r: r[0],
-    )
-    return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
-
-
-def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
-    rows = outputs.candidates.items()
-    _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))
-    _store("read_outputs", path, tuple(rows))

@@ -1,16 +1,22 @@
-"""Shared record types and line-delimited file I/O.
+"""Every record type, and every reader and writer of the pipeline's files.
 
-Corpora, error-correction datasets, per-sample scores, and weights are stored
-as one JSON object per line. An eval-matrix file is one JSON header line
-(model_ids, sample_ids, metric_names) followed by one 0/1 measurement row per
-model and then one live-metric row per model. A clusters file is one JSON
-header line (k, objective, sizes, centroids) followed by one
-{doc_id, cluster, distance} line per document.
+Corpora, error-correction datasets, per-sample scores, weights, embeddings,
+keyboard layouts and one model's ranked outputs are stored as one JSON
+object per line. An eval-matrix file is one JSON header line (model_ids,
+sample_ids, metric_names) followed by one 0/1 measurement row per model and
+then one live-metric row per model. A clusters file is one JSON header line
+(k, objective, sizes, centroids) followed by one {doc_id, cluster, distance}
+line per document. Reports, manifests and run logs are one JSON document or
+plain text. No other module knows a record format.
 
 Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
 every constructible record. Records are immutable and safe to share across
 threads.
+
+Every writer replaces its file atomically: it writes a sibling temp file and
+renames it over the path, so a write that fails leaves the old file (or no
+file) and no temp file behind.
 
 Inside `record_cache()`, which `cli.run_pipeline` opens for one run, a reader
 parses each file at most once: an entry is keyed by (reader, resolved path,
@@ -26,16 +32,14 @@ import contextlib
 import contextvars
 import itertools
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .util import file_sha256, nfc
-
-if TYPE_CHECKING:
-    from .cluster import ClusterModel, EmbeddedDoc
 
 PROVENANCES = frozenset({"original", "synthetic", "synthetic_filtered"})
 
@@ -197,6 +201,53 @@ class EvalMatrix:
         )
 
 
+@dataclass(frozen=True)
+class EmbeddedDoc:
+    doc_id: str
+    vector: np.ndarray
+
+    def __post_init__(self) -> None:
+        vec = np.asarray(self.vector, dtype=np.float64).copy()
+        if vec.ndim != 1 or vec.size < 1:
+            raise ValueError(f"doc {self.doc_id!r}: vector must be 1-D and non-empty")
+        if not np.isfinite(vec).all():
+            raise ValueError(f"doc {self.doc_id!r}: vector has NaN/Inf entries")
+        vec.setflags(write=False)
+        object.__setattr__(self, "vector", vec)
+
+
+@dataclass(frozen=True)
+class ClusterModel:
+    """Fitted k-means state: every doc is assigned to its nearest centroid."""
+
+    centroids: np.ndarray          # (k, D)
+    assignments: dict[str, int]    # doc_id -> cluster index
+    sizes: np.ndarray              # (k,) int64
+    objective: float               # sum of squared distances
+    objective_history: tuple[float, ...] = ()  # objective after each assignment pass
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+
+@dataclass(frozen=True)
+class ModelOutputs:
+    """Ranked candidate corrections per sample for one model."""
+
+    model_id: str
+    candidates: dict[str, tuple[str, ...]]
+
+    def __post_init__(self) -> None:
+        normalized = {}
+        for sid, cands in self.candidates.items():
+            cands = tuple(nfc(c) for c in cands)
+            if not cands:
+                raise ValueError(f"model {self.model_id!r}: empty candidate list for {sid!r}")
+            normalized[sid] = cands
+        object.__setattr__(self, "candidates", normalized)
+
+
 T = TypeVar("T")
 
 
@@ -226,36 +277,66 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def _read_records(
-    path: str | Path, what: str, build: Callable[[dict], T], key: Callable[[T], str] | None = None
+    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
+    key: Callable[[T], str] | None = None,
 ) -> list[T]:
-    """One record per line, in file order.
+    """One record per line, in file order: a fresh list of the cached records.
 
     A line `build` rejects, or (when `key` is given) a repeated key, is a
     RecordError naming the file and the line.
     """
-    out: list[T] = []
-    seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
-        try:
-            rec = build(obj)
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
-        if key is not None:
-            k = key(rec)
-            if k in seen:
-                raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
-            seen.add(k)
-        out.append(rec)
-    return out
+
+    def parse() -> tuple[T, ...]:
+        out: list[T] = []
+        seen: set[str] = set()
+        for lineno, obj in _read_lines(path):
+            try:
+                rec = build(obj)
+            except (KeyError, TypeError, ValueError) as e:
+                raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
+            if key is not None:
+                k = key(rec)
+                if k in seen:
+                    raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
+                seen.add(k)
+            out.append(rec)
+        return tuple(out)
+
+    return list(_cached(reader, path, parse))
+
+
+def _write(path: str | Path, chunks: Iterable[str]) -> None:
+    """The one file writer: `path` holds all of `chunks` or keeps what it held.
+
+    The chunks go to the sibling `.<name>.tmp`, created as any file is (its
+    mode follows the umask), which is then renamed over `path`. On any error
+    the temp file is removed and the error raised.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 _dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 
 def _write_records(path: str | Path, objs: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for obj in objs:
-            f.write(_dump(obj) + "\n")
+    _write(path, (_dump(obj) + "\n" for obj in objs))
+
+
+def write_json(obj: object, path: str | Path) -> None:
+    """One JSON document: indented, keys sorted, ending in a newline."""
+    _write(path, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
+
+
+def write_text(text: str, path: str | Path) -> None:
+    _write(path, (text,))
 
 
 # -- run-scoped record cache --
@@ -299,14 +380,6 @@ def _cached(reader: str, path: str | Path, parse: Callable[[], T]) -> T:
     return cache[key]  # type: ignore[return-value]
 
 
-def _cached_records(
-    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
-    key: Callable[[T], str] | None = None,
-) -> list[T]:
-    """`_read_records` through the cache: a fresh list of the shared records."""
-    return list(_cached(reader, path, lambda: tuple(_read_records(path, what, build, key))))
-
-
 def _store(reader: str, path: str | Path, value: object) -> None:
     """Write-through: `value` is what `reader` builds from the file just written."""
     cache = _cache.get()
@@ -330,7 +403,7 @@ def _floats(values: Iterable[object]) -> bool:
 
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
-    return _cached_records(
+    return _read_records(
         "read_corpus",
         path,
         "document",
@@ -372,7 +445,7 @@ def _example_from_obj(obj: dict) -> ECExample:
 
 def read_ec_dataset(path: str | Path) -> list[ECExample]:
     """Read an EC dataset. Repeated ids are allowed: mixed datasets oversample."""
-    return _cached_records("read_ec_dataset", path, "example", _example_from_obj)
+    return _read_records("read_ec_dataset", path, "example", _example_from_obj)
 
 
 def write_ec_dataset(examples: Sequence[ECExample], path: str | Path) -> None:
@@ -384,7 +457,7 @@ def write_ec_dataset(examples: Sequence[ECExample], path: str | Path) -> None:
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
-    return _cached_records(
+    return _read_records(
         "read_scores",
         path,
         "sample",
@@ -405,7 +478,7 @@ def write_scores(scores: Sequence[ScoredSample], path: str | Path) -> None:
 
 def read_weights(path: str | Path) -> dict[str, float]:
     return dict(
-        _cached_records(
+        _read_records(
             "read_weights",
             path,
             "sample",
@@ -488,8 +561,6 @@ def _fresh_clusters(model: ClusterModel) -> ClusterModel:
 
     New arrays and a new dict, the file's number types, no objective history.
     """
-    from .cluster import ClusterModel
-
     return ClusterModel(
         centroids=np.array(model.centroids, dtype=np.float64),
         assignments={doc_id: int(c) for doc_id, c in model.assignments.items()},
@@ -499,12 +570,11 @@ def _fresh_clusters(model: ClusterModel) -> ClusterModel:
 
 
 def _parse_clusters(path: str | Path) -> ClusterModel:
-    from .cluster import ClusterModel
-
     rows = _read_lines(path)
     lineno, header = next(rows, (1, {}))  # an empty file fails as a header without keys
     try:
         centroids = np.array(header["centroids"], dtype=np.float64)
+        k = len(centroids)
         sizes = np.array(header["sizes"], dtype=np.int64)
         objective = float(header["objective"])
     except (KeyError, TypeError, ValueError) as e:
@@ -512,7 +582,10 @@ def _parse_clusters(path: str | Path) -> ClusterModel:
     assignments: dict[str, int] = {}
     for lineno, obj in rows:
         try:
-            assignments[obj["doc_id"]] = int(obj["cluster"])
+            cluster = int(obj["cluster"])
+            if not 0 <= cluster < k:
+                raise ValueError(f"cluster {cluster} is outside [0, {k})")
+            assignments[obj["doc_id"]] = cluster
         except (KeyError, TypeError, ValueError) as e:
             raise RecordError(f"{path}: invalid assignment on line {lineno}: {e}") from e
     return ClusterModel(centroids=centroids, assignments=assignments, sizes=sizes, objective=objective)
@@ -532,3 +605,48 @@ def write_clusters(model: ClusterModel, path: str | Path, docs: Sequence[Embedde
     _write_records(path, itertools.chain([header], rows))
     if _cache.get() is not None:
         _store("read_clusters", path, _fresh_clusters(model))
+
+
+def read_embeddings(path: str | Path) -> list[EmbeddedDoc]:
+    """Read an embeddings file: one {doc_id, vector} line per document."""
+    return _read_records(
+        "read_embeddings",
+        path,
+        "doc",
+        lambda obj: EmbeddedDoc(doc_id=obj["doc_id"], vector=np.array(obj["vector"], dtype=np.float64)),
+        key=lambda doc: doc.doc_id,
+    )
+
+
+def write_embeddings(docs: Sequence[EmbeddedDoc], path: str | Path) -> None:
+    _write_records(path, ({"doc_id": d.doc_id, "vector": [float(v) for v in d.vector]} for d in docs))
+
+
+def read_outputs(path: str | Path) -> ModelOutputs:
+    """One model's outputs ({sample_id, candidates[]} per line); the model id is the file stem."""
+    rows = _read_records(
+        "read_outputs",
+        path,
+        "sample",
+        lambda obj: (obj["sample_id"], tuple(obj["candidates"])),
+        key=lambda r: r[0],
+    )
+    return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
+
+
+def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
+    rows = outputs.candidates.items()
+    _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))
+    _store("read_outputs", path, tuple(rows))
+
+
+def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
+    """Keyboard layout file: one JSON record {char, neighbors[]} per line."""
+    return dict(
+        _read_records(
+            "read_layout",
+            path,
+            "layout entry",
+            lambda obj: (obj["char"], frozenset(obj["neighbors"])),
+        )
+    )

@@ -393,6 +393,8 @@ def calibrate_bias(
     root find on a widening bracket.
     """
     check_mean_weight(target, c_min, c_max)
+    if np.size(s_f) == 0 or np.size(s_p) == 0:
+        raise ValueError("calibrate_bias: scores are empty; no mean weight to calibrate")
 
     def gap(b: float) -> float:
         return float(_weights((theta_f, theta_p, b), c_min, c_max, s_f, s_p)[0].mean()) - target

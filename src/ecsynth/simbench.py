@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .evaluate import Judge, ModelOutputs, NormalizedJudge, export_chi_row
-from .records import ECExample, EvalMatrix, ScoredSample
+from .evaluate import Judge, NormalizedJudge, export_chi_row
+from .records import ECExample, EvalMatrix, ModelOutputs, ScoredSample
 from .reweight import (
     ReweightParams,
     aligned_scores,
@@ -77,6 +77,8 @@ class PlantedSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ValueError(f"need at least 1 sample, got {self.n_samples}")
         _check_sizes(self.n_models, self.n_metrics, self.noise_sigma)
         if not 1 <= self.n_sets <= len(_SET_SCALES):
             raise ValueError(f"n_sets must be in [1, {len(_SET_SCALES)}], got {self.n_sets}")

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import ECExample, _read_records
+from . import records
+from .records import ECExample
 from .util import derive_seed
 
 # rows staggered as on a phone keyboard; diagonal neighbors included
@@ -67,10 +68,9 @@ QWERTY = KeyboardModel(layout_name="qwerty", adjacency=_qwerty_adjacency())
 
 
 def load_keyboard(path: str | Path, layout_name: str | None = None) -> KeyboardModel:
-    """Layout file: one JSON record {char, neighbors[]} per line."""
-    adj = _read_records(path, "layout entry", lambda obj: (obj["char"], frozenset(obj["neighbors"])))
+    """The keyboard of a layout file (see `records.read_layout`)."""
     name = layout_name if layout_name is not None else str(path)
-    return KeyboardModel(layout_name=name, adjacency=dict(adj))
+    return KeyboardModel(layout_name=name, adjacency=records.read_layout(path))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ecsynth import cli as cli_mod
-from ecsynth import evaluate as eval_mod
 from ecsynth import records
 from ecsynth.cli import (
     STAGE_ORDER,
@@ -25,8 +24,8 @@ from ecsynth.cli import (
     run_pipeline,
 )
 from ecsynth.demo import DEMO_CONFIG, materialize
-from ecsynth.evaluate import NormalizedJudge, read_outputs
-from ecsynth.records import ECExample, read_clusters
+from ecsynth.evaluate import NormalizedJudge
+from ecsynth.records import ECExample, read_clusters, read_outputs
 
 
 @pytest.fixture(scope="module")
@@ -519,7 +518,7 @@ def test_evaluate_subcommand(tmp_path):
     ]
     ds_path = tmp_path / "dataset.jsonl"
     records.write_ec_dataset(dataset, ds_path)
-    from ecsynth.evaluate import ModelOutputs, write_outputs
+    from ecsynth.records import ModelOutputs, write_outputs
 
     outputs = ModelOutputs(
         model_id="demo",
@@ -590,6 +589,20 @@ def test_pipeline_judges_each_distinct_pair_once(tmp_path, monkeypatch):
     assert set(calls) == pairs
 
 
+def test_every_file_of_a_run_goes_through_the_one_writer(tmp_path, monkeypatch):
+    written = []
+    original = records._write
+
+    def spy(path, chunks):
+        written.append(Path(path).resolve())
+        original(path, chunks)
+
+    monkeypatch.setattr(records, "_write", spy)
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path).resolve()
+    assert set(written) == {p for p in workdir.rglob("*") if p.is_file()}
+
+
 @pytest.fixture
 def parsed(monkeypatch) -> list[Path]:
     """The resolved path of each file `records._read_lines` parses, in call order."""
@@ -648,7 +661,6 @@ def test_pipeline_write_through_equals_a_fresh_parse(tmp_path, monkeypatch, pars
         original(reader, path, value)
 
     monkeypatch.setattr(records, "_store", spy)
-    monkeypatch.setattr(eval_mod, "_store", spy)
     config = load_config(materialize(tmp_path))
     workdir = run_pipeline(config, config_dir=tmp_path).resolve()
     # every JSONL artifact of the run is stored as it is written

@@ -8,18 +8,8 @@ import numpy as np
 import pytest
 
 from ecsynth import cluster
-from ecsynth.cluster import (
-    ClusterModel,
-    EmbeddedDoc,
-    cluster_stats,
-    hash_embed,
-    kmeans,
-    quota_sample,
-    read_embeddings,
-    verify_nearest_assignment,
-    write_embeddings,
-)
-from ecsynth.records import Document
+from ecsynth.cluster import cluster_stats, hash_embed, kmeans, quota_sample, verify_nearest_assignment
+from ecsynth.records import ClusterModel, Document, EmbeddedDoc, read_embeddings, write_embeddings
 
 
 def _docs(x: np.ndarray) -> list[EmbeddedDoc]:

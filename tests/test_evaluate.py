@@ -12,19 +12,16 @@ from ecsynth.evaluate import (
     ExactJudge,
     ExternalJudge,
     MemoJudge,
-    ModelOutputs,
     NormalizedJudge,
     build_eval_matrix,
     eval_report,
     export_chi_row,
     good_ratio,
-    read_outputs,
     sequence_accuracy,
     verdicts,
     weighted_metric,
-    write_outputs,
 )
-from ecsynth.records import ECExample
+from ecsynth.records import ECExample, ModelOutputs, read_outputs, write_outputs
 
 
 def _dataset(n=10):

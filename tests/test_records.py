@@ -8,24 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecsynth import records
-from ecsynth.evaluate import ModelOutputs, read_outputs, write_outputs
 from ecsynth.records import (
     Document,
     ECExample,
     ErrorAnnotation,
     EvalMatrix,
+    ModelOutputs,
     RecordError,
     ScoredSample,
     read_clusters,
     read_corpus,
     read_ec_dataset,
     read_eval_matrix,
+    read_outputs,
     read_scores,
     read_weights,
     record_cache,
     write_corpus,
     write_ec_dataset,
     write_eval_matrix,
+    write_outputs,
     write_scores,
     write_weights,
 )
@@ -66,6 +68,17 @@ def test_read_corpus_malformed_line_cites_line_number(tmp_path):
     path.write_text('{"id": "a", "text": "ok"}\nnot json\n', encoding="utf-8")
     with pytest.raises(RecordError, match="line 2"):
         read_corpus(path)
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([Document(id="a", text="first"), Document(id="b", text="second")], path)
+    before = path.read_bytes()
+    unserializable = Document(id="b", text="second", source_tag=object())
+    with pytest.raises(TypeError):
+        write_corpus([Document(id="a", text="new"), unserializable], path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_document_rejects_blank_text():
@@ -264,12 +277,17 @@ def test_weights_round_trip(tmp_path):
     assert read_weights(path) == weights
 
 
+_K2 = '{"k": 2, "objective": 0.0, "sizes": [1, 1], "centroids": [[1.0], [0.0]]}\n'
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
         ('{"k": 1}\n', 1),
         ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"doc_id": "a"}\n', 2),
         ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"cluster": 0}\n', 2),
+        (_K2 + '{"doc_id": "a", "cluster": 7}\n', 2),
+        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": -1}\n', 3),
     ],
 )
 def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):

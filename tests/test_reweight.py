@@ -376,6 +376,11 @@ def test_calibrate_bias_hits_target():
     assert float(w.mean()) == pytest.approx(1.3, abs=1e-10)
 
 
+def test_calibrate_bias_rejects_empty_scores():
+    with pytest.raises(ValueError, match="empty"):
+        calibrate_bias(5.0, -4.0, np.array([]), np.array([]))
+
+
 def test_weights_for_mapping():
     params = ReweightParams()
     scores = [ScoredSample("a", -1.0, -1.0), ScoredSample("b", -2.0, -2.0)]

@@ -54,6 +54,8 @@ def test_generate_validation():
         PlantedSpec(noise_sigma=-1.0)
     with pytest.raises(ValueError):
         PlantedSpec(target_mean_weight=5.0)
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        PlantedSpec(n_samples=0)
 
 
 def test_generate_fixed_bias_when_uncalibrated():
