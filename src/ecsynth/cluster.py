@@ -3,6 +3,10 @@
 Embeddings are an external input in production; hash_embed provides a
 deterministic stand-in so the stage can run self-contained. Distances are
 squared Euclidean on L2-normalized vectors, which orders the same as cosine.
+
+The stage works on one `records.Embeddings` matrix throughout: hash_embed
+builds it with one bincount, kmeans reads it in row blocks, and
+`records.write_clusters` takes it for the per-document distances.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import ClusterModel, Document, EmbeddedDoc
+from .records import ClusterModel, Document, Embeddings
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,26 @@ def _point_d2(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.nd
     return out
 
 
+def _weighted_draw(
+    weights: np.ndarray, total: float, rng: np.random.Generator, out: np.ndarray,
+) -> int:
+    """`rng.choice(len(weights), p=weights / total)` without `choice`'s checks of p.
+
+    It takes the steps `Generator.choice` takes, so it draws the same index
+    and leaves `rng` in the same state. The caller guarantees weights >= 0
+    and a finite total > 0. `out` (the shape of weights) holds the cdf, so a
+    caller drawing many times allocates it once.
+    """
+    cdf = np.divide(weights, total, out=out)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
+
+
 def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[0]
     col = np.empty((n, 1))
+    cdf = np.empty(n)
 
     def to_point(i: int) -> np.ndarray:
         """Distances to point i, in `col`: valid until the next call."""
@@ -98,13 +119,15 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Genera
     chosen[0] = rng.integers(n)
     closest = to_point(chosen[0]).copy()
     for c in range(1, k):
-        total = closest.sum()
+        total = closest.sum()  # entries are >= 0: `_distances` clamps them
+        if not np.isfinite(total):
+            raise ValueError(f"kmeans: seeding distances sum to {total}; the vectors are too large")
         if total <= 0.0:
             # remaining points duplicate chosen centroids; fall back to uniform
             candidates = np.setdiff1d(np.arange(n), chosen[:c])
             chosen[c] = rng.choice(candidates)
         else:
-            chosen[c] = rng.choice(n, p=closest / total)
+            chosen[c] = _weighted_draw(closest, total, rng, out=cdf)
         np.minimum(closest, to_point(chosen[c]), out=closest)
     return x[chosen].copy()
 
@@ -130,7 +153,7 @@ def check_quota(docs_per_cluster: int) -> None:
 
 
 def kmeans(
-    docs: Sequence[EmbeddedDoc],
+    embeddings: Embeddings,
     k: int,
     seed: int,
     max_iters: int = 100,
@@ -142,17 +165,14 @@ def kmeans(
     to be non-increasing on every iteration. Empty clusters are repaired by
     reseeding their centroid to the point farthest from its assigned centroid.
     """
-    if not docs:
+    x = embeddings.matrix
+    n = x.shape[0]
+    if n == 0:
         raise ValueError("kmeans: empty input")
     check_kmeans_args(k, max_iters, tol)
-    if k > len(docs):
-        raise ValueError(f"kmeans: k={k} exceeds number of docs ({len(docs)})")
-    dims = {d.vector.shape[0] for d in docs}
-    if len(dims) != 1:
-        raise ValueError(f"kmeans: inconsistent embedding dimensions {sorted(dims)}")
+    if k > n:
+        raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
-    x = np.stack([d.vector for d in docs])
-    n = x.shape[0]
     xx = np.sum(x * x, axis=1)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, xx, k, rng)
@@ -188,7 +208,7 @@ def kmeans(
         centroids = new_centroids
 
     sizes = np.bincount(assign, minlength=k).astype(np.int64)
-    assignments = {doc.doc_id: int(c) for doc, c in zip(docs, assign)}
+    assignments = dict(zip(embeddings.ids, assign.tolist()))
     return ClusterModel(
         centroids=centroids,
         assignments=assignments,
@@ -236,39 +256,41 @@ def cluster_stats(model: ClusterModel) -> ClusterStats:
     return ClusterStats(mean_size=mean, std_size=std, histogram=hist)
 
 
-def verify_nearest_assignment(model: ClusterModel, docs: Sequence[EmbeddedDoc]) -> bool:
+def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bool:
     """Fixed-point check: reassigning every point to its nearest centroid changes nothing."""
-    x = np.stack([d.vector for d in docs])
+    x = embeddings.matrix
     assign = _nearest(x, np.sum(x * x, axis=1), model.centroids)
-    return all(model.assignments[d.doc_id] == int(c) for d, c in zip(docs, assign))
+    return all(model.assignments[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
 
 
-def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> list[EmbeddedDoc]:
+def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
     """Deterministic signed feature hashing of word uni+bigrams, L2-normalized.
 
     Test stand-in for an external embedding model: same text always maps to
-    the same unit vector, disjoint vocabularies land near-orthogonal.
+    the same unit vector, disjoint vocabularies land near-orthogonal. A text
+    without words embeds as the zero vector.
     """
     check_embed_dim(dim)
     key = str(seed).encode("utf-8")
-    # gram -> (slot, sign); entries are sums of +-1.0, exact in any order
-    memo: dict[str, tuple[int, float]] = {}
-    out: list[EmbeddedDoc] = []
-    for doc in docs:
+    # gram -> its code: 2 * slot, plus 1 when its sign is +1
+    memo: dict[str, int] = {}
+    codes: list[int] = []
+    counts = np.empty(len(docs), dtype=np.int64)  # grams per document
+    for row, doc in enumerate(docs):
         words = doc.text.lower().split()
         grams = words + [f"{a} {b}" for a, b in zip(words, words[1:])]
-        vec = np.zeros(dim, dtype=np.float64)
         for gram in grams:
-            hit = memo.get(gram)
-            if hit is None:
+            if gram not in memo:
                 digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
                 h = int.from_bytes(digest, "big")
-                hit = memo[gram] = ((h >> 1) % dim, 1.0 if h & 1 else -1.0)
-            slot, sign = hit
-            vec[slot] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        out.append(EmbeddedDoc(doc_id=doc.id, vector=vec))
-    return out
-
+                memo[gram] = 2 * ((h >> 1) % dim) + (h & 1)
+        codes.extend(map(memo.__getitem__, grams))
+        counts[row] = len(grams)
+    code = np.array(codes, dtype=np.int64)
+    cells = np.repeat(np.arange(len(docs), dtype=np.int64) * dim, counts) + (code >> 1)
+    signs = np.where(code & 1, 1.0, -1.0)
+    # entries are sums of +-1.0 and squared norms sums of squared integers: exact in any order
+    matrix = np.bincount(cells, weights=signs, minlength=len(docs) * dim).reshape(len(docs), dim)
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, None]
+    np.divide(matrix, norms, out=matrix, where=norms > 0.0)
+    return Embeddings(ids=tuple(doc.id for doc in docs), matrix=matrix)

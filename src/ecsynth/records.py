@@ -6,8 +6,12 @@ object per line. An eval-matrix file is one JSON header line (model_ids,
 sample_ids, metric_names) followed by one 0/1 measurement row per model and
 then one live-metric row per model. A clusters file is one JSON header line
 (k, objective, sizes, centroids) followed by one {doc_id, cluster, distance}
-line per document. Reports, manifests and run logs are one JSON document or
-plain text. No other module knows a record format.
+line per document; its reader checks the header's sizes against those lines.
+Reports, manifests and run logs are one JSON document or plain text. No
+other module knows a record format.
+
+Embeddings are read and passed on as one `Embeddings`: a tuple of ids and
+one read-only N x D matrix, never one object per document.
 
 Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
@@ -202,18 +206,32 @@ class EvalMatrix:
 
 
 @dataclass(frozen=True)
-class EmbeddedDoc:
-    doc_id: str
-    vector: np.ndarray
+class Embeddings:
+    """One vector per document: row i of `matrix` embeds document `ids[i]`.
+
+    The matrix is a read-only float64 copy of shape (N, D) with D >= 1 and
+    only finite entries.
+    """
+
+    ids: tuple[str, ...]
+    matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.vector, dtype=np.float64).copy()
-        if vec.ndim != 1 or vec.size < 1:
-            raise ValueError(f"doc {self.doc_id!r}: vector must be 1-D and non-empty")
-        if not np.isfinite(vec).all():
-            raise ValueError(f"doc {self.doc_id!r}: vector has NaN/Inf entries")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vector", vec)
+        ids = tuple(self.ids)
+        matrix = np.array(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] < 1:
+            raise ValueError(f"embeddings: need an N x D matrix with D >= 1, got shape {matrix.shape}")
+        if len(ids) != matrix.shape[0]:
+            raise ValueError(f"embeddings: {len(ids)} ids for {matrix.shape[0]} vectors")
+        if not np.isfinite(matrix).all():
+            row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+            raise ValueError(f"embeddings: vector of doc {ids[row]!r} has NaN/Inf entries")
+        matrix.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "matrix", matrix)
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -276,33 +294,37 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _read_records(
-    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
+def _parse_records(
+    path: str | Path, what: str, build: Callable[[dict], T],
     key: Callable[[T], str] | None = None,
-) -> list[T]:
-    """One record per line, in file order: a fresh list of the cached records.
+) -> tuple[T, ...]:
+    """One record per line, in file order.
 
     A line `build` rejects, or (when `key` is given) a repeated key, is a
     RecordError naming the file and the line.
     """
+    out: list[T] = []
+    seen: set[str] = set()
+    for lineno, obj in _read_lines(path):
+        try:
+            rec = build(obj)
+        except (KeyError, TypeError, ValueError) as e:
+            raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
+        if key is not None:
+            k = key(rec)
+            if k in seen:
+                raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
+            seen.add(k)
+        out.append(rec)
+    return tuple(out)
 
-    def parse() -> tuple[T, ...]:
-        out: list[T] = []
-        seen: set[str] = set()
-        for lineno, obj in _read_lines(path):
-            try:
-                rec = build(obj)
-            except (KeyError, TypeError, ValueError) as e:
-                raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
-            if key is not None:
-                k = key(rec)
-                if k in seen:
-                    raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
-                seen.add(k)
-            out.append(rec)
-        return tuple(out)
 
-    return list(_cached(reader, path, parse))
+def _read_records(
+    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
+    key: Callable[[T], str] | None = None,
+) -> list[T]:
+    """`_parse_records` through the run cache: a fresh list of the cached records."""
+    return list(_cached(reader, path, lambda: _parse_records(path, what, build, key)))
 
 
 def _write(path: str | Path, chunks: Iterable[str]) -> None:
@@ -571,55 +593,107 @@ def _fresh_clusters(model: ClusterModel) -> ClusterModel:
 
 def _parse_clusters(path: str | Path) -> ClusterModel:
     rows = _read_lines(path)
-    lineno, header = next(rows, (1, {}))  # an empty file fails as a header without keys
+    header_line, header = next(rows, (1, {}))  # an empty file fails as a header without keys
     try:
         centroids = np.array(header["centroids"], dtype=np.float64)
         k = len(centroids)
         sizes = np.array(header["sizes"], dtype=np.int64)
         objective = float(header["objective"])
+        if sizes.shape != (k,):
+            raise ValueError(f"{sizes.size} sizes for {k} centroids")
     except (KeyError, TypeError, ValueError) as e:
-        raise RecordError(f"{path}: invalid clusters header on line {lineno}: {e}") from e
+        raise RecordError(f"{path}: invalid clusters header on line {header_line}: {e}") from e
     assignments: dict[str, int] = {}
+    counts = [0] * k
     for lineno, obj in rows:
         try:
-            cluster = int(obj["cluster"])
+            doc_id, cluster = obj["doc_id"], int(obj["cluster"])
             if not 0 <= cluster < k:
                 raise ValueError(f"cluster {cluster} is outside [0, {k})")
-            assignments[obj["doc_id"]] = cluster
+            if doc_id in assignments:
+                raise ValueError(f"duplicate doc id {doc_id!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise RecordError(f"{path}: invalid assignment on line {lineno}: {e}") from e
+        assignments[doc_id] = cluster
+        counts[cluster] += 1
+    if counts != sizes.tolist():
+        raise RecordError(
+            f"{path}: clusters header on line {header_line} gives sizes {sizes.tolist()}, "
+            f"but the assignment lines count {counts}"
+        )
     return ClusterModel(centroids=centroids, assignments=assignments, sizes=sizes, objective=objective)
 
 
-def write_clusters(model: ClusterModel, path: str | Path, docs: Sequence[EmbeddedDoc]) -> None:
-    """Write the clusters file; each line carries the doc's squared distance to its centroid."""
-    vectors = {d.doc_id: d.vector for d in docs}
+# Byte budget of one row block of differences in `write_clusters`.
+_DIFF_BLOCK_BYTES = 4 << 20
+
+
+def write_clusters(model: ClusterModel, path: str | Path, embeddings: Embeddings) -> None:
+    """Write the clusters file: the header, then one line per embedded document in order.
+
+    Each line carries the document's squared distance to its centroid. The
+    model must assign exactly the embedded documents.
+    """
+    ids, x = embeddings.ids, embeddings.matrix
+    if len(model.assignments) != len(ids):
+        raise ValueError(f"write_clusters: {len(model.assignments)} assignments for {len(ids)} documents")
+    assign = np.array(by_id(ids, model.assignments, "cluster assignments"), dtype=np.int64)
     header = {
         "k": model.k,
         "objective": model.objective,
         "sizes": [int(s) for s in model.sizes],
         "centroids": [[float(v) for v in c] for c in model.centroids],
     }
-    diffs = ((i, c, vectors[i] - model.centroids[c]) for i, c in model.assignments.items())
-    rows = ({"doc_id": i, "cluster": int(c), "distance": float(d @ d)} for i, c, d in diffs)
-    _write_records(path, itertools.chain([header], rows))
+    # Each distance is one row's dot product (a stacked 1 x D by D x 1 matmul):
+    # bitwise equal to float(d @ d) in any block size, which einsum is not.
+    dist = np.empty(len(ids))
+    rows = max(1, _DIFF_BLOCK_BYTES // (8 * x.shape[1]))
+    for lo in range(0, len(ids), rows):
+        block = slice(lo, lo + rows)
+        diff = x[block] - model.centroids[assign[block]]
+        dist[block] = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
+    lines = (
+        {"doc_id": i, "cluster": c, "distance": d}
+        for i, c, d in zip(ids, assign.tolist(), dist.tolist())
+    )
+    _write_records(path, itertools.chain([header], lines))
     if _cache.get() is not None:
         _store("read_clusters", path, _fresh_clusters(model))
 
 
-def read_embeddings(path: str | Path) -> list[EmbeddedDoc]:
-    """Read an embeddings file: one {doc_id, vector} line per document."""
-    return _read_records(
-        "read_embeddings",
-        path,
-        "doc",
-        lambda obj: EmbeddedDoc(doc_id=obj["doc_id"], vector=np.array(obj["vector"], dtype=np.float64)),
-        key=lambda doc: doc.doc_id,
-    )
+def read_embeddings(path: str | Path) -> Embeddings:
+    """Read an embeddings file, one {doc_id, vector} line per document, as one matrix.
+
+    Ids must be unique and every vector must have the first one's length.
+    """
+    return _cached("read_embeddings", path, lambda: _parse_embeddings(path))
 
 
-def write_embeddings(docs: Sequence[EmbeddedDoc], path: str | Path) -> None:
-    _write_records(path, ({"doc_id": d.doc_id, "vector": [float(v) for v in d.vector]} for d in docs))
+def _parse_embeddings(path: str | Path) -> Embeddings:
+    width: list[int] = []  # the first vector's length
+
+    def build(obj: dict) -> tuple[str, np.ndarray]:
+        vector = np.array(obj["vector"], dtype=np.float64)
+        if vector.ndim != 1 or vector.size < 1:
+            raise ValueError("vector must be 1-D and non-empty")
+        if not width:
+            width.append(vector.size)
+        elif vector.size != width[0]:
+            raise ValueError(f"vector has {vector.size} entries, the first has {width[0]}")
+        return obj["doc_id"], vector
+
+    docs = _parse_records(path, "doc", build, key=lambda doc: doc[0])
+    if not docs:
+        raise RecordError(f"{path}: no embeddings")
+    try:
+        return Embeddings(ids=tuple(i for i, _ in docs), matrix=[v for _, v in docs])
+    except ValueError as e:
+        raise RecordError(f"{path}: {e}") from e
+
+
+def write_embeddings(embeddings: Embeddings, path: str | Path) -> None:
+    rows = zip(embeddings.ids, embeddings.matrix.tolist())
+    _write_records(path, ({"doc_id": i, "vector": v} for i, v in rows))
 
 
 def read_outputs(path: str | Path) -> ModelOutputs:
@@ -648,5 +722,6 @@ def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
             path,
             "layout entry",
             lambda obj: (obj["char"], frozenset(obj["neighbors"])),
+            key=lambda entry: entry[0],
         )
     )

@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 
 from ecsynth.cli import load_config, run_pipeline
-from ecsynth.cluster import EmbeddedDoc, kmeans, quota_sample
+from ecsynth.cluster import kmeans, quota_sample
 from ecsynth.demo import materialize
 from ecsynth.evaluate import ExactJudge, ModelOutputs, good_ratio, sequence_accuracy, weighted_metric
 from ecsynth.grammar import MockInjector, inject_corpus, roundtrip_filter
-from ecsynth.records import Document, ECExample, EvalMatrix, ScoredSample
+from ecsynth.records import Document, ECExample, Embeddings, EvalMatrix, ScoredSample
 from ecsynth.reweight import (
     FitOptions,
     RegressionParams,
@@ -280,11 +280,15 @@ def test_criterion_09_clustering():
         n = int(rng.integers(30, 120))
         d = int(rng.integers(2, 8))
         k = int(rng.integers(2, min(10, n)))
-        docs = [EmbeddedDoc(doc_id=f"d{i}", vector=rng.normal(size=d)) for i in range(n)]
+        docs = Embeddings(
+            ids=tuple(f"d{i}" for i in range(n)), matrix=np.stack([rng.normal(size=d) for i in range(n)])
+        )
         model = kmeans(docs, k=k, seed=trial, max_iters=40)
         assert (np.diff(model.objective_history) <= 1e-9).all()
 
-    docs = [EmbeddedDoc(doc_id=f"d{i}", vector=rng.normal(size=4)) for i in range(25)]
+    docs = Embeddings(
+        ids=tuple(f"d{i}" for i in range(25)), matrix=np.stack([rng.normal(size=4) for i in range(25)])
+    )
     degenerate = kmeans(docs, k=25, seed=1)
     assert degenerate.objective == 0.0
 

@@ -9,11 +9,20 @@ import pytest
 
 from ecsynth import cluster
 from ecsynth.cluster import cluster_stats, hash_embed, kmeans, quota_sample, verify_nearest_assignment
-from ecsynth.records import ClusterModel, Document, EmbeddedDoc, read_embeddings, write_embeddings
+from ecsynth.demo import make_demo_corpus
+from ecsynth.records import (
+    ClusterModel,
+    Document,
+    Embeddings,
+    RecordError,
+    read_embeddings,
+    write_clusters,
+    write_embeddings,
+)
 
 
-def _docs(x: np.ndarray) -> list[EmbeddedDoc]:
-    return [EmbeddedDoc(doc_id=f"d{i:04d}", vector=v) for i, v in enumerate(x)]
+def _docs(x: np.ndarray) -> Embeddings:
+    return Embeddings(ids=tuple(f"d{i:04d}" for i in range(len(x))), matrix=x)
 
 
 def test_kmeans_one_point_per_cluster():
@@ -30,14 +39,14 @@ def test_kmeans_two_blobs():
     blob_b = rng.normal(loc=(5.0, 0.0), scale=0.3, size=(40, 2))
     docs = _docs(np.vstack([blob_a, blob_b]))
     model = kmeans(docs, k=2, seed=3)
-    labels = [model.assignments[d.doc_id] for d in docs]
+    labels = [model.assignments[i] for i in docs.ids]
     assert len(set(labels[:40])) == 1
     assert len(set(labels[40:])) == 1
     assert labels[0] != labels[40]
     # brute-force nearest-centroid oracle
-    for d in docs:
-        dists = [float(np.sum((d.vector - c) ** 2)) for c in model.centroids]
-        assert model.assignments[d.doc_id] == int(np.argmin(dists))
+    for doc_id, vector in zip(docs.ids, docs.matrix):
+        dists = [float(np.sum((vector - c) ** 2)) for c in model.centroids]
+        assert model.assignments[doc_id] == int(np.argmin(dists))
 
 
 def test_kmeans_deterministic():
@@ -119,8 +128,8 @@ def test_kmeans_memory_stays_below_few_n_by_d():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one N x D float64 matrix is 19.5 MB; kmeans stacks the vectors into one,
-    # and the blocked objective builds no second or third
+    # one N x D float64 matrix is 19.5 MB; kmeans reads the embeddings' matrix
+    # in place, and the blocked objective builds no second or third
     assert peak < 2.5 * n * dim * 8
 
 
@@ -138,21 +147,90 @@ def test_point_d2_blocks_equal_the_expression(monkeypatch, n, k, dim, block_rows
     assert cluster._point_d2(x, c, assign).tobytes() == expected.tobytes()
 
 
-def test_kmeans_input_validation():
+def test_kmeans_input_validation(tmp_path):
     rng = np.random.default_rng(4)
     docs = _docs(rng.normal(size=(5, 2)))
     with pytest.raises(ValueError):
         kmeans(docs, k=6, seed=0)
     with pytest.raises(ValueError):
-        kmeans([], k=1, seed=0)
-    mixed = docs + [EmbeddedDoc(doc_id="odd", vector=np.zeros(3))]
-    with pytest.raises(ValueError):
-        kmeans(mixed, k=2, seed=0)
+        kmeans(Embeddings(ids=(), matrix=np.empty((0, 2))), k=1, seed=0)
+    # vectors of mixed dimensions cannot form one matrix: the reader names the line
+    mixed = tmp_path / "mixed.jsonl"
+    write_embeddings(docs, mixed)
+    with open(mixed, "a", encoding="utf-8") as f:
+        f.write('{"doc_id": "odd", "vector": [0.0, 0.0, 0.0]}\n')
+    with pytest.raises(RecordError, match="mixed.jsonl.*line 6"):
+        read_embeddings(mixed)
 
 
-def test_embedded_doc_rejects_nonfinite():
+def test_embeddings_reject_nonfinite():
+    with pytest.raises(ValueError, match="'x'"):
+        Embeddings(ids=("w", "x"), matrix=np.array([[1.0, 0.0], [1.0, np.nan]]))
+
+
+@pytest.mark.parametrize(
+    "ids, matrix",
+    [(("a",), np.ones(3)), (("a",), np.ones((1, 0))), (("a", "b"), np.ones((1, 3)))],
+)
+def test_embeddings_reject_bad_shapes(ids, matrix):
     with pytest.raises(ValueError):
-        EmbeddedDoc(doc_id="x", vector=np.array([1.0, np.nan]))
+        Embeddings(ids=ids, matrix=matrix)
+
+
+def test_embeddings_matrix_is_a_read_only_copy():
+    x = np.ones((2, 3))
+    emb = Embeddings(ids=("a", "b"), matrix=x)
+    x[0, 0] = 5.0
+    assert emb.matrix[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        emb.matrix[0, 0] = 5.0
+
+
+def _draw_cases(count: int):
+    """Seeded weight vectors: sizes 1 to 5,000, dense, mostly zero, and one nonzero entry."""
+    rng = np.random.default_rng(2024)
+    for case in range(count):
+        n = int(rng.integers(1, 5001)) if case % 10 else int(rng.integers(1, 4))
+        w = rng.random(n) ** 2
+        kind = case % 3
+        if kind == 1:
+            w[rng.random(n) < 0.95] = 0.0
+        elif kind == 2:
+            w = np.zeros(n)
+        w[rng.integers(n)] = float(rng.random()) + 1e-3
+        yield case, w
+
+
+def test_weighted_draw_equals_generator_choice():
+    # A numpy release that changes Generator.choice fails this test instead of
+    # letting the k-means++ seeding, and every artifact after it, drift.
+    for case, w in _draw_cases(1200):
+        total = w.sum()
+        mine, theirs = np.random.default_rng(case), np.random.default_rng(case)
+        cdf = np.empty(len(w))
+        for _ in range(3):
+            assert cluster._weighted_draw(w, total, mine, cdf) == theirs.choice(len(w), p=w / total)
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_kmeans_rejects_distances_that_overflow():
+    x = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
+    with pytest.raises(ValueError, match="too large"):
+        kmeans(_docs(x), k=2, seed=0)
+
+
+def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
+    # 6,000 docs at k=500 assign in six row blocks; the hash was taken from
+    # the per-document implementation (one vector object per document,
+    # rng.choice seeding, a per-row d @ d distance)
+    docs = make_demo_corpus(6000, 5)
+    embeddings = hash_embed(docs, dim=64, seed=5)
+    model = kmeans(embeddings, k=500, seed=5, max_iters=3)
+    path = tmp_path / "clusters.jsonl"
+    write_clusters(model, path, embeddings)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "59e2e8cc6392e4555f6d1825ec36bb5d1319cd352df2cbf8607d4c8eddd95d7f"
 
 
 def _synthetic_model(sizes: list[int]) -> ClusterModel:
@@ -234,11 +312,11 @@ def test_hash_embed_deterministic_and_normalized():
         Document(id="b", text="the cat sat on the mat"),
         Document(id="c", text="completely different words here"),
     ]
-    embedded = hash_embed(docs, dim=64, seed=11)
-    np.testing.assert_array_equal(embedded[0].vector, embedded[1].vector)
-    for e in embedded:
-        assert abs(np.linalg.norm(e.vector) - 1.0) < 1e-9
-    assert not np.array_equal(embedded[0].vector, embedded[2].vector)
+    embedded = hash_embed(docs, dim=64, seed=11).matrix
+    np.testing.assert_array_equal(embedded[0], embedded[1])
+    for vector in embedded:
+        assert abs(np.linalg.norm(vector) - 1.0) < 1e-9
+    assert not np.array_equal(embedded[0], embedded[2])
 
 
 def _hash_embed_reference(docs: list[Document], dim: int, seed: int) -> np.ndarray:
@@ -270,7 +348,7 @@ def test_hash_embed_memo_matches_per_occurrence_hashing(seed):
     docs = [Document(id=f"t{i}", text=t) for i, t in enumerate(texts)]
     # Document refuses an empty text; hash_embed reads only id and text
     docs.insert(3, SimpleNamespace(id="empty", text=""))
-    got = np.stack([e.vector for e in hash_embed(docs, dim=16, seed=seed)])
+    got = hash_embed(docs, dim=16, seed=seed).matrix
     want = _hash_embed_reference(docs, dim=16, seed=seed)
     assert got.tobytes() == want.tobytes()
 
@@ -294,8 +372,8 @@ def test_hash_embed_disjoint_vocabulary_near_orthogonal():
             Document(id="a", text=" ".join(words_a)),
             Document(id="b", text=" ".join(words_b)),
         ]
-        ea, eb = hash_embed(docs, dim=256, seed=13)
-        cosines.append(abs(float(ea.vector @ eb.vector)))
+        ea, eb = hash_embed(docs, dim=256, seed=13).matrix
+        cosines.append(abs(float(ea @ eb)))
     assert float(np.mean(cosines)) <= 0.1
     assert float(np.quantile(cosines, 0.99)) <= 0.2
 
@@ -306,7 +384,5 @@ def test_embeddings_file_round_trip(tmp_path):
     path = tmp_path / "emb.jsonl"
     write_embeddings(docs, path)
     back = read_embeddings(path)
-    assert [d.doc_id for d in back] == [d.doc_id for d in docs]
-    np.testing.assert_array_equal(
-        np.stack([d.vector for d in back]), np.stack([d.vector for d in docs])
-    )
+    assert back.ids == docs.ids
+    np.testing.assert_array_equal(back.matrix, docs.matrix)

@@ -288,6 +288,15 @@ _K2 = '{"k": 2, "objective": 0.0, "sizes": [1, 1], "centroids": [[1.0], [0.0]]}\
         ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"cluster": 0}\n', 2),
         (_K2 + '{"doc_id": "a", "cluster": 7}\n', 2),
         (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": -1}\n', 3),
+        # a repeated doc id
+        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "a", "cluster": 1}\n', 3),
+        # header sizes that disagree with the assignment lines: too few, and wrong counts
+        (
+            '{"k": 2, "objective": 0.0, "sizes": [2], "centroids": [[1.0], [0.0]]}\n'
+            '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": 0}\n',
+            1,
+        ),
+        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": 0}\n', 1),
     ],
 )
 def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):

@@ -182,3 +182,14 @@ def test_load_keyboard_malformed_names_file_and_line(tmp_path, entry):
     path.write_text('{"char": "b", "neighbors": ["a"]}\n' + entry + "\n", encoding="utf-8")
     with pytest.raises(RecordError, match="layout.jsonl.*line 2"):
         load_keyboard(path)
+
+
+def test_load_keyboard_repeated_char_names_file_and_line(tmp_path):
+    path = tmp_path / "layout.jsonl"
+    path.write_text(
+        '{"char": "a", "neighbors": ["b"]}\n{"char": "b", "neighbors": ["a"]}\n'
+        '{"char": "a", "neighbors": []}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(RecordError, match="layout.jsonl.*'a'.*line 3"):
+        load_keyboard(path)
