@@ -620,7 +620,7 @@ def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
             if not p.exists():
                 raise FileNotFoundError(f"{key} dataset not found: {p}")
             paths[key] = os.path.relpath(p, out.parent)
-    manifest = mix_mod.continue_plan(cfg.plan.strategy, paths, require_files=False)
+    manifest = mix_mod.continue_plan(cfg.plan.strategy, paths)
     records.write_text(manifest.to_json() + "\n", out)
     return {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)}
 

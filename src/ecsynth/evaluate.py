@@ -17,7 +17,7 @@ from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .records import ECExample, EvalMatrix, ModelOutputs, by_id
+from .records import ECExample, ModelOutputs, by_id
 from .util import nfc, post_text
 
 
@@ -164,25 +164,6 @@ def weighted_metric(
     """(1/N) * sum_i w_i * chi_i; weights must cover every sample."""
     w = _weight_vector(dataset, weights)
     return _weighted_mean(w, export_chi_row(outputs, dataset, judge, k))
-
-
-def build_eval_matrix(
-    outputs_list: Sequence[ModelOutputs],
-    dataset: Sequence[ECExample],
-    judge: Judge,
-    k: int,
-    live_metrics: np.ndarray,
-    metric_names: Sequence[str],
-) -> EvalMatrix:
-    """Stack per-model chi rows with observed live metrics into one matrix."""
-    chi = np.stack([export_chi_row(o, dataset, judge, k) for o in outputs_list])
-    return EvalMatrix(
-        model_ids=tuple(o.model_id for o in outputs_list),
-        sample_ids=tuple(ex.id for ex in dataset),
-        chi=chi,
-        live_metrics=np.asarray(live_metrics, dtype=np.float64),
-        metric_names=tuple(metric_names),
-    )
 
 
 # -- report: Top-1 / Top-1 (w) / Top-3 / Top-3 (w) grid --

@@ -95,20 +95,6 @@ class SkipExample(Exception):
 
 
 @dataclass(frozen=True)
-class InjectionRequest:
-    example_id: str
-    clean_text: str
-    prompt: str
-
-    def __post_init__(self) -> None:
-        escaped = _escape(nfc(self.clean_text))
-        if self.prompt.count(escaped) != 1:
-            raise ValueError(
-                f"request {self.example_id!r}: prompt must contain the clean text exactly once"
-            )
-
-
-@dataclass(frozen=True)
 class InjectionResponse:
     ungrammatical: str
     errors: tuple[ErrorAnnotation, ...]
@@ -138,12 +124,6 @@ def render_prompt(clean_text: str) -> str:
         slot_open=_SLOT_OPEN,
         text=_escape(nfc(clean_text)),
         slot_close=_SLOT_CLOSE,
-    )
-
-
-def make_request(example_id: str, clean_text: str) -> InjectionRequest:
-    return InjectionRequest(
-        example_id=example_id, clean_text=clean_text, prompt=render_prompt(clean_text)
     )
 
 
@@ -277,22 +257,10 @@ class MockInjector:
     roundtrip filter must catch.
     """
 
-    def __init__(
-        self,
-        failure_rate: float = 0.0,
-        seed: int = 0,
-        min_errors: int = 1,
-        max_errors: int = 3,
-        category_weights: dict[str, float] | None = None,
-    ):
+    def __init__(self, failure_rate: float = 0.0, seed: int = 0):
         check_failure_rate(failure_rate)
-        if not 1 <= min_errors <= max_errors:
-            raise ValueError("need 1 <= min_errors <= max_errors")
         self.failure_rate = failure_rate
         self.seed = seed
-        self.min_errors = min_errors
-        self.max_errors = max_errors
-        self.category_weights = dict(category_weights) if category_weights else None
 
     # each rule: name -> (applicable?, apply) over the token list
     def _rules(self, words: list[str]):
@@ -364,17 +332,8 @@ class MockInjector:
         rules = [(name, fn) for name, ok, fn in self._rules(words) if ok]
         if not rules:
             raise SkipExample("no corruption rule applies")
-        n_errors = int(rng.integers(self.min_errors, self.max_errors + 1))
-        n_errors = min(n_errors, len(rules))
-        if self.category_weights is not None:
-            probs = np.array([self.category_weights.get(name, 0.0) for name, _ in rules])
-            if probs.sum() <= 0:
-                raise SkipExample("no applicable rule has positive weight")
-            probs = probs / probs.sum()
-            n_errors = min(n_errors, int((probs > 0).sum()))
-            picks = rng.choice(len(rules), size=n_errors, replace=False, p=probs)
-        else:
-            picks = rng.choice(len(rules), size=n_errors, replace=False)
+        n_errors = min(int(rng.integers(1, 4)), len(rules))
+        picks = rng.choice(len(rules), size=n_errors, replace=False)
 
         ws = list(words)
         annotations: list[tuple[str, str]] = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -68,11 +67,6 @@ class TrainingManifest:
     def total_steps(self) -> int:
         return self.phases[-1].end_step
 
-    def validate_files(self) -> None:
-        missing = [p.dataset_path for p in self.phases if not Path(p.dataset_path).exists()]
-        if missing:
-            raise FileNotFoundError(f"manifest references missing datasets: {missing}")
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -90,23 +84,6 @@ class TrainingManifest:
                 ],
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> TrainingManifest:
-        obj = json.loads(text)
-        return cls(
-            strategy=obj["strategy"],
-            phases=tuple(
-                Phase(
-                    dataset_path=p["dataset_path"],
-                    start_step=p["start_step"],
-                    end_step=p["end_step"],
-                    batch_multiplier=p.get("batch_multiplier", 1),
-                )
-                for p in obj["phases"]
-            ),
-            checkpoints=tuple(obj.get("checkpoints", DEFAULT_CHECKPOINTS)),
         )
 
 
@@ -164,11 +141,7 @@ def mix_datasets(
     return out[:total]
 
 
-def continue_plan(
-    strategy: str,
-    paths: dict[str, str],
-    require_files: bool = True,
-) -> TrainingManifest:
+def continue_plan(strategy: str, paths: dict[str, str]) -> TrainingManifest:
     """Two-phase schedule: full synthetic first, then the strategy's phase-2 set.
 
     paths keys: "synthetic" always; "original" for ContOrig; "mix" for
@@ -181,8 +154,6 @@ def continue_plan(
     for key in ("synthetic", phase2_key):
         if key not in paths:
             raise ValueError(f"strategy {strategy} requires a {key!r} dataset path")
-        if require_files and not Path(paths[key]).exists():
-            raise FileNotFoundError(f"{key} dataset not found: {paths[key]}")
     return TrainingManifest(
         strategy=strategy,
         phases=(

@@ -75,9 +75,9 @@ class Document:
     source_tag: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise RecordError(f"document id must be a non-empty string, got {self.id!r}")
         object.__setattr__(self, "text", nfc(self.text))
-        if not self.id:
-            raise RecordError("document id must be non-empty")
         if not self.text.strip():
             raise RecordError(f"document {self.id!r}: text is empty")
 
@@ -107,11 +107,11 @@ class ECExample:
     error_annotations: tuple[ErrorAnnotation, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str) or not self.id:
+            raise RecordError(f"example id must be a non-empty string, got {self.id!r}")
         object.__setattr__(self, "source", nfc(self.source))
         object.__setattr__(self, "target", nfc(self.target))
         object.__setattr__(self, "error_annotations", tuple(self.error_annotations))
-        if not self.id:
-            raise RecordError("example id must be non-empty")
         if not self.source:
             raise RecordError(f"example {self.id!r}: source is empty")
         if not self.target:
@@ -192,17 +192,6 @@ class EvalMatrix:
     @property
     def n_metrics(self) -> int:
         return len(self.metric_names)
-
-    def without_model(self, index: int) -> EvalMatrix:
-        """Copy of the matrix with one model row removed (for held-one-out CV)."""
-        keep = [j for j in range(self.n_models) if j != index]
-        return EvalMatrix(
-            model_ids=tuple(self.model_ids[j] for j in keep),
-            sample_ids=self.sample_ids,
-            chi=self.chi[keep],
-            live_metrics=self.live_metrics[keep],
-            metric_names=self.metric_names,
-        )
 
 
 @dataclass(frozen=True)
@@ -308,12 +297,13 @@ def _parse_records(
     for lineno, obj in _read_lines(path):
         try:
             rec = build(obj)
+            k = None if key is None else key(rec)
+            duplicate = key is not None and k in seen
         except (KeyError, TypeError, ValueError) as e:
             raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
+        if duplicate:
+            raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
         if key is not None:
-            k = key(rec)
-            if k in seen:
-                raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
             seen.add(k)
         out.append(rec)
     return tuple(out)
@@ -698,13 +688,15 @@ def write_embeddings(embeddings: Embeddings, path: str | Path) -> None:
 
 def read_outputs(path: str | Path) -> ModelOutputs:
     """One model's outputs ({sample_id, candidates[]} per line); the model id is the file stem."""
-    rows = _read_records(
-        "read_outputs",
-        path,
-        "sample",
-        lambda obj: (obj["sample_id"], tuple(obj["candidates"])),
-        key=lambda r: r[0],
-    )
+    def row(obj: dict) -> tuple[str, tuple[str, ...]]:
+        sid, cands = obj["sample_id"], obj["candidates"]
+        if not isinstance(sid, str):
+            raise RecordError(f"sample_id must be a string, got {sid!r}")
+        if not isinstance(cands, list) or not all(isinstance(c, str) for c in cands):
+            raise RecordError(f"candidates must be a list of strings, got {cands!r}")
+        return sid, tuple(cands)
+
+    rows = _read_records("read_outputs", path, "sample", row, key=lambda r: r[0])
     return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
 
 

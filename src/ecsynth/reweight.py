@@ -11,8 +11,9 @@ and (theta, alpha) are learnt by minimizing, summed over metric sets,
 where s_j = (1/N) sum_i w_i * chi_{j,i} is model j's weighted offline metric
 and v_j its observed live-metric vector. Gradients are analytic (chain rule
 through the sigmoid); minimization is quasi-Newton from multiple seeded
-restarts. Each metric set gets its own regression parameters because live
-metric scales differ across deployments; theta is shared.
+restarts over theta, with each alpha solved in closed form at every step
+(variable projection). Each metric set gets its own regression parameters
+because live metric scales differ across deployments; theta is shared.
 
 Uniform weights (w == 1) are reachable inside the hypothesis class, and one
 restart always starts there, so the fitted training residual can never land
@@ -106,7 +107,7 @@ class ResidualSummary:
 class ReweightFit:
     params: ReweightParams
     regression: tuple[RegressionParams, ...]
-    objective_train: float   # residual + regularizer at the optimum
+    objective_train: float   # residual + regularizer at params and regression
     residual_train: float    # regression residual only
     mean_weight: float
     baseline_residuals: dict[str, float]
@@ -261,15 +262,13 @@ class _NonFiniteObjective(RuntimeError):
 
 
 def _finite_eval(
-    theta: np.ndarray,
-    alphas: Sequence[_Alpha] | None,
-    sets: Sequence[_SetData],
-    params: ReweightParams,
-) -> tuple[float, np.ndarray, list[_Alpha], list[_Alpha]]:
-    out = _eval_sets(theta, alphas, sets, params)
-    if not np.isfinite(out[0]):
+    theta: np.ndarray, sets: Sequence[_SetData], params: ReweightParams
+) -> tuple[float, np.ndarray]:
+    """Value and theta gradient of the objective with each alpha in closed form."""
+    value, grad_theta, _, _ = _eval_sets(theta, None, sets, params)
+    if not np.isfinite(value):
         raise _NonFiniteObjective
-    return out
+    return value, grad_theta
 
 
 def objective(
@@ -323,18 +322,6 @@ def _residual_with_weights(w_by_set: list[np.ndarray], sets: list[_SetData]) -> 
     return total, alphas
 
 
-def refit_regression_only(
-    fixed: ReweightParams,
-    data: EvalMatrix | Sequence[EvalMatrix],
-    scores: Sequence[ScoredSample],
-) -> tuple[tuple[RegressionParams, ...], float]:
-    """Closed-form regression at a fixed reweighting model; returns (alphas, residual)."""
-    sets = _problem(data, scores)
-    w_by_set = [weights_array(fixed, st.s_f, st.s_p) for st in sets]
-    residual, alphas = _residual_with_weights(w_by_set, sets)
-    return tuple(alphas), residual
-
-
 def baseline_residuals(
     data: EvalMatrix | Sequence[EvalMatrix],
     scores: Sequence[ScoredSample],
@@ -353,23 +340,6 @@ def baseline_residuals(
     ]
     heuristic, _ = _residual_with_weights(heuristic_w, sets)
     return {"uniform": uniform, "heuristic": heuristic}
-
-
-def _pack(theta: np.ndarray, alphas: Sequence[_Alpha]) -> np.ndarray:
-    parts = [theta]
-    for alpha_1, alpha_0 in alphas:
-        parts.extend([alpha_1, alpha_0])
-    return np.concatenate(parts)
-
-
-def _unpack(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, list[_Alpha]]:
-    theta = x[:3]
-    alphas = []
-    off = 3
-    for d in dims:
-        alphas.append((x[off : off + d], x[off + d : off + 2 * d]))
-        off += 2 * d
-    return theta, alphas
 
 
 def check_mean_weight(target: float, c_min: float, c_max: float) -> None:
@@ -432,26 +402,18 @@ def _fit_theta(
     params: ReweightParams,
     options: FitOptions,
     theta_inits: Sequence[np.ndarray],
-) -> tuple[np.ndarray, float, int]:
-    """Best-of-restarts projected quasi-Newton, then a joint polish; (theta, objective, restarts run)."""
-    dims = [st.v.shape[1] for st in sets]
+) -> tuple[np.ndarray, int]:
+    """Best-of-restarts projected quasi-Newton on theta; (theta, restarts run).
+
+    The envelope theorem makes the projected gradient exact: d/dtheta of
+    min_alpha f equals the partial in theta at the solved alpha.
+    """
     lbfgs_options = {
         "maxiter": options.max_iters,
         "maxcor": 10,
         "gtol": options.grad_tol,
         "ftol": 1e-18,
     }
-
-    def joint_fun(x: np.ndarray) -> tuple[float, np.ndarray]:
-        theta, alphas = _unpack(x, dims)
-        value, grad_theta, grad_alpha, _ = _finite_eval(theta, alphas, sets, params)
-        return value, np.concatenate([grad_theta, *(g for pair in grad_alpha for g in pair)])
-
-    def projected_fun(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        # envelope theorem: d/dtheta of min_alpha f equals the partial in
-        # theta at the solved alpha, so the projected gradient is exact
-        value, grad_theta, _, _ = _finite_eval(theta, None, sets, params)
-        return value, grad_theta
 
     best_theta: np.ndarray | None = None
     best_val = np.inf
@@ -461,8 +423,9 @@ def _fit_theta(
         for _attempt in range(3):
             try:
                 res = minimize(
-                    projected_fun,
+                    _finite_eval,
                     theta0 * shrink,
+                    args=(sets, params),
                     jac=True,
                     method="L-BFGS-B",
                     options=lbfgs_options,
@@ -477,17 +440,7 @@ def _fit_theta(
             failures += 1
     if best_theta is None:
         raise RuntimeError(f"fit failed: all {len(theta_inits)} restarts diverged")
-
-    # joint polish over (theta, alpha) from the best projected solution
-    x0 = _pack(best_theta, _eval_sets(best_theta, None, sets, params)[3])
-    best_x = x0
-    try:
-        res = minimize(joint_fun, x0, jac=True, method="L-BFGS-B", options=lbfgs_options)
-        if np.isfinite(res.fun) and res.fun <= best_val:
-            best_val, best_x = float(res.fun), res.x
-    except _NonFiniteObjective:
-        pass
-    return best_x[:3], best_val, len(theta_inits) - failures
+    return best_theta, len(theta_inits) - failures
 
 
 def fit(
@@ -498,12 +451,14 @@ def fit(
     val_data: EvalMatrix | Sequence[EvalMatrix] | None = None,
     with_cv: bool = False,
 ) -> ReweightFit:
-    """Joint minimization over (theta, alpha), best of seeded restarts.
+    """Minimization over (theta, alpha), best of seeded restarts.
 
     Each restart runs quasi-Newton on theta alone with the regression solved
     in closed form at every step (variable projection: the regression
-    subproblem is exactly separable), then a joint quasi-Newton polish over
-    (theta, alpha) from the best point. `_theta_inits` lists the restart inits.
+    subproblem is exactly separable, so this minimizes over alpha too).
+    `_theta_inits` lists the restart inits. The reported regression and
+    `objective_train` are the closed-form alpha and the objective at the
+    best restart's theta.
 
     The uniform-weight init guarantees the fitted training residual never
     lands above the uniform baseline.
@@ -517,12 +472,11 @@ def fit(
     matrices = _as_matrices(data)
     sets = _problem(matrices, scores)
     theta_inits = _theta_inits(params, options, sets[0])
-    theta_hat, best_val, restarts_run = _fit_theta(sets, params, options, theta_inits)
+    theta_hat, restarts_run = _fit_theta(sets, params, options, theta_inits)
     fitted = params.with_theta(theta_hat)
-    # final alpha always from the closed form at theta_hat (never worse)
     w_by_set = [weights_array(fitted, st.s_f, st.s_p) for st in sets]
     residual_train, alpha_hat = _residual_with_weights(w_by_set, sets)
-    best_val = min(best_val, _finite_eval(theta_hat, None, sets, params)[0])
+    objective_train = _finite_eval(theta_hat, sets, params)[0]
     baselines = baseline_residuals(matrices, scores)
     containment = residual_train <= baselines["uniform"] + 1e-9
 
@@ -534,7 +488,7 @@ def fit(
     return ReweightFit(
         params=fitted,
         regression=tuple(alpha_hat),
-        objective_train=best_val,
+        objective_train=objective_train,
         residual_train=residual_train,
         mean_weight=float(np.concatenate(w_by_set).mean()),
         baseline_residuals=baselines,
@@ -569,7 +523,7 @@ def holdout_cv(
     for j in range(matrix.n_models):
         keep = [i for i in range(matrix.n_models) if i != j]
         fold = _SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)
-        theta, _, _ = _fit_theta([fold], params, options, theta_inits)
+        theta, _ = _fit_theta([fold], params, options, theta_inits)
         w = weights_array(params.with_theta(theta), st.s_f, st.s_p)
         s_j = float(offline_metric(st.chi[j], w))
         a = _closed_form_alpha(offline_metric(fold.chi, w), fold.v)

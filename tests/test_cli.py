@@ -356,6 +356,18 @@ def test_fit_reweight_weighted_names_dataset_ids_without_weights(tmp_path, capsy
     assert "missing" in err and "not-scored" in err
 
 
+def test_plan_subcommand_names_missing_dataset(tmp_path, capsys):
+    mixed = tmp_path / "mix.jsonl"
+    records.write_ec_dataset([ECExample(id="e1", source="teh cat", target="the cat")], mixed)
+    missing = tmp_path / "nope.jsonl"
+    out = tmp_path / "manifest.json"
+    rc = main(["plan", "--strategy", "ContMix", "--synthetic", str(missing),
+               "--mix", str(mixed), "--out", str(out)])
+    assert rc == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_inject_score_filter_mix_plan_subcommands(demo_dir, tmp_path):
     ec = tmp_path / "ec.jsonl"
     rc = main(

@@ -13,7 +13,6 @@ from ecsynth.evaluate import (
     ExternalJudge,
     MemoJudge,
     NormalizedJudge,
-    build_eval_matrix,
     eval_report,
     export_chi_row,
     good_ratio,
@@ -159,18 +158,6 @@ def test_export_chi_row_consistency():
     assert chi.mean() == good_ratio(outputs, dataset, ExactJudge(), 2)
     all_wrong = _outputs(dataset)
     assert export_chi_row(all_wrong, dataset, ExactJudge(), 3).tolist() == [0] * 6
-
-
-def test_build_eval_matrix():
-    dataset = _dataset(4)
-    o1 = _outputs(dataset, {0: 0, 1: 0})
-    o2 = ModelOutputs(model_id="m2", candidates=_outputs(dataset, {2: 0}).candidates)
-    matrix = build_eval_matrix(
-        [o1, o2], dataset, ExactJudge(), k=1,
-        live_metrics=np.array([[0.5], [0.3]]), metric_names=("ctr",),
-    )
-    assert matrix.chi.tolist() == [[1, 1, 0, 0], [0, 0, 1, 0]]
-    assert matrix.model_ids == ("m", "m2")
 
 
 def test_normalized_judge_rules():

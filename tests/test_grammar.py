@@ -11,7 +11,6 @@ from ecsynth.grammar import (
     ERROR_CATALOG,
     HttpInjector,
     InjectionError,
-    InjectionRequest,
     MockInjector,
     ParseError,
     SkipExample,
@@ -19,7 +18,6 @@ from ecsynth.grammar import (
     error_stats,
     extract_slot,
     inject_corpus,
-    make_request,
     parse_response,
     render_prompt,
     roundtrip_filter,
@@ -59,10 +57,8 @@ def test_prompts_differ_only_in_sentence_slot():
 
 
 def test_injection_request_invariant():
-    req = make_request("e1", "A perfectly fine sentence.")
-    assert req.prompt.count("A perfectly fine sentence.") == 1
-    with pytest.raises(ValueError, match="exactly once"):
-        InjectionRequest(example_id="e1", clean_text="missing", prompt="does not contain it")
+    text = "A perfectly fine sentence."
+    assert render_prompt(text).count(text) == 1
 
 
 # -- response parsing --
@@ -261,17 +257,20 @@ def test_error_stats_sum_to_one():
 
 
 def test_error_stats_match_configured_mix():
-    weights = {"verb": 0.5, "missing_word": 0.3, "capitalization": 0.2}
-    mock = MockInjector(
-        failure_rate=0.0, seed=6, min_errors=1, max_errors=1, category_weights=weights
-    )
-    # every rule in the mix applies to each of these sentences
+    mock = MockInjector(failure_rate=0.0, seed=6)
+    # all four rules apply to each of these sentences, and each example draws
+    # 1 to 3 of them uniformly
     docs = [Document(id=f"d{i}", text=f"The dogs are in garden plot {i}.") for i in range(10000)]
     run = inject_corpus(docs, mock)
-    stats = error_stats(roundtrip_filter(list(run.pairs)).kept)
-    for category, expected in weights.items():
-        assert abs(stats.category_fractions[category] - expected) < 0.01
-    assert stats.errors_per_example == {1: 1.0}
+    kept = roundtrip_filter(list(run.pairs)).kept
+    assert len(kept) == len(docs)
+    stats = error_stats(kept)
+    assert set(stats.category_fractions) == {"verb", "plural", "missing_word", "capitalization"}
+    for fraction in stats.category_fractions.values():
+        assert abs(fraction - 1 / 4) < 0.01
+    assert set(stats.errors_per_example) == {1, 2, 3}
+    for fraction in stats.errors_per_example.values():
+        assert abs(fraction - 1 / 3) < 0.01
 
 
 # -- external client over a local server --

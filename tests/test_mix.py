@@ -157,11 +157,6 @@ def test_continue_plan_missing_dataset(tmp_path):
     p.write_text("", encoding="utf-8")
     with pytest.raises(ValueError, match="mix_filtered"):
         continue_plan("ContMixFil", {"synthetic": str(p)})
-    with pytest.raises(FileNotFoundError):
-        continue_plan(
-            "ContMixFil",
-            {"synthetic": str(p), "mix_filtered": str(tmp_path / "nope.jsonl")},
-        )
 
 
 def test_continue_plan_unknown_strategy():
@@ -193,17 +188,12 @@ def test_manifest_json_round_trip(tmp_path):
             Phase(dataset_path="mix.jsonl", start_step=1000, end_step=4000, batch_multiplier=4),
         ),
     )
-    back = TrainingManifest.from_json(manifest.to_json())
-    assert back == manifest
-    assert back.total_steps == 4000
-    obj = json.loads(manifest.to_json())
-    assert obj["strategy"] == "ContMix"
-
-
-def test_manifest_validate_files(tmp_path):
-    manifest = TrainingManifest(
-        strategy="ContOrig",
-        phases=(Phase(dataset_path=str(tmp_path / "missing.jsonl"), start_step=0, end_step=10),),
-    )
-    with pytest.raises(FileNotFoundError):
-        manifest.validate_files()
+    assert json.loads(manifest.to_json()) == {
+        "strategy": "ContMix",
+        "checkpoints": [600, 1000, 2000, 4000],
+        "total_steps": 4000,
+        "phases": [
+            {"dataset_path": "synth.jsonl", "start_step": 0, "end_step": 1000, "batch_multiplier": 4},
+            {"dataset_path": "mix.jsonl", "start_step": 1000, "end_step": 4000, "batch_multiplier": 4},
+        ],
+    }

@@ -240,12 +240,6 @@ def test_eval_matrix_shape_checks():
         )
 
 
-def test_eval_matrix_without_model():
-    sub = _matrix().without_model(0)
-    assert sub.model_ids == ("m1",)
-    np.testing.assert_array_equal(sub.chi, [[0, 0, 1]])
-
-
 def test_eval_matrix_arrays_frozen():
     m = _matrix()
     with pytest.raises(ValueError):
@@ -304,6 +298,24 @@ def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(RecordError, match=f"clusters.jsonl.*line {line}"):
         read_clusters(path)
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_corpus, '{"id": ["a"], "text": "hi"}\n'),  # an unhashable id
+        (read_corpus, '{"id": 5, "text": "hi"}\n'),
+        (read_ec_dataset, '{"id": 5, "source": "teh cat", "target": "the cat"}\n'),
+        (read_outputs, '{"sample_id": "a", "candidates": "abc"}\n'),
+        (read_outputs, '{"sample_id": "a", "candidates": ["abc", 1]}\n'),
+        (read_outputs, '{"sample_id": ["a"], "candidates": ["abc"]}\n'),
+    ],
+)
+def test_read_rejects_mistyped_ids_and_candidates(tmp_path, reader, text):
+    path = tmp_path / "records.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RecordError, match="records.jsonl.*line 1"):
+        reader(path)
 
 
 # -- run-scoped record cache --

@@ -13,12 +13,13 @@ from ecsynth.reweight import (
     RegressionParams,
     ReweightParams,
     _closed_form_alpha,
+    aligned_scores,
     baseline_residuals,
     calibrate_bias,
     fit,
     holdout_cv,
     objective,
-    refit_regression_only,
+    offline_metric,
     weight,
     weights_array,
     weights_for,
@@ -41,6 +42,30 @@ def _random_instance(rng, n_models=5, n_samples=20, n_metrics=2):
         for i in range(n_samples)
     ]
     return matrix, scores
+
+
+def _regression_only(fixed, matrices, scores):
+    """Closed-form regression per metric set at fixed params; (alphas, residual)."""
+    alphas, residual = [], 0.0
+    for m in (matrices,) if isinstance(matrices, EvalMatrix) else matrices:
+        w = weights_array(fixed, *aligned_scores(m.sample_ids, scores))
+        s = offline_metric(m.chi, w)
+        a = _closed_form_alpha(s, m.live_metrics)
+        resid = np.outer(s, a.alpha_1) + a.alpha_0 - m.live_metrics
+        residual += float((resid * resid).sum())
+        alphas.append(a)
+    return tuple(alphas), residual
+
+
+def _first_models(matrix, n):
+    """The matrix restricted to its first n model rows."""
+    return EvalMatrix(
+        model_ids=matrix.model_ids[:n],
+        sample_ids=matrix.sample_ids,
+        chi=matrix.chi[:n],
+        live_metrics=matrix.live_metrics[:n],
+        metric_names=matrix.metric_names,
+    )
 
 
 def test_weight_at_zero_theta_is_exact_center():
@@ -212,7 +237,7 @@ def test_refit_regression_only_exact_line():
     )
     scores = [ScoredSample(f"s{i}", s_p=-1.0, s_f=-1.0) for i in range(6)]
     tf, tp, tb = ReweightParams.uniform_theta()
-    alphas, residual = refit_regression_only(
+    alphas, residual = _regression_only(
         ReweightParams(theta_f=tf, theta_p=tp, theta_b=tb), matrix, scores
     )
     assert residual == pytest.approx(0.0, abs=1e-18)
@@ -222,14 +247,14 @@ def test_refit_regression_only_exact_line():
 
 def test_refit_regression_only_planted_truth():
     bench = generate(PlantedSpec(n_samples=200, n_models=8, noise_sigma=1e-4, seed=5))
-    _, residual = refit_regression_only(bench.truth.params, bench.matrices, bench.scores)
+    _, residual = _regression_only(bench.truth.params, bench.matrices, bench.scores)
     assert residual <= bench.truth.noise_total + 1e-12
 
 
 def test_fit_agrees_with_regression_only_refit_at_fitted_params():
     bench = generate(PlantedSpec(n_samples=150, n_models=6, noise_sigma=1e-3, seed=7))
     f = fit(bench.matrices, bench.scores, opts=FitOptions(seed=7, restarts=3))
-    alphas, residual = refit_regression_only(f.params, bench.matrices, bench.scores)
+    alphas, residual = _regression_only(f.params, bench.matrices, bench.scores)
     assert residual == f.residual_train
     assert len(alphas) == len(f.regression)
     for a, b in zip(alphas, f.regression):
@@ -246,7 +271,7 @@ def test_projected_objective_equals_objective_at_closed_form_alpha(monkeypatch, 
     real = reweight.minimize
 
     def spy(fun, x0, **kwargs):
-        funs.append(fun)
+        funs.append(lambda theta: fun(theta, *kwargs.get("args", ())))
         return real(fun, x0, **kwargs)
 
     monkeypatch.setattr(reweight, "minimize", spy)
@@ -256,10 +281,17 @@ def test_projected_objective_equals_objective_at_closed_form_alpha(monkeypatch, 
     for theta in rng.normal(0.0, 3.0, size=(100, 3)):
         value, grad = projected(theta)
         at = params.with_theta(theta)
-        alphas, _ = refit_regression_only(at, bench.matrices, bench.scores)
+        alphas, _ = _regression_only(at, bench.matrices, bench.scores)
         expected = objective(at, alphas, bench.matrices, bench.scores)
         assert value == expected.value
         assert grad.tobytes() == expected.grad_theta.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_objective_train_is_objective_at_reported_params(seed):
+    b = generate(PlantedSpec(seed=seed))
+    f = fit(b.matrices, b.scores, opts=FitOptions(seed=seed))
+    assert f.objective_train == objective(f.params, f.regression, b.matrices, b.scores).value
 
 
 def test_baseline_residuals_heuristic_equals_uniform_when_all_pass():
@@ -307,7 +339,7 @@ def test_fit_single_matrix_and_validation_split():
     bench = generate(
         PlantedSpec(n_samples=200, n_models=10, n_sets=1, noise_sigma=1e-4, seed=13)
     )
-    train = bench.matrices[0].without_model(9)
+    train = _first_models(bench.matrices[0], 9)
     holdout = bench.matrices[0]
     f = fit(train, bench.scores, opts=FitOptions(seed=13), val_data=holdout)
     assert f.residual_val is not None
@@ -317,7 +349,7 @@ def test_fit_single_matrix_and_validation_split():
 
 def test_fit_requires_two_models():
     bench = generate(PlantedSpec(n_samples=50, n_models=2, n_sets=1, seed=14))
-    solo = bench.matrices[0].without_model(1)
+    solo = _first_models(bench.matrices[0], 1)
     with pytest.raises(ValueError):
         fit(solo, bench.scores)
 
