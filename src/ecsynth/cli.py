@@ -95,8 +95,8 @@ class GrammarSection:
     failure_rate: float = 0.4
     concurrency: int = 1
     endpoint: str = ""
-    timeout: float = 30.0
-    max_retries: int = 2
+    timeout: float = grammar_mod.HttpInjector.timeout
+    max_retries: int = grammar_mod.HttpInjector.max_retries
 
     def __post_init__(self) -> None:
         if self.client == "http" and not self.endpoint:
@@ -109,11 +109,11 @@ class GrammarSection:
 
 @dataclass(frozen=True)
 class TypoSection:
-    p_transpose: float = 0.01
-    p_omit: float = 0.015
-    p_repeat: float = 0.01
-    p_spatial: float = 0.02
-    max_errors: int = 3
+    p_transpose: float = typo_mod.TypoConfig.p_transpose
+    p_omit: float = typo_mod.TypoConfig.p_omit
+    p_repeat: float = typo_mod.TypoConfig.p_repeat
+    p_spatial: float = typo_mod.TypoConfig.p_spatial
+    max_errors: int = typo_mod.TypoConfig.max_errors_per_example
     layout: str = ""
 
     def __post_init__(self) -> None:
@@ -138,10 +138,10 @@ class ScoringSection:
 
 @dataclass(frozen=True)
 class SimbenchSection:
-    n_models: int = 8
-    n_metrics: int = 2
-    noise_sigma: float = 1e-3
-    top3_rescue: float = 0.15
+    n_models: int = simbench_mod.DeploymentSimSpec.n_models
+    n_metrics: int = simbench_mod.DeploymentSimSpec.n_metrics
+    noise_sigma: float = simbench_mod.DeploymentSimSpec.noise_sigma
+    top3_rescue: float = simbench_mod.DeploymentSimSpec.top3_rescue
 
     def __post_init__(self) -> None:
         simbench_mod.DeploymentSimSpec(**dataclasses.asdict(self))
@@ -149,12 +149,12 @@ class SimbenchSection:
 
 @dataclass(frozen=True)
 class ReweightSection:
-    c_min: float = 0.01
-    c_max: float = 2.0
-    lam: float = field(default=0.01, metadata={"key": "lambda"})
-    restarts: int = 8
-    max_iters: int = 500
-    grad_tol: float = 1e-8
+    c_min: float = reweight_mod.ReweightParams.c_min
+    c_max: float = reweight_mod.ReweightParams.c_max
+    lam: float = field(default=reweight_mod.ReweightParams.lam, metadata={"key": "lambda"})
+    restarts: int = reweight_mod.FitOptions.restarts
+    max_iters: int = reweight_mod.FitOptions.max_iters
+    grad_tol: float = reweight_mod.FitOptions.grad_tol
 
     def __post_init__(self) -> None:
         self.params()
@@ -173,7 +173,7 @@ class ReweightSection:
 
 @dataclass(frozen=True)
 class MixSection:
-    ratio: tuple[int, int] = (1, 4)
+    ratio: tuple[int, int] = mix_mod.MixSpec.ratio
     filter_threshold: float = field(default=1.0, metadata={"flag": "threshold"})
 
     def __post_init__(self) -> None:
@@ -999,10 +999,10 @@ def build_parser() -> argparse.ArgumentParser:
         _add_stage_parser(sub, stage)
 
     p = sub.add_parser("planted", help="generate a planted benchmark")
-    p.add_argument("--n", type=int, default=500)
-    p.add_argument("--k", type=int, default=12)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--noise", type=float, default=1e-3)
+    p.add_argument("--n", type=int, default=simbench_mod.PlantedSpec.n_samples)
+    p.add_argument("--k", type=int, default=simbench_mod.PlantedSpec.n_models)
+    p.add_argument("--d", type=int, default=simbench_mod.PlantedSpec.n_metrics)
+    p.add_argument("--noise", type=float, default=simbench_mod.PlantedSpec.noise_sigma)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_planted)

@@ -156,8 +156,8 @@ def kmeans(
     embeddings: Embeddings,
     k: int,
     seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-8,
+    max_iters: int,
+    tol: float,
 ) -> ClusterModel:
     """Lloyd's k-means with k-means++ seeding, deterministic given the seed.
 

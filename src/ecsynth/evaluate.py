@@ -188,8 +188,8 @@ def eval_report(
     groups: Sequence[tuple[str, Sequence[ModelOutputs]]],
     dataset: Sequence[ECExample],
     judge: Judge,
+    ks: Sequence[int],
     weights: Mapping[str, float] | None = None,
-    ks: Sequence[int] = (1, 3),
 ) -> EvalReport:
     """Metric grid over labeled groups of runs; mean ± std across runs per group.
 

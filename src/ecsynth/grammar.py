@@ -28,7 +28,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .records import Document, ECExample, ErrorAnnotation
-from .util import TRANSIENT_ERRORS, derive_seed, nfc, post_text
+from .util import MAX_RETRIES, RETRY_BACKOFF, TIMEOUT, TRANSIENT_ERRORS, derive_seed, nfc, post_text
 
 # the sentence slot is fenced so clients (and the mock) can recover it exactly
 _SLOT_OPEN = "<<<"
@@ -323,6 +323,13 @@ class MockInjector:
 
     def inject(self, clean: str, seed: int | None = None) -> InjectionResponse:
         """Corrupt one clean example; raises SkipExample when untokenizable."""
+        return parse_response(self._reply(clean, seed))
+
+    def complete(self, prompt: str) -> str:
+        return self._reply(extract_slot(prompt))
+
+    def _reply(self, clean: str, seed: int | None = None) -> str:
+        """The completion for one clean example, in the marker format."""
         clean = nfc(clean)
         words = clean.split()
         if len(words) < 2:
@@ -354,12 +361,7 @@ class MockInjector:
         for i, (label, detail) in enumerate(annotations, start=1):
             lines.append(f"**Error {i}: {label}**: {detail}")
         lines.append(f"**Corrected sentences**: {_escape(corrected)}")
-        raw = "\n".join(lines)
-        return parse_response(raw)
-
-    def complete(self, prompt: str) -> str:
-        clean = extract_slot(prompt)
-        return self.inject(clean).raw
+        return "\n".join(lines)
 
 
 @dataclass
@@ -373,9 +375,9 @@ class HttpInjector:
 
     endpoint: str
     token: str = ""
-    timeout: float = 30.0
-    max_retries: int = 2
-    retry_backoff: float = 0.2
+    timeout: float = TIMEOUT
+    max_retries: int = MAX_RETRIES
+    retry_backoff: float = RETRY_BACKOFF
 
     def __post_init__(self) -> None:
         check_timeout(self.timeout)
@@ -402,7 +404,7 @@ class InjectionRun:
 def inject_corpus(
     docs: Sequence[Document],
     client: InjectorClient,
-    concurrency: int = 1,
+    concurrency: int,
 ) -> InjectionRun:
     """Render, complete, and parse every document; results follow input order."""
     check_concurrency(concurrency)
@@ -440,31 +442,22 @@ class FilterResult:
     dropped_count: int
 
 
-def roundtrip_filter(
-    pairs: Sequence[tuple[str | Document, InjectionResponse]],
-    ids: Sequence[str] | None = None,
-) -> FilterResult:
-    """Keep a pair only when the client's own correction equals the clean text.
+def roundtrip_filter(pairs: Sequence[tuple[Document, InjectionResponse]]) -> FilterResult:
+    """Keep a pair only when the client's own correction equals the document's text.
 
     Comparison is byte equality after NFC (records normalize at
-    construction). Kept pairs become synthetic EC examples whose target is
-    the original clean text.
+    construction). Kept pairs become synthetic EC examples with the
+    document's id, whose target is the original clean text.
     """
     kept: list[ECExample] = []
     dropped = 0
-    for i, (clean, resp) in enumerate(pairs):
-        if isinstance(clean, Document):
-            clean_text, ex_id = clean.text, clean.id
-        else:
-            clean_text, ex_id = nfc(clean), f"ec-{i:06d}"
-        if ids is not None:
-            ex_id = ids[i]
-        if resp.corrected == clean_text:
+    for doc, resp in pairs:
+        if resp.corrected == doc.text:
             kept.append(
                 ECExample(
-                    id=ex_id,
+                    id=doc.id,
                     source=resp.ungrammatical,
-                    target=clean_text,
+                    target=doc.text,
                     provenance="synthetic",
                     error_annotations=resp.errors,
                 )

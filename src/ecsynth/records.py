@@ -289,8 +289,8 @@ def _parse_records(
 ) -> tuple[T, ...]:
     """One record per line, in file order.
 
-    A line `build` rejects, or (when `key` is given) a repeated key, is a
-    RecordError naming the file and the line.
+    A line `build` rejects, or (when `key` is given) a key that is not a
+    string or repeats, is a RecordError naming the file and the line.
     """
     out: list[T] = []
     seen: set[str] = set()
@@ -298,6 +298,8 @@ def _parse_records(
         try:
             rec = build(obj)
             k = None if key is None else key(rec)
+            if key is not None and not isinstance(k, str):
+                raise RecordError(f"id must be a string, got {k!r}")
             duplicate = key is not None and k in seen
         except (KeyError, TypeError, ValueError) as e:
             raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
@@ -690,10 +692,8 @@ def read_outputs(path: str | Path) -> ModelOutputs:
     """One model's outputs ({sample_id, candidates[]} per line); the model id is the file stem."""
     def row(obj: dict) -> tuple[str, tuple[str, ...]]:
         sid, cands = obj["sample_id"], obj["candidates"]
-        if not isinstance(sid, str):
-            raise RecordError(f"sample_id must be a string, got {sid!r}")
-        if not isinstance(cands, list) or not all(isinstance(c, str) for c in cands):
-            raise RecordError(f"candidates must be a list of strings, got {cands!r}")
+        if not isinstance(cands, list) or not cands or not all(isinstance(c, str) for c in cands):
+            raise RecordError(f"candidates must be a non-empty list of strings, got {cands!r}")
         return sid, tuple(cands)
 
     rows = _read_records("read_outputs", path, "sample", row, key=lambda r: r[0])

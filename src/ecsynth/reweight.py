@@ -71,7 +71,7 @@ class ReweightParams:
         return replace(self, theta_f=tf, theta_p=tp, theta_b=tb)
 
     @staticmethod
-    def uniform_theta(c_min: float = 0.01, c_max: float = 2.0) -> tuple[float, float, float]:
+    def uniform_theta(c_min: float, c_max: float) -> tuple[float, float, float]:
         """theta at which every weight equals exactly 1."""
         sig = (1.0 - c_min) / (c_max - c_min)
         return (0.0, 0.0, math.log(sig / (1.0 - sig)))
@@ -353,8 +353,8 @@ def calibrate_bias(
     theta_p: float,
     s_f: np.ndarray,
     s_p: np.ndarray,
-    c_min: float = 0.01,
-    c_max: float = 2.0,
+    c_min: float,
+    c_max: float,
     target: float = 1.0,
 ) -> float:
     """Bias term at which the mean weight over the given scores equals target.

@@ -54,11 +54,15 @@ def file_sha256(path: str | Path) -> str:
 
 # what a POST retries: transport errors (URLError and TimeoutError are OSErrors), bad replies
 TRANSIENT_ERRORS = (OSError, KeyError, ValueError)
+# and its policy: timeout (s), retries after the first attempt, backoff step (s)
+TIMEOUT = 30.0
+MAX_RETRIES = 2
+RETRY_BACKOFF = 0.2
 
 
 def post_text(
     endpoint: str, prompt: str, token: str = "",
-    timeout: float = 30.0, max_retries: int = 2, retry_backoff: float = 0.2,
+    timeout: float = TIMEOUT, max_retries: int = MAX_RETRIES, retry_backoff: float = RETRY_BACKOFF,
 ) -> str:
     """POST {"prompt": prompt} as JSON with an optional bearer token; return the reply's "text".
 

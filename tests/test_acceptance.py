@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ecsynth
 from ecsynth.cli import load_config, run_pipeline
 from ecsynth.cluster import kmeans, quota_sample
 from ecsynth.demo import materialize
@@ -263,7 +266,7 @@ def test_criterion_08_roundtrip_filtration():
         Document(id=f"d{i}", text=f"The students have ladder number {i}.")
         for i in range(10_000)
     ]
-    run = inject_corpus(docs, mock)
+    run = inject_corpus(docs, mock, concurrency=1)
     assert run.failed == 0 and run.skipped == 0
     result = roundtrip_filter(list(run.pairs))
     kept_fraction = len(result.kept) / len(run.pairs)
@@ -283,13 +286,13 @@ def test_criterion_09_clustering():
         docs = Embeddings(
             ids=tuple(f"d{i}" for i in range(n)), matrix=np.stack([rng.normal(size=d) for i in range(n)])
         )
-        model = kmeans(docs, k=k, seed=trial, max_iters=40)
+        model = kmeans(docs, k=k, seed=trial, max_iters=40, tol=1e-8)
         assert (np.diff(model.objective_history) <= 1e-9).all()
 
     docs = Embeddings(
         ids=tuple(f"d{i}" for i in range(25)), matrix=np.stack([rng.normal(size=4) for i in range(25)])
     )
-    degenerate = kmeans(docs, k=25, seed=1)
+    degenerate = kmeans(docs, k=25, seed=1, max_iters=100, tol=1e-8)
     assert degenerate.objective == 0.0
 
     sizes = [int(rng.integers(2, 40)) for _ in range(50)]
@@ -375,6 +378,14 @@ def test_criterion_11_mixing_exactness():
     _report(11, "1:4 mix exactly 100/400; threshold boundary inclusive")
 
 
+def _hashes(workdir: Path) -> dict[str, str]:
+    return {
+        str(p.relative_to(workdir)): file_sha256(p)
+        for p in sorted(workdir.rglob("*"))
+        if p.is_file()
+    }
+
+
 def test_criterion_12_end_to_end_golden_run(tmp_path):
     start = time.perf_counter()
     config_path = materialize(tmp_path)
@@ -383,11 +394,7 @@ def test_criterion_12_end_to_end_golden_run(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
 
-    hashes = {
-        str(p.relative_to(workdir)): file_sha256(p)
-        for p in sorted(workdir.rglob("*"))
-        if p.is_file()
-    }
+    hashes = _hashes(workdir)
     if os.environ.get("ECSYNTH_REGEN_GOLDENS"):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_PATH.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -396,3 +403,17 @@ def test_criterion_12_end_to_end_golden_run(tmp_path):
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert hashes == golden
     _report(12, f"all {len(hashes)} artifacts byte-identical to goldens ({elapsed:.1f}s)")
+
+
+def test_criterion_12_goldens_do_not_depend_on_blas_threads(tmp_path):
+    # a fresh interpreter, since OpenBLAS reads its thread count at load
+    src = str(Path(ecsynth.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    config = str(tmp_path / "config.json")
+    for argv in (["demo", "--out", str(tmp_path)], ["run", "--config", config]):
+        subprocess.run(
+            [sys.executable, "-m", "ecsynth.cli", *argv], env=env, check=True, capture_output=True
+        )
+    assert _hashes(tmp_path / "artifacts") == json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    _report(12, "goldens reproduced with OPENBLAS_NUM_THREADS=1")

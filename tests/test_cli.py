@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 from pathlib import Path
 from typing import get_origin, get_type_hints
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ecsynth import cli as cli_mod
-from ecsynth import records
+from ecsynth import cluster, evaluate, grammar, mix, records, reweight, scoring, simbench, typo
 from ecsynth.cli import (
     STAGE_ORDER,
     ConfigError,
@@ -26,6 +27,7 @@ from ecsynth.cli import (
 from ecsynth.demo import DEMO_CONFIG, materialize
 from ecsynth.evaluate import NormalizedJudge
 from ecsynth.records import ECExample, read_clusters, read_outputs
+from ecsynth.util import file_sha256
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +250,97 @@ def test_stage_flag_defaults_are_config_defaults():
     assert options["fit-reweight"]["--max-iters"] == 500
     assert options["fit-reweight"]["--grad-tol"] == 1e-8
     assert "--cv" not in options["fit-reweight"]
+
+
+# The module objects each stage builds or calls with its config fields as arguments.
+STAGE_OBJECTS = {
+    "cluster": (cluster.hash_embed, cluster.kmeans),
+    "sample": (cluster.quota_sample,),
+    "inject-grammar": (grammar.MockInjector, grammar.HttpInjector, grammar.inject_corpus),
+    "inject-typos": (typo.TypoConfig,),
+    "score": (scoring.train_ngram,),
+    "simbench": (simbench.DeploymentSimSpec,),
+    "fit-reweight": (reweight.ReweightParams, reweight.FitOptions),
+    "filter": (mix.filter_by_weight,),
+    "mix": (mix.MixSpec,),
+    "plan": (mix.continue_plan,),
+    "evaluate": (evaluate.ExternalJudge,),
+}
+# config field -> the module parameter it sets, where the names differ
+RENAMED = {
+    "cluster.embed_dim": "dim",
+    "sample.per_cluster": "docs_per_cluster",
+    "typo.max_errors": "max_errors_per_example",
+    "mix.filter_threshold": "threshold",
+}
+# config defaults that differ from their module parameter's on purpose
+DIFFERENT_DEFAULTS = {
+    # a bare MockInjector is a clean mock; the pipeline's mock fails 40% of its
+    # self-corrections so that the roundtrip filter has pairs to drop
+    "grammar.failure_rate",
+}
+
+
+def test_config_defaults_equal_the_module_defaults():
+    assert set(STAGE_OBJECTS) == set(STAGE_ORDER)
+    compared, differ = 0, set()
+    for stage in cli_mod.STAGES:
+        for section, f, _ in cli_mod._flag_fields(stage):
+            name = f"{section}.{f.name}"
+            for obj in STAGE_OBJECTS[stage.name]:
+                param = inspect.signature(obj).parameters.get(RENAMED.get(name, f.name))
+                if param is None or param.default is inspect.Parameter.empty:
+                    continue
+                compared += 1
+                if param.default != f.default:
+                    differ.add(name)
+    assert compared
+    assert differ == DIFFERENT_DEFAULTS
+
+
+def test_default_config_hash_is_pinned():
+    config = PipelineConfig(seed=0, paths=PathsConfig("", "", "", ""))
+    assert cli_mod.config_hash(dataclasses.asdict(config)) == (
+        "3561b597c1d479a89b894c39e7d3b3fad4d2e3ea149bd2dbc3249ff88459e85c"
+    )
+
+
+@pytest.mark.parametrize("seed, all_flags", [(1234, False), (101, True)])
+def test_stage_subcommands_reproduce_a_run(tmp_path, seed, all_flags):
+    """The 11 subcommands, given each stage's seed and files, write the run's artifacts.
+
+    A config field's flag is passed when its value differs from the field's
+    default, or always with `all_flags`.
+    """
+    config_path = materialize(tmp_path)
+    config_path.write_text(json.dumps({**DEMO_CONFIG, "seed": seed}), encoding="utf-8")
+    config = load_config(config_path)
+    workdir = run_pipeline(config, config_dir=tmp_path)
+    # a sibling workdir, so the manifest's relative paths are the run's
+    ctx = cli_mod.RunContext(config, tmp_path, tmp_path / "subcommands", "", judge=None)
+    ctx.workdir.mkdir()
+    subcommands = _subcommands()
+    for stage in cli_mod.STAGES:
+        flags = {a.dest: a.option_strings[0] for a in subcommands[stage.name]._actions}
+        argv = [stage.name, "--seed", str(ctx.stage_seed(stage.name))]
+        for slot in stage.slots:
+            files = ctx.resolve(slot)
+            if files is not None:
+                argv += [flags[slot.name], *map(str, files if isinstance(files, list) else [files])]
+        for section, f, _ in cli_mod._flag_fields(stage):
+            value = getattr(getattr(config, section), f.name)
+            if all_flags or value != f.default:
+                text = ":".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                argv += [flags[f"{section}.{f.name}"], text]
+        assert main(argv) == 0, argv
+
+    def artifacts(root: Path) -> dict[str, str]:
+        paths = (p for p in sorted(root.rglob("*")) if p.is_file())
+        return {str(p.relative_to(root)): file_sha256(p) for p in paths if p.parent.name != "runlog"}
+
+    expected = artifacts(workdir)
+    assert len(expected) == 25
+    assert artifacts(ctx.workdir) == expected
 
 
 @pytest.mark.parametrize("command", sorted(_subcommands()))

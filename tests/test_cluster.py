@@ -28,7 +28,7 @@ def _docs(x: np.ndarray) -> Embeddings:
 def test_kmeans_one_point_per_cluster():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(12, 4))
-    model = kmeans(_docs(x), k=12, seed=0)
+    model = kmeans(_docs(x), k=12, seed=0, max_iters=100, tol=1e-8)
     assert model.objective == 0.0
     assert sorted(model.assignments.values()) == list(range(12))
 
@@ -38,7 +38,7 @@ def test_kmeans_two_blobs():
     blob_a = rng.normal(loc=(-5.0, 0.0), scale=0.3, size=(40, 2))
     blob_b = rng.normal(loc=(5.0, 0.0), scale=0.3, size=(40, 2))
     docs = _docs(np.vstack([blob_a, blob_b]))
-    model = kmeans(docs, k=2, seed=3)
+    model = kmeans(docs, k=2, seed=3, max_iters=100, tol=1e-8)
     labels = [model.assignments[i] for i in docs.ids]
     assert len(set(labels[:40])) == 1
     assert len(set(labels[40:])) == 1
@@ -52,8 +52,8 @@ def test_kmeans_two_blobs():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(2)
     docs = _docs(rng.normal(size=(60, 5)))
-    a = kmeans(docs, k=7, seed=42)
-    b = kmeans(docs, k=7, seed=42)
+    a = kmeans(docs, k=7, seed=42, max_iters=100, tol=1e-8)
+    b = kmeans(docs, k=7, seed=42, max_iters=100, tol=1e-8)
     np.testing.assert_array_equal(a.centroids, b.centroids)
     assert a.assignments == b.assignments
     assert a.objective == b.objective
@@ -64,7 +64,7 @@ def test_kmeans_objective_monotone_and_fixed_point():
     rng = np.random.default_rng(3)
     for trial in range(5):
         docs = _docs(rng.normal(size=(80, 3)))
-        model = kmeans(docs, k=6, seed=trial, max_iters=50)
+        model = kmeans(docs, k=6, seed=trial, max_iters=50, tol=1e-8)
         diffs = np.diff(model.objective_history)
         assert (diffs <= 1e-9).all()
         assert verify_nearest_assignment(model, docs)
@@ -76,10 +76,10 @@ def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     centers = rng.normal(scale=10.0, size=(5, 8))
     x = np.vstack([rng.normal(loc=c, scale=0.5, size=(200, 8)) for c in centers])
     docs = _docs(x)
-    whole = kmeans(docs, k=5, seed=1, max_iters=20)
+    whole = kmeans(docs, k=5, seed=1, max_iters=20, tol=1e-8)
     # 300-row blocks: 1,000 points span three full blocks and a partial one
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 5 * 300)
-    blocked = kmeans(docs, k=5, seed=1, max_iters=20)
+    blocked = kmeans(docs, k=5, seed=1, max_iters=20, tol=1e-8)
     assert blocked.assignments == whole.assignments
     np.testing.assert_array_equal(blocked.sizes, whole.sizes)
     assert blocked.objective_history == whole.objective_history
@@ -109,7 +109,7 @@ def test_kmeans_memory_stays_below_n_by_k():
     docs = _docs(x / np.linalg.norm(x, axis=1, keepdims=True))
     tracemalloc.start()
     try:
-        kmeans(docs, k=k, seed=0, max_iters=2)
+        kmeans(docs, k=k, seed=0, max_iters=2, tol=1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -124,7 +124,7 @@ def test_kmeans_memory_stays_below_few_n_by_d():
     docs = _docs(x / np.linalg.norm(x, axis=1, keepdims=True))
     tracemalloc.start()
     try:
-        kmeans(docs, k=8, seed=0, max_iters=2)
+        kmeans(docs, k=8, seed=0, max_iters=2, tol=1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -151,9 +151,9 @@ def test_kmeans_input_validation(tmp_path):
     rng = np.random.default_rng(4)
     docs = _docs(rng.normal(size=(5, 2)))
     with pytest.raises(ValueError):
-        kmeans(docs, k=6, seed=0)
+        kmeans(docs, k=6, seed=0, max_iters=100, tol=1e-8)
     with pytest.raises(ValueError):
-        kmeans(Embeddings(ids=(), matrix=np.empty((0, 2))), k=1, seed=0)
+        kmeans(Embeddings(ids=(), matrix=np.empty((0, 2))), k=1, seed=0, max_iters=100, tol=1e-8)
     # vectors of mixed dimensions cannot form one matrix: the reader names the line
     mixed = tmp_path / "mixed.jsonl"
     write_embeddings(docs, mixed)
@@ -217,7 +217,7 @@ def test_weighted_draw_equals_generator_choice():
 def test_kmeans_rejects_distances_that_overflow():
     x = np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]])
     with pytest.raises(ValueError, match="too large"):
-        kmeans(_docs(x), k=2, seed=0)
+        kmeans(_docs(x), k=2, seed=0, max_iters=100, tol=1e-8)
 
 
 def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
@@ -226,7 +226,7 @@ def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
     # rng.choice seeding, a per-row d @ d distance)
     docs = make_demo_corpus(6000, 5)
     embeddings = hash_embed(docs, dim=64, seed=5)
-    model = kmeans(embeddings, k=500, seed=5, max_iters=3)
+    model = kmeans(embeddings, k=500, seed=5, max_iters=3, tol=1e-8)
     path = tmp_path / "clusters.jsonl"
     write_clusters(model, path, embeddings)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()

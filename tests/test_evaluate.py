@@ -147,7 +147,9 @@ def test_weighted_metric_missing_weight_errors():
     with pytest.raises(ValueError, match="s2"):
         weighted_metric(outputs, dataset, ExactJudge(), 1, {"s0": 1.0, "s1": 1.0})
     with pytest.raises(ValueError, match="s2"):
-        eval_report([("m", [outputs])], dataset, ExactJudge(), weights={"s0": 1.0, "s1": 1.0})
+        eval_report(
+            [("m", [outputs])], dataset, ExactJudge(), ks=(1, 3), weights={"s0": 1.0, "s1": 1.0}
+        )
 
 
 def test_export_chi_row_consistency():

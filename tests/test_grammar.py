@@ -164,6 +164,7 @@ def test_mock_through_prompt_interface():
     raw = mock.complete(render_prompt("She has a cat."))
     resp = parse_response(raw)
     assert resp.corrected == "She has a cat."
+    assert raw == mock.inject("She has a cat.").raw
 
 
 # -- roundtrip filtration --
@@ -179,7 +180,8 @@ def _resp(ungrammatical: str, corrected: str):
 
 
 def test_filter_keeps_exact_match():
-    result = roundtrip_filter([("Clean text.", _resp("Cleann text.", "Clean text."))])
+    doc = Document(id="d0", text="Clean text.")
+    result = roundtrip_filter([(doc, _resp("Cleann text.", "Clean text."))])
     assert result.dropped_count == 0
     ex = result.kept[0]
     assert ex.source == "Cleann text."
@@ -189,7 +191,8 @@ def test_filter_keeps_exact_match():
 
 
 def test_filter_drops_mismatch():
-    result = roundtrip_filter([("Clean text.", _resp("Cleann text.", "Clean text"))])
+    doc = Document(id="d0", text="Clean text.")
+    result = roundtrip_filter([(doc, _resp("Cleann text.", "Clean text"))])
     assert result.kept == ()
     assert result.dropped_count == 1
 
@@ -197,7 +200,7 @@ def test_filter_drops_mismatch():
 def test_filter_nfc_equivalence():
     composed = "café time."
     decomposed = "café time."
-    result = roundtrip_filter([(composed, _resp("cfae time.", decomposed))])
+    result = roundtrip_filter([(Document(id="d0", text=composed), _resp("cfae time.", decomposed))])
     assert result.dropped_count == 0
 
 
@@ -207,20 +210,13 @@ def test_filter_uses_document_ids():
     assert result.kept[0].id == "doc-7"
 
 
-def test_filter_explicit_ids():
-    result = roundtrip_filter(
-        [("Clean text.", _resp("Cleann text.", "Clean text."))], ids=["custom-1"]
-    )
-    assert result.kept[0].id == "custom-1"
-
-
 def test_filter_kept_fraction_tracks_failure_rate():
     mock = MockInjector(failure_rate=0.4, seed=31)
     docs = [
         Document(id=f"d{i}", text=f"The students have ladder number {i}.")
         for i in range(2000)
     ]
-    run = inject_corpus(docs, mock)
+    run = inject_corpus(docs, mock, concurrency=1)
     assert run.failed == 0 and run.skipped == 0
     result = roundtrip_filter(list(run.pairs))
     kept_fraction = len(result.kept) / len(run.pairs)
@@ -249,7 +245,7 @@ def test_error_stats_degenerate():
 def test_error_stats_sum_to_one():
     mock = MockInjector(failure_rate=0.0, seed=4)
     docs = [Document(id=f"d{i}", text="The dogs are in the garden.") for i in range(500)]
-    run = inject_corpus(docs, mock)
+    run = inject_corpus(docs, mock, concurrency=1)
     kept = roundtrip_filter(list(run.pairs)).kept
     stats = error_stats(kept)
     assert sum(stats.category_fractions.values()) == pytest.approx(1.0, abs=1e-9)
@@ -261,7 +257,7 @@ def test_error_stats_match_configured_mix():
     # all four rules apply to each of these sentences, and each example draws
     # 1 to 3 of them uniformly
     docs = [Document(id=f"d{i}", text=f"The dogs are in garden plot {i}.") for i in range(10000)]
-    run = inject_corpus(docs, mock)
+    run = inject_corpus(docs, mock, concurrency=1)
     kept = roundtrip_filter(list(run.pairs)).kept
     assert len(kept) == len(docs)
     stats = error_stats(kept)
@@ -361,7 +357,7 @@ def test_inject_corpus_counts_failures_not_silently(http_server):
     _Handler.fail_next = 100
     client = HttpInjector(endpoint=http_server, timeout=5.0, max_retries=0, retry_backoff=0.0)
     docs = [Document(id=f"d{i}", text="She has a cat.") for i in range(3)]
-    run = inject_corpus(docs, client)
+    run = inject_corpus(docs, client, concurrency=1)
     assert run.failed == 3
     assert run.pairs == ()
 

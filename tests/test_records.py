@@ -19,7 +19,9 @@ from ecsynth.records import (
     read_clusters,
     read_corpus,
     read_ec_dataset,
+    read_embeddings,
     read_eval_matrix,
+    read_layout,
     read_outputs,
     read_scores,
     read_weights,
@@ -309,6 +311,13 @@ def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
         (read_outputs, '{"sample_id": "a", "candidates": "abc"}\n'),
         (read_outputs, '{"sample_id": "a", "candidates": ["abc", 1]}\n'),
         (read_outputs, '{"sample_id": ["a"], "candidates": ["abc"]}\n'),
+        (read_outputs, '{"sample_id": "a", "candidates": []}\n'),
+        (read_scores, '{"sample_id": null, "s_p": -1, "s_f": -1}\n'),
+        (read_scores, '{"sample_id": 3, "s_p": -1, "s_f": -1}\n'),
+        (read_weights, '{"sample_id": null, "weight": 1.0}\n'),
+        (read_weights, '{"sample_id": 3, "weight": 1.0}\n'),
+        (read_embeddings, '{"doc_id": 3, "vector": [1.0]}\n'),
+        (read_layout, '{"char": 3, "neighbors": []}\n'),
     ],
 )
 def test_read_rejects_mistyped_ids_and_candidates(tmp_path, reader, text):

@@ -124,7 +124,7 @@ def test_objective_reduces_to_total_variance_at_zero_slope():
 def test_objective_regularizer_vanishes_at_uniform_weights():
     rng = np.random.default_rng(1)
     matrix, scores = _random_instance(rng)
-    tf, tp, tb = ReweightParams.uniform_theta()
+    tf, tp, tb = ReweightParams.uniform_theta(ReweightParams.c_min, ReweightParams.c_max)
     params = ReweightParams(theta_f=tf, theta_p=tp, theta_b=tb, lam=5.0)
     alpha = RegressionParams(alpha_1=np.zeros(2), alpha_0=np.zeros(2))
     with_reg = objective(params, alpha, matrix, scores).value
@@ -236,7 +236,7 @@ def test_refit_regression_only_exact_line():
         metric_names=("x",),
     )
     scores = [ScoredSample(f"s{i}", s_p=-1.0, s_f=-1.0) for i in range(6)]
-    tf, tp, tb = ReweightParams.uniform_theta()
+    tf, tp, tb = ReweightParams.uniform_theta(ReweightParams.c_min, ReweightParams.c_max)
     alphas, residual = _regression_only(
         ReweightParams(theta_f=tf, theta_p=tp, theta_b=tb), matrix, scores
     )
@@ -403,14 +403,14 @@ def test_calibrate_bias_hits_target():
     rng = np.random.default_rng(19)
     s_f = rng.normal(-3, 1, 400)
     s_p = rng.normal(-3.5, 1, 400)
-    b = calibrate_bias(5.0, -4.0, s_f, s_p, target=1.3)
+    b = calibrate_bias(5.0, -4.0, s_f, s_p, 0.01, 2.0, target=1.3)
     w = weights_array(ReweightParams(theta_f=5.0, theta_p=-4.0, theta_b=b), s_f, s_p)
     assert float(w.mean()) == pytest.approx(1.3, abs=1e-10)
 
 
 def test_calibrate_bias_rejects_empty_scores():
     with pytest.raises(ValueError, match="empty"):
-        calibrate_bias(5.0, -4.0, np.array([]), np.array([]))
+        calibrate_bias(5.0, -4.0, np.array([]), np.array([]), 0.01, 2.0)
 
 
 def test_weights_for_mapping():
