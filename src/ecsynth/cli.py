@@ -367,14 +367,15 @@ class Stage:
 
 def _judge(e: EvalSection) -> eval_mod.Judge:
     """The judge of one run or stage subcommand; it asks each distinct pair once."""
-    if e.judge != "http":
+    if e.judge == "http":
+        inner = eval_mod.ExternalJudge(
+            endpoint=e.judge_endpoint,
+            prompt_template=e.judge_prompt,
+            token=os.environ.get(TOKEN_ENV_VAR, ""),
+        )
+    else:
         inner = {"exact": eval_mod.ExactJudge, "normalized": eval_mod.NormalizedJudge}[e.judge]()
-        return eval_mod.MemoJudge(inner)
-    return eval_mod.ExternalJudge(  # memoizes its own verdicts
-        endpoint=e.judge_endpoint,
-        prompt_template=e.judge_prompt,
-        token=os.environ.get(TOKEN_ENV_VAR, ""),
-    )
+    return eval_mod.MemoJudge(inner)
 
 
 def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings, out) -> dict:
@@ -517,6 +518,16 @@ def _fit_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _eval_report_text(report: dict) -> str:
+    """eval_report.txt: `eval_report`'s dict as a grid of mean±std percentages."""
+    width = max([len(row["label"]) for row in report["rows"]] + [8])
+    lines = [" " * width + "  " + "  ".join(f"{c:>14}" for c in report["columns"])]
+    for row in report["rows"]:
+        body = "  ".join(f"{m * 100:7.2f}±{s * 100:5.2f}" for m, s in row["cells"])
+        lines.append(f"{row['label']:<{width}}  {body}")
+    return "\n".join(lines) + "\n"
+
+
 def _fit_report_json(fit: reweight_mod.ReweightFit) -> dict:
     out = {
         "theta": [fit.params.theta_f, fit.params.theta_p, fit.params.theta_b],
@@ -621,8 +632,9 @@ def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
                 raise FileNotFoundError(f"{key} dataset not found: {p}")
             paths[key] = os.path.relpath(p, out.parent)
     manifest = mix_mod.continue_plan(cfg.plan.strategy, paths)
-    records.write_text(manifest.to_json() + "\n", out)
-    return {"strategy": cfg.plan.strategy, "phases": len(manifest.phases)}
+    # key order is the manifest's own, so not `write_json`, which sorts keys
+    records.write_text(json.dumps(manifest, indent=2) + "\n", out)
+    return {"strategy": cfg.plan.strategy, "phases": len(manifest["phases"])}
 
 
 def _evaluate(
@@ -633,18 +645,9 @@ def _evaluate(
     groups = [(p.stem, [records.read_outputs(p)]) for p in outputs]
     result = eval_mod.eval_report(groups, examples, judge, weights=weight_map, ks=tuple(k))
     if report:
-        records.write_text(result.render() + "\n", report)
+        records.write_text(_eval_report_text(result), report)
     if report_json:
-        records.write_json(
-            {
-                "columns": list(result.columns),
-                "rows": [
-                    {"label": label, "cells": [[m, s] for m, s in cells]}
-                    for label, cells in result.rows
-                ],
-            },
-            report_json,
-        )
+        records.write_json(result, report_json)
     return {"models": len(groups), "samples": len(examples)}
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
@@ -55,8 +54,8 @@ def has_placeholders(prompt_template: str) -> bool:
 class MemoJudge:
     """Asks the judge it wraps once per distinct (candidate, target) pair.
 
-    The one verdict memo: a pipeline run shares one across its stages, and
-    `ExternalJudge` keeps one so that each pair is requested once.
+    The one verdict memo: `cli` wraps the judge of a run, or of a stage
+    subcommand, in one, and every judged stage of that run shares it.
     """
 
     def __init__(self, inner: Judge):
@@ -71,10 +70,18 @@ class MemoJudge:
         return verdict
 
 
-class _HttpJudge:
-    """One POST per verdict; the reply's first word must be yes or no."""
+class ExternalJudge:
+    """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}, one POST per call.
 
-    def __init__(self, endpoint: str, prompt_template: str, token: str):
+    The prompt template must contain {candidate} and {target} placeholders,
+    and the reply's first word must be yes or no. Requests use
+    `util.post_text`'s timeout and retries. It keeps no verdicts: a run
+    memoizes them in the `MemoJudge` that wraps its judge, whatever its kind.
+    """
+
+    def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
+        if not has_placeholders(prompt_template):
+            raise ValueError("prompt_template needs {candidate} and {target} placeholders")
         self.endpoint = endpoint
         self.prompt_template = prompt_template
         self.token = token
@@ -86,23 +93,6 @@ class _HttpJudge:
         if not first or first[0] not in ("yes", "no"):
             raise ValueError(f"judge returned neither yes nor no: {text!r}")
         return int(first[0] == "yes")
-
-
-class ExternalJudge:
-    """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}.
-
-    The prompt template must contain {candidate} and {target} placeholders.
-    Requests use `util.post_text`'s default timeout and retries; verdicts are
-    memoized by (candidate, target) so repeated runs are deterministic and cheap.
-    """
-
-    def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
-        if not has_placeholders(prompt_template):
-            raise ValueError("prompt_template needs {candidate} and {target} placeholders")
-        self._memo = MemoJudge(_HttpJudge(endpoint, prompt_template, token))
-
-    def judge(self, candidate: str, target: str) -> int:
-        return self._memo.judge(candidate, target)
 
 
 def verdicts(
@@ -169,30 +159,17 @@ def weighted_metric(
 # -- report: Top-1 / Top-1 (w) / Top-3 / Top-3 (w) grid --
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, tuple[tuple[float, float], ...]], ...]  # label -> (mean, std) per column
-
-    def render(self) -> str:
-        width = max([len(r[0]) for r in self.rows] + [8])
-        header = " " * width + "  " + "  ".join(f"{c:>14}" for c in self.columns)
-        lines = [header]
-        for label, cells in self.rows:
-            body = "  ".join(f"{m * 100:7.2f}±{s * 100:5.2f}" for m, s in cells)
-            lines.append(f"{label:<{width}}  {body}")
-        return "\n".join(lines)
-
-
 def eval_report(
     groups: Sequence[tuple[str, Sequence[ModelOutputs]]],
     dataset: Sequence[ECExample],
     judge: Judge,
     ks: Sequence[int],
     weights: Mapping[str, float] | None = None,
-) -> EvalReport:
+) -> dict:
     """Metric grid over labeled groups of runs; mean ± std across runs per group.
 
+    Returns the JSON object `eval_report.json` holds: {"columns": [...],
+    "rows": [{"label", "cells": [[mean, std], ...]}]}, one cell per column.
     Each run is judged once, at the largest k. Without weights the (w) columns
     repeat the unweighted values with w == 1.
     """
@@ -215,8 +192,7 @@ def eval_report(
                 cells += [float(chi.mean()), _weighted_mean(w, chi)]
             per_run.append(cells)
         arr = np.array(per_run)
-        rows.append(
-            (label, tuple((float(m), float(s)) for m, s in zip(arr.mean(axis=0), arr.std(axis=0))))
-        )
-    return EvalReport(columns=tuple(columns), rows=tuple(rows))
+        stats = zip(arr.mean(axis=0), arr.std(axis=0))
+        rows.append({"label": label, "cells": [[float(m), float(s)] for m, s in stats]})
+    return {"columns": columns, "rows": rows}
 

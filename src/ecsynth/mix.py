@@ -8,7 +8,6 @@ small original set is oversampled rather than exhausted.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -36,55 +35,6 @@ class MixSpec:
         if a < 1 or b < 1:
             raise ValueError(f"ratio components must be >= 1, got {self.ratio}")
         object.__setattr__(self, "ratio", (int(a), int(b)))
-
-
-@dataclass(frozen=True)
-class Phase:
-    dataset_path: str
-    start_step: int
-    end_step: int
-    batch_multiplier: int = 1
-
-
-@dataclass(frozen=True)
-class TrainingManifest:
-    strategy: str
-    phases: tuple[Phase, ...]
-    checkpoints: tuple[int, ...] = DEFAULT_CHECKPOINTS
-
-    def __post_init__(self) -> None:
-        prev_end = None
-        for p in self.phases:
-            if p.start_step >= p.end_step:
-                raise ValueError(f"phase step range [{p.start_step}, {p.end_step}) is empty")
-            if prev_end is not None and p.start_step != prev_end:
-                raise ValueError(
-                    f"phase ranges must be contiguous: got start {p.start_step} after end {prev_end}"
-                )
-            prev_end = p.end_step
-
-    @property
-    def total_steps(self) -> int:
-        return self.phases[-1].end_step
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "strategy": self.strategy,
-                "checkpoints": list(self.checkpoints),
-                "total_steps": self.total_steps,
-                "phases": [
-                    {
-                        "dataset_path": p.dataset_path,
-                        "start_step": p.start_step,
-                        "end_step": p.end_step,
-                        "batch_multiplier": p.batch_multiplier,
-                    }
-                    for p in self.phases
-                ],
-            },
-            indent=2,
-        )
 
 
 def filter_by_weight(examples: Sequence[ECExample], threshold: float) -> list[ECExample]:
@@ -141,12 +91,13 @@ def mix_datasets(
     return out[:total]
 
 
-def continue_plan(strategy: str, paths: dict[str, str]) -> TrainingManifest:
+def continue_plan(strategy: str, paths: dict[str, str]) -> dict:
     """Two-phase schedule: full synthetic first, then the strategy's phase-2 set.
 
-    paths keys: "synthetic" always; "original" for ContOrig; "mix" for
-    ContMix; "mix_filtered" for ContMixFil. Batch size is recorded at x4 for
-    both phases (the large-batch setting synthetic training runs at).
+    Returns the manifest as the JSON object `manifest.json` holds. paths
+    keys: "synthetic" always; "original" for ContOrig; "mix" for ContMix;
+    "mix_filtered" for ContMixFil. Batch size is recorded at x4 for both
+    phases (the large-batch setting synthetic training runs at).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -154,20 +105,21 @@ def continue_plan(strategy: str, paths: dict[str, str]) -> TrainingManifest:
     for key in ("synthetic", phase2_key):
         if key not in paths:
             raise ValueError(f"strategy {strategy} requires a {key!r} dataset path")
-    return TrainingManifest(
-        strategy=strategy,
-        phases=(
-            Phase(
-                dataset_path=paths["synthetic"],
-                start_step=0,
-                end_step=DEFAULT_PHASE1_STEPS,
-                batch_multiplier=DEFAULT_BATCH_MULTIPLIER,
-            ),
-            Phase(
-                dataset_path=paths[phase2_key],
-                start_step=DEFAULT_PHASE1_STEPS,
-                end_step=DEFAULT_TOTAL_STEPS,
-                batch_multiplier=DEFAULT_BATCH_MULTIPLIER,
-            ),
-        ),
+    phases = (
+        (paths["synthetic"], 0, DEFAULT_PHASE1_STEPS),
+        (paths[phase2_key], DEFAULT_PHASE1_STEPS, DEFAULT_TOTAL_STEPS),
     )
+    return {
+        "strategy": strategy,
+        "checkpoints": list(DEFAULT_CHECKPOINTS),
+        "total_steps": DEFAULT_TOTAL_STEPS,
+        "phases": [
+            {
+                "dataset_path": path,
+                "start_step": start,
+                "end_step": end,
+                "batch_multiplier": DEFAULT_BATCH_MULTIPLIER,
+            }
+            for path, start, end in phases
+        ],
+    }

@@ -6,7 +6,8 @@ object per line. An eval-matrix file is one JSON header line (model_ids,
 sample_ids, metric_names) followed by one 0/1 measurement row per model and
 then one live-metric row per model. A clusters file is one JSON header line
 (k, objective, sizes, centroids) followed by one {doc_id, cluster, distance}
-line per document; its reader checks the header's sizes against those lines.
+line per document; its reader checks the header's k and sizes against the
+centroids and those lines.
 Reports, manifests and run logs are one JSON document or plain text. No
 other module knows a record format.
 
@@ -415,6 +416,11 @@ def _floats(values: Iterable[object]) -> bool:
     return all(type(v) is float for v in values)
 
 
+def _strings(value: object) -> bool:
+    """Whether a parsed JSON value is a list of strings."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
     return _read_records(
@@ -517,36 +523,44 @@ def _parse_eval_matrix(path: str | Path) -> EvalMatrix:
     rows = list(_read_lines(path))
     if not rows:
         raise RecordError(f"{path}: empty eval-matrix file")
-    _, header = rows[0]
-    try:
-        model_ids = tuple(header["model_ids"])
-        sample_ids = tuple(header["sample_ids"])
-        metric_names = tuple(header["metric_names"])
-    except (KeyError, TypeError) as e:
-        raise RecordError(f"{path}: invalid header: {e}") from e
+    header_line, header = rows[0]
+    lists = []
+    for key in ("model_ids", "sample_ids", "metric_names"):
+        if not _strings(header.get(key)):
+            raise RecordError(
+                f"{path}: invalid header on line {header_line}: "
+                f"{key} must be a list of strings, got {header.get(key)!r}"
+            )
+        lists.append(tuple(header[key]))
+    model_ids, sample_ids, metric_names = lists
     k = len(model_ids)
     if len(rows) != 1 + 2 * k:
         raise RecordError(f"{path}: expected {1 + 2 * k} lines for {k} models, got {len(rows)}")
-    chi_rows, live_rows = [], []
-    for j in range(k):
-        lineno, obj = rows[1 + j]
-        if obj.get("model_id") != model_ids[j] or "chi" not in obj:
-            raise RecordError(f"{path}: line {lineno}: expected chi row for {model_ids[j]!r}")
-        chi_rows.append(obj["chi"])
-    for j in range(k):
-        lineno, obj = rows[1 + k + j]
-        if obj.get("model_id") != model_ids[j] or "live" not in obj:
-            raise RecordError(f"{path}: line {lineno}: expected live-metric row for {model_ids[j]!r}")
-        live_rows.append(obj["live"])
+
+    def values(line: tuple[int, dict], model_id: str, key: str, width: int) -> np.ndarray:
+        """The `width` numbers of one model's `key` row."""
+        lineno, obj = line
+        if obj.get("model_id") != model_id or key not in obj:
+            raise RecordError(f"{path}: line {lineno}: expected {key} row for {model_id!r}")
+        try:
+            row = np.array(obj[key], dtype=np.float64)
+            if row.shape != (width,):
+                raise ValueError(f"expected {width} numbers, got {obj[key]!r}")
+        except (TypeError, ValueError) as e:
+            raise RecordError(f"{path}: line {lineno}: invalid {key} row: {e}") from e
+        return row
+
+    chi = [values(line, m, "chi", len(sample_ids)) for line, m in zip(rows[1:], model_ids)]
+    live = [values(line, m, "live", len(metric_names)) for line, m in zip(rows[1 + k:], model_ids)]
     try:
         return EvalMatrix(
             model_ids=model_ids,
             sample_ids=sample_ids,
-            chi=np.array(chi_rows, dtype=np.float64),
-            live_metrics=np.array(live_rows, dtype=np.float64),
+            chi=np.array(chi),
+            live_metrics=np.array(live),
             metric_names=metric_names,
         )
-    except (ValueError, RecordError) as e:
+    except RecordError as e:
         raise RecordError(f"{path}: {e}") from e
 
 
@@ -589,6 +603,8 @@ def _parse_clusters(path: str | Path) -> ClusterModel:
     try:
         centroids = np.array(header["centroids"], dtype=np.float64)
         k = len(centroids)
+        if type(header["k"]) is not int or header["k"] != k:
+            raise ValueError(f"k is {header['k']!r} for {k} centroids")
         sizes = np.array(header["sizes"], dtype=np.int64)
         objective = float(header["objective"])
         if sizes.shape != (k,):
@@ -599,7 +615,11 @@ def _parse_clusters(path: str | Path) -> ClusterModel:
     counts = [0] * k
     for lineno, obj in rows:
         try:
-            doc_id, cluster = obj["doc_id"], int(obj["cluster"])
+            doc_id, cluster = obj["doc_id"], obj["cluster"]
+            if not isinstance(doc_id, str):
+                raise ValueError(f"doc id must be a string, got {doc_id!r}")
+            if type(cluster) is not int:
+                raise ValueError(f"cluster must be an integer, got {cluster!r}")
             if not 0 <= cluster < k:
                 raise ValueError(f"cluster {cluster} is outside [0, {k})")
             if doc_id in assignments:
@@ -692,7 +712,7 @@ def read_outputs(path: str | Path) -> ModelOutputs:
     """One model's outputs ({sample_id, candidates[]} per line); the model id is the file stem."""
     def row(obj: dict) -> tuple[str, tuple[str, ...]]:
         sid, cands = obj["sample_id"], obj["candidates"]
-        if not isinstance(cands, list) or not cands or not all(isinstance(c, str) for c in cands):
+        if not cands or not _strings(cands):
             raise RecordError(f"candidates must be a non-empty list of strings, got {cands!r}")
         return sid, tuple(cands)
 

@@ -25,7 +25,7 @@ import pytest
 import ecsynth
 from ecsynth.cli import load_config, run_pipeline
 from ecsynth.cluster import kmeans, quota_sample
-from ecsynth.demo import materialize
+from ecsynth.demo import DATA_DIR, materialize, regenerate
 from ecsynth.evaluate import ExactJudge, ModelOutputs, good_ratio, sequence_accuracy, weighted_metric
 from ecsynth.grammar import MockInjector, inject_corpus, roundtrip_filter
 from ecsynth.records import Document, ECExample, Embeddings, EvalMatrix, ScoredSample
@@ -417,3 +417,13 @@ def test_criterion_12_goldens_do_not_depend_on_blas_threads(tmp_path):
         )
     assert _hashes(tmp_path / "artifacts") == json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     _report(12, "goldens reproduced with OPENBLAS_NUM_THREADS=1")
+
+
+def test_criterion_12_inputs_regenerate_bit_identically(tmp_path):
+    # criterion 12 runs on the bundled demo data; `regenerate` rebuilds it exactly
+    regenerate(tmp_path)
+    names = sorted(p.name for p in DATA_DIR.glob("*.jsonl"))
+    assert names == ["demo_corpus.jsonl", "demo_domain.jsonl", "demo_original.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
+import re
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import get_origin, get_type_hints
+from typing import Iterator, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from ecsynth import cluster, evaluate, grammar, mix, records, reweight, scoring,
 from ecsynth.cli import (
     STAGE_ORDER,
     ConfigError,
+    EvalSection,
     PathsConfig,
     PipelineConfig,
     StageError,
@@ -672,26 +677,70 @@ def test_rerun_with_fewer_models_drops_stale_outputs(tmp_path):
     assert json.loads((runlog / "evaluate.json").read_text(encoding="utf-8"))["counts"]["models"] == 4
 
 
-def test_pipeline_judges_each_distinct_pair_once(tmp_path, monkeypatch):
-    # simbench and evaluate judge the same top-3 candidates; one run-wide
-    # judge asks its inner judge once per distinct (candidate, target) pair
-    calls = []
-    original = NormalizedJudge.judge
+_JUDGE_PROMPT = "<candidate>{candidate}</candidate><target>{target}</target>"
+_JUDGE_PROMPT_RE = re.compile(r"<candidate>(.*)</candidate><target>(.*)</target>\Z", re.DOTALL)
 
-    def counting(self, candidate, target):
-        calls.append((candidate, target))
-        return original(self, candidate, target)
 
-    monkeypatch.setattr(NormalizedJudge, "judge", counting)
+@contextlib.contextmanager
+def _counting_judge_server(asked: list) -> Iterator[str]:
+    """A local http judge that answers as NormalizedJudge and records each pair it is asked."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+            pair = _JUDGE_PROMPT_RE.match(prompt).groups()
+            asked.append(pair)
+            verdict = "yes" if NormalizedJudge().judge(*pair) else "no"
+            body = json.dumps({"text": verdict}).encode("utf-8")
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/judge"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize("kind", ["exact", "normalized", "http"])
+def test_pipeline_judges_each_distinct_pair_once(tmp_path, monkeypatch, kind):
+    # simbench and evaluate judge the same top-3 candidates; the run's one
+    # MemoJudge asks the judge it wraps once per distinct (candidate, target)
+    # pair, and an http judge makes one POST for each
+    asked = []
     config = load_config(materialize(tmp_path))
-    workdir = run_pipeline(config, config_dir=tmp_path)
+    with contextlib.ExitStack() as stack:
+        if kind == "http":
+            endpoint = stack.enter_context(_counting_judge_server(asked))
+            section = EvalSection(judge="http", judge_endpoint=endpoint, judge_prompt=_JUDGE_PROMPT)
+        else:
+            cls = {"exact": evaluate.ExactJudge, "normalized": NormalizedJudge}[kind]
+            original = cls.judge
+
+            def counting(self, candidate, target):
+                asked.append((candidate, target))
+                return original(self, candidate, target)
+
+            monkeypatch.setattr(cls, "judge", counting)
+            section = EvalSection(judge=kind)
+        workdir = run_pipeline(dataclasses.replace(config, eval=section), config_dir=tmp_path)
     targets = {ex.id: ex.target for ex in records.read_ec_dataset(workdir / "ec_synth.jsonl")}
     pairs = set()
     for p in (workdir / "outputs").glob("*.jsonl"):
         for sid, candidates in read_outputs(p).candidates.items():
             pairs.update((c, targets[sid]) for c in candidates[:3])
-    assert len(calls) == len(pairs)
-    assert set(calls) == pairs
+    assert len(asked) == len(pairs)
+    assert set(asked) == pairs
 
 
 def test_every_file_of_a_run_goes_through_the_one_writer(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from ecsynth.evaluate import (
     verdicts,
     weighted_metric,
 )
+from ecsynth.cli import _eval_report_text
 from ecsynth.records import ECExample, ModelOutputs, read_outputs, write_outputs
 
 
@@ -212,14 +213,18 @@ def test_eval_report_grid():
     report = eval_report(
         [("method", [run1, run2])], dataset, ExactJudge(), weights=None, ks=(1, 3)
     )
-    assert report.columns == ("Top-1", "Top-1 (w)", "Top-3", "Top-3 (w)")
-    label, cells = report.rows[0]
-    assert label == "method"
-    top1_mean, top1_std = cells[0]
+    # the object eval_report.json holds
+    assert list(report) == ["columns", "rows"]
+    assert report["columns"] == ["Top-1", "Top-1 (w)", "Top-3", "Top-3 (w)"]
+    (row,) = report["rows"]
+    assert row["label"] == "method"
+    top1_mean, top1_std = row["cells"][0]
     assert top1_mean == pytest.approx((0.5 + 0.75) / 2)
     assert top1_std == pytest.approx(0.125)
-    rendered = report.render()
-    assert "Top-3 (w)" in rendered and "method" in rendered
+    assert all(len(cell) == 2 for cell in row["cells"])
+    assert json.loads(json.dumps(report)) == report
+    rendered = _eval_report_text(report)
+    assert "Top-3 (w)" in rendered and "method" in rendered and "62.50±12.50" in rendered
     for ks in [(0,), (0, 3)]:
         with pytest.raises(ValueError, match="k must be"):
             eval_report([("method", [run1])], dataset, ExactJudge(), ks=ks)
@@ -278,15 +283,21 @@ def judge_server():
 
 
 def test_external_judge_caches(judge_server):
-    judge = ExternalJudge(
+    # a bare ExternalJudge posts once per call; the MemoJudge a run wraps it
+    # in posts once per distinct pair
+    bare = ExternalJudge(
         endpoint=judge_server,
         prompt_template="is {candidate} acceptable for {target}? answer yes or no",
     )
-    assert judge.judge("target target", "anything") == 1
-    assert judge.judge("target target", "anything") == 1
-    assert _JudgeHandler.calls == 1
-    assert judge.judge("nope", "anything") == 0
+    assert bare.judge("target target", "anything") == 1
+    assert bare.judge("target target", "anything") == 1
     assert _JudgeHandler.calls == 2
+    judge = MemoJudge(bare)
+    assert judge.judge("target target", "anything") == 1
+    assert judge.judge("target target", "anything") == 1
+    assert _JudgeHandler.calls == 3
+    assert judge.judge("nope", "anything") == 0
+    assert _JudgeHandler.calls == 4
 
 
 def test_external_judge_retries_a_transient_failure(judge_server):
@@ -311,10 +322,7 @@ def test_external_judge_template_validation():
 
 
 def test_external_judge_deterministic_chi(judge_server):
-    judge = ExternalJudge(
-        endpoint=judge_server,
-        prompt_template="{candidate} vs {target}",
-    )
+    judge = MemoJudge(ExternalJudge(endpoint=judge_server, prompt_template="{candidate} vs {target}"))
     dataset = _dataset(4)
     outputs = ModelOutputs(
         model_id="m",

@@ -5,14 +5,7 @@ from collections import Counter
 
 import pytest
 
-from ecsynth.mix import (
-    MixSpec,
-    Phase,
-    TrainingManifest,
-    continue_plan,
-    filter_by_weight,
-    mix_datasets,
-)
+from ecsynth.mix import MixSpec, continue_plan, filter_by_weight, mix_datasets
 from ecsynth.records import ECExample
 
 
@@ -133,13 +126,15 @@ def test_continue_plan_contmixfil(tmp_path):
         p.write_text("", encoding="utf-8")
         paths[key] = str(p)
     manifest = continue_plan("ContMixFil", paths)
-    assert len(manifest.phases) == 2
-    assert manifest.phases[0].dataset_path == paths["synthetic"]
-    assert manifest.phases[1].dataset_path == paths["mix_filtered"]
-    assert (manifest.phases[0].start_step, manifest.phases[0].end_step) == (0, 1000)
-    assert (manifest.phases[1].start_step, manifest.phases[1].end_step) == (1000, 4000)
-    assert manifest.checkpoints == (600, 1000, 2000, 4000)
-    assert all(p.batch_multiplier == 4 for p in manifest.phases)
+    phases = manifest["phases"]
+    assert len(phases) == 2
+    assert phases[0]["dataset_path"] == paths["synthetic"]
+    assert phases[1]["dataset_path"] == paths["mix_filtered"]
+    assert (phases[0]["start_step"], phases[0]["end_step"]) == (0, 1000)
+    assert (phases[1]["start_step"], phases[1]["end_step"]) == (1000, 4000)
+    assert manifest["checkpoints"] == [600, 1000, 2000, 4000]
+    assert manifest["total_steps"] == phases[-1]["end_step"]
+    assert all(p["batch_multiplier"] == 4 for p in phases)
 
 
 def test_continue_plan_contorig(tmp_path):
@@ -149,7 +144,7 @@ def test_continue_plan_contorig(tmp_path):
         p.write_text("", encoding="utf-8")
         paths[key] = str(p)
     manifest = continue_plan("ContOrig", paths)
-    assert manifest.phases[1].dataset_path == paths["original"]
+    assert manifest["phases"][1]["dataset_path"] == paths["original"]
 
 
 def test_continue_plan_missing_dataset(tmp_path):
@@ -164,31 +159,10 @@ def test_continue_plan_unknown_strategy():
         continue_plan("ContNothing", {})
 
 
-def test_manifest_ranges_validated():
-    with pytest.raises(ValueError, match="contiguous"):
-        TrainingManifest(
-            strategy="ContOrig",
-            phases=(
-                Phase(dataset_path="a", start_step=0, end_step=900),
-                Phase(dataset_path="b", start_step=1000, end_step=4000),
-            ),
-        )
-    with pytest.raises(ValueError, match="empty"):
-        TrainingManifest(
-            strategy="ContOrig",
-            phases=(Phase(dataset_path="a", start_step=5, end_step=5),),
-        )
-
-
-def test_manifest_json_round_trip(tmp_path):
-    manifest = TrainingManifest(
-        strategy="ContMix",
-        phases=(
-            Phase(dataset_path="synth.jsonl", start_step=0, end_step=1000, batch_multiplier=4),
-            Phase(dataset_path="mix.jsonl", start_step=1000, end_step=4000, batch_multiplier=4),
-        ),
-    )
-    assert json.loads(manifest.to_json()) == {
+def test_manifest_json_round_trip():
+    # continue_plan returns the object manifest.json holds, keys in file order
+    manifest = continue_plan("ContMix", {"synthetic": "synth.jsonl", "mix": "mix.jsonl"})
+    expected = {
         "strategy": "ContMix",
         "checkpoints": [600, 1000, 2000, 4000],
         "total_steps": 4000,
@@ -197,3 +171,5 @@ def test_manifest_json_round_trip(tmp_path):
             {"dataset_path": "mix.jsonl", "start_step": 1000, "end_step": 4000, "batch_multiplier": 4},
         ],
     }
+    assert json.loads(json.dumps(manifest)) == manifest == expected
+    assert json.dumps(manifest) == json.dumps(expected)

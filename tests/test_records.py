@@ -223,6 +223,30 @@ def test_eval_matrix_rejects_nonbinary_chi(tmp_path):
         read_eval_matrix(path)
 
 
+# replacements of one line of `_matrix()`'s file: (line number, its new text)
+@pytest.mark.parametrize(
+    "line, text",
+    [
+        (1, '{"model_ids": "ab", "sample_ids": ["s0", "s1", "s2"], "metric_names": ["ctr", "accept"]}'),
+        (1, '{"model_ids": ["m0", "m1"], "sample_ids": [1], "metric_names": ["ctr", "accept"]}'),
+        (1, '{"sample_ids": ["s0", "s1", "s2"], "metric_names": ["ctr", "accept"]}'),
+        (2, '{"model_id": "m0", "chi": [1, "x", 1]}'),
+        (3, '{"model_id": "m1", "chi": [0, 1]}'),
+        (4, '{"model_id": "m0", "live": null}'),
+        (5, '{"model_id": "m1", "live": [0.4, "x"]}'),
+        (5, '{"model_id": "m0", "live": [0.4, 0.2]}'),
+    ],
+)
+def test_read_eval_matrix_malformed_names_file_and_line(tmp_path, line, text):
+    path = tmp_path / "matrix.jsonl"
+    write_eval_matrix(_matrix(), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(RecordError, match=f"matrix.jsonl.*line {line}"):
+        read_eval_matrix(path)
+
+
 def test_eval_matrix_shape_checks():
     with pytest.raises(RecordError):
         EvalMatrix(
@@ -273,7 +297,9 @@ def test_weights_round_trip(tmp_path):
     assert read_weights(path) == weights
 
 
+_K1 = '{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n'
 _K2 = '{"k": 2, "objective": 0.0, "sizes": [1, 1], "centroids": [[1.0], [0.0]]}\n'
+_A0 = '{"doc_id": "a", "cluster": 0}\n'
 
 
 @pytest.mark.parametrize(
@@ -293,6 +319,16 @@ _K2 = '{"k": 2, "objective": 0.0, "sizes": [1, 1], "centroids": [[1.0], [0.0]]}\
             1,
         ),
         (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": 0}\n', 1),
+        # a doc id that is not a string, and a cluster that is not an integer
+        (_K1 + '{"doc_id": null, "cluster": 0}\n', 2),
+        (_K1 + '{"doc_id": 5, "cluster": 0}\n', 2),
+        (_K1 + '{"doc_id": "a", "cluster": 0.7}\n', 2),
+        (_K1 + '{"doc_id": "a", "cluster": "0"}\n', 2),
+        (_K1 + '{"doc_id": "a", "cluster": true}\n', 2),
+        # a header k that is not the number of centroids
+        ('{"k": "x", "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
+        ('{"k": 7, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
+        ('{"objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
     ],
 )
 def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
