@@ -164,6 +164,8 @@ def kmeans(
     The objective (sum of squared distances to assigned centroids) is checked
     to be non-increasing on every iteration. Empty clusters are repaired by
     reseeding their centroid to the point farthest from its assigned centroid.
+    A cluster can still end empty when the input has fewer distinct points
+    than k: its reseeded centroid duplicates another and loses every tie.
     """
     x = embeddings.matrix
     n = x.shape[0]

@@ -21,6 +21,7 @@ render/parse/filter path without any external service.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence
@@ -247,6 +248,62 @@ def _strip_punct(word: str) -> tuple[str, str]:
     return core, word[len(core):]
 
 
+# A mock rule edits a document's (core, trailing punctuation) tokens in place and
+# returns its (error label, detail), or None when an earlier rule took its target.
+_Tokens = list[tuple[str, str]]
+
+
+def _swap_agreement(ws: _Tokens) -> tuple[str, str] | None:
+    for i, (core, punct) in enumerate(ws):
+        swapped = _AGREEMENT_PAIRS.get(core.lower())
+        if swapped:
+            swapped = swapped.capitalize() if core[0].isupper() else swapped
+            ws[i] = swapped, punct
+            return "Subject-verb agreement error", f'"{core}" was replaced with "{swapped}", breaking agreement'
+    return None
+
+
+def _plural_candidates(ws: _Tokens) -> list[int]:
+    return [
+        i for i, (core, _) in enumerate(ws)
+        if len(core) >= 3 and core.isalpha() and core.lower() not in _PLURAL_STOP
+    ]
+
+
+def _toggle_plural(ws: _Tokens) -> tuple[str, str]:
+    # the agreement swap trades stop words only, so these are the clean tokens' candidates
+    idx = _plural_candidates(ws)[-1]
+    core, punct = ws[idx]
+    toggled = core[:-1] if core.lower().endswith("s") else core + "s"
+    ws[idx] = toggled, punct
+    return "Pluralization error", f'"{core}" was replaced with "{toggled}"'
+
+
+def _drop_article(ws: _Tokens) -> tuple[str, str] | None:
+    # the plural toggle may have taken the only bare article ("the" -> "thes")
+    for i, (core, punct) in enumerate(ws):
+        if core.lower() in _ARTICLES and not punct:
+            del ws[i]
+            return "Missing word error", f'the article "{core}" was dropped'
+    return None
+
+
+def _lower_start(ws: _Tokens) -> tuple[str, str]:
+    # after a dropped article, this lowercases the word now first
+    core, punct = ws[0]
+    ws[0] = core[:1].lower() + core[1:], punct
+    return "Capitalization error", "the sentence start was lowercased"
+
+
+# (does it apply to the clean tokens, apply it to the tokens so far), in application order
+_MOCK_RULES = (
+    (lambda toks: any(core.lower() in _AGREEMENT_PAIRS for core, _ in toks), _swap_agreement),
+    (lambda toks: bool(_plural_candidates(toks)), _toggle_plural),
+    (lambda toks: any(core.lower() in _ARTICLES and not punct for core, punct in toks), _drop_article),
+    (lambda toks: toks[0][0][:1].isupper(), _lower_start),
+)
+
+
 class MockInjector:
     """Seeded rule-based stand-in for the external model.
 
@@ -262,65 +319,6 @@ class MockInjector:
         self.failure_rate = failure_rate
         self.seed = seed
 
-    # each rule: name -> (applicable?, apply) over the token list
-    def _rules(self, words: list[str]):
-        def agreement_ok() -> bool:
-            return any(_strip_punct(w)[0].lower() in _AGREEMENT_PAIRS for w in words)
-
-        def agreement(ws: list[str]) -> tuple[list[str], str, str]:
-            for i, w in enumerate(ws):
-                core, punct = _strip_punct(w)
-                if core.lower() in _AGREEMENT_PAIRS:
-                    swapped = _AGREEMENT_PAIRS[core.lower()]
-                    if core[0].isupper():
-                        swapped = swapped.capitalize()
-                    ws = ws[:i] + [swapped + punct] + ws[i + 1 :]
-                    return ws, "Subject-verb agreement error", (
-                        f'"{core}" was replaced with "{swapped}", breaking agreement'
-                    )
-            raise AssertionError("agreement rule applied without a verb")
-
-        def plural_candidates() -> list[int]:
-            out = []
-            for i, w in enumerate(words):
-                core, _ = _strip_punct(w)
-                if len(core) >= 3 and core.isalpha() and core.lower() not in _PLURAL_STOP:
-                    out.append(i)
-            return out
-
-        def plural(ws: list[str]) -> tuple[list[str], str, str]:
-            idx = plural_candidates()[-1]
-            core, punct = _strip_punct(ws[idx])
-            toggled = core[:-1] if core.lower().endswith("s") else core + "s"
-            ws = ws[:idx] + [toggled + punct] + ws[idx + 1 :]
-            return ws, "Pluralization error", f'"{core}" was replaced with "{toggled}"'
-
-        def article_ok() -> bool:
-            return any(_strip_punct(w)[0].lower() in _ARTICLES and not _strip_punct(w)[1] for w in words)
-
-        def article(ws: list[str]) -> tuple[list[str], str, str]:
-            for i, w in enumerate(ws):
-                core, punct = _strip_punct(w)
-                if core.lower() in _ARTICLES and not punct:
-                    removed = ws[i]
-                    ws = ws[:i] + ws[i + 1 :]
-                    return ws, "Missing word error", f'the article "{removed}" was dropped'
-            raise AssertionError("article rule applied without an article")
-
-        def capitalization_ok() -> bool:
-            return bool(words) and words[0][:1].isupper()
-
-        def capitalization(ws: list[str]) -> tuple[list[str], str, str]:
-            ws = [ws[0][0].lower() + ws[0][1:]] + ws[1:]
-            return ws, "Capitalization error", "the sentence start was lowercased"
-
-        return [
-            ("verb", agreement_ok(), agreement),
-            ("plural", bool(plural_candidates()), plural),
-            ("missing_word", article_ok(), article),
-            ("capitalization", capitalization_ok(), capitalization),
-        ]
-
     def inject(self, clean: str, seed: int | None = None) -> InjectionResponse:
         """Corrupt one clean example; raises SkipExample when untokenizable."""
         return parse_response(self._reply(clean, seed))
@@ -331,24 +329,18 @@ class MockInjector:
     def _reply(self, clean: str, seed: int | None = None) -> str:
         """The completion for one clean example, in the marker format."""
         clean = nfc(clean)
-        words = clean.split()
-        if len(words) < 2:
-            raise SkipExample(f"need at least 2 words, got {len(words)}")
+        toks = [_strip_punct(w) for w in clean.split()]
+        if len(toks) < 2:
+            raise SkipExample(f"need at least 2 words, got {len(toks)}")
         rng = np.random.default_rng(derive_seed(self.seed, clean) if seed is None else seed)
 
-        rules = [(name, fn) for name, ok, fn in self._rules(words) if ok]
+        rules = [apply for applies, apply in _MOCK_RULES if applies(toks)]
         if not rules:
             raise SkipExample("no corruption rule applies")
         n_errors = min(int(rng.integers(1, 4)), len(rules))
         picks = rng.choice(len(rules), size=n_errors, replace=False)
-
-        ws = list(words)
-        annotations: list[tuple[str, str]] = []
-        for idx in sorted(int(i) for i in picks):
-            name, fn = rules[idx]
-            ws, label, detail = fn(ws)
-            annotations.append((label, detail))
-        ungrammatical = " ".join(ws)
+        annotations = [note for i in sorted(picks) if (note := rules[i](toks))]
+        ungrammatical = " ".join(core + punct for core, punct in toks)
 
         corrected = clean
         if self.failure_rate > 0 and rng.random() < self.failure_rate:
@@ -409,31 +401,24 @@ def inject_corpus(
     """Render, complete, and parse every document; results follow input order."""
     check_concurrency(concurrency)
 
-    def one(doc: Document) -> tuple[Document, InjectionResponse | None, str]:
+    def one(doc: Document) -> InjectionResponse | str:
         try:
-            raw = client.complete(render_prompt(doc.text))
-            return doc, parse_response(raw), ""
+            return parse_response(client.complete(render_prompt(doc.text)))
         except SkipExample:
-            return doc, None, "skipped"
+            return "skipped"
         except (InjectionError, ParseError):
-            return doc, None, "failed"
+            return "failed"
 
     if concurrency > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             results = list(pool.map(one, docs))
     else:
         results = [one(doc) for doc in docs]
-
-    pairs = []
-    failed = skipped = 0
-    for doc, resp, status in results:
-        if resp is not None:
-            pairs.append((doc, resp))
-        elif status == "skipped":
-            skipped += 1
-        else:
-            failed += 1
-    return InjectionRun(pairs=tuple(pairs), failed=failed, skipped=skipped)
+    return InjectionRun(
+        pairs=tuple((doc, r) for doc, r in zip(docs, results) if isinstance(r, InjectionResponse)),
+        failed=results.count("failed"),
+        skipped=results.count("skipped"),
+    )
 
 
 @dataclass(frozen=True)
@@ -449,22 +434,18 @@ def roundtrip_filter(pairs: Sequence[tuple[Document, InjectionResponse]]) -> Fil
     construction). Kept pairs become synthetic EC examples with the
     document's id, whose target is the original clean text.
     """
-    kept: list[ECExample] = []
-    dropped = 0
-    for doc, resp in pairs:
-        if resp.corrected == doc.text:
-            kept.append(
-                ECExample(
-                    id=doc.id,
-                    source=resp.ungrammatical,
-                    target=doc.text,
-                    provenance="synthetic",
-                    error_annotations=resp.errors,
-                )
-            )
-        else:
-            dropped += 1
-    return FilterResult(kept=tuple(kept), dropped_count=dropped)
+    kept = tuple(
+        ECExample(
+            id=doc.id,
+            source=resp.ungrammatical,
+            target=doc.text,
+            provenance="synthetic",
+            error_annotations=resp.errors,
+        )
+        for doc, resp in pairs
+        if resp.corrected == doc.text
+    )
+    return FilterResult(kept=kept, dropped_count=len(pairs) - len(kept))
 
 
 @dataclass(frozen=True)
@@ -478,19 +459,11 @@ def error_stats(examples: Sequence[ECExample]) -> ErrorStats:
 
     Each histogram sums to 1 over the annotated examples.
     """
-    annotated = [ex for ex in examples if ex.error_annotations]
-    if not annotated:
-        return ErrorStats(category_fractions={}, errors_per_example={})
-    cat_counts: dict[str, int] = {}
-    n_counts: dict[int, int] = {}
-    total_annotations = 0
-    for ex in annotated:
-        n = len(ex.error_annotations)
-        n_counts[n] = n_counts.get(n, 0) + 1
-        total_annotations += n
-        for a in ex.error_annotations:
-            cat_counts[a.category] = cat_counts.get(a.category, 0) + 1
+    annotated = [ex.error_annotations for ex in examples if ex.error_annotations]
+    categories = Counter(a.category for annotations in annotated for a in annotations)
+    sizes = Counter(map(len, annotated))
+    total = sum(categories.values())
     return ErrorStats(
-        category_fractions={c: k / total_annotations for c, k in sorted(cat_counts.items())},
-        errors_per_example={n: k / len(annotated) for n, k in sorted(n_counts.items())},
+        category_fractions={c: k / total for c, k in sorted(categories.items())},
+        errors_per_example={n: k / len(annotated) for n, k in sorted(sizes.items())},
     )

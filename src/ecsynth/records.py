@@ -37,6 +37,7 @@ import contextlib
 import contextvars
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -135,6 +136,8 @@ class ScoredSample:
     s_f: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.sample_id, str):
+            raise RecordError(f"sample id must be a string, got {self.sample_id!r}")
         if not np.isfinite(self.s_p) or not np.isfinite(self.s_f):
             raise RecordError(f"sample {self.sample_id!r}: scores must be finite")
 
@@ -159,6 +162,8 @@ class EvalMatrix:
         metric_names = tuple(self.metric_names)
         chi = np.asarray(self.chi, dtype=np.float64).copy()
         live = np.asarray(self.live_metrics, dtype=np.float64).copy()
+        if not all(isinstance(v, str) for v in model_ids + sample_ids + metric_names):
+            raise RecordError("model ids, sample ids and metric names must be strings")
         if len(set(model_ids)) != len(model_ids):
             raise RecordError("duplicate model ids")
         if len(set(sample_ids)) != len(sample_ids):
@@ -247,6 +252,8 @@ class ModelOutputs:
     candidates: dict[str, tuple[str, ...]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model_id, str) or not all(isinstance(sid, str) for sid in self.candidates):
+            raise RecordError(f"model {self.model_id!r}: model and sample ids must be strings")
         normalized = {}
         for sid, cands in self.candidates.items():
             cands = tuple(nfc(c) for c in cands)
@@ -510,7 +517,11 @@ def read_weights(path: str | Path) -> dict[str, float]:
 
 def write_weights(weights: dict[str, float], path: str | Path) -> None:
     _write_records(path, ({"sample_id": sid, "weight": w} for sid, w in weights.items()))
-    if _cache.get() is not None and _floats(weights.values()):
+    if (
+        _cache.get() is not None
+        and all(isinstance(sid, str) for sid in weights)
+        and _floats(weights.values())
+    ):
         _store("read_weights", path, tuple(weights.items()))
 
 
@@ -624,6 +635,9 @@ def _parse_clusters(path: str | Path) -> ClusterModel:
                 raise ValueError(f"cluster {cluster} is outside [0, {k})")
             if doc_id in assignments:
                 raise ValueError(f"duplicate doc id {doc_id!r}")
+            distance = obj["distance"]
+            if type(distance) not in (int, float) or not 0 <= distance < math.inf:
+                raise ValueError(f"distance must be a finite number >= 0, got {distance!r}")
         except (KeyError, TypeError, ValueError) as e:
             raise RecordError(f"{path}: invalid assignment on line {lineno}: {e}") from e
         assignments[doc_id] = cluster

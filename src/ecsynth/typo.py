@@ -9,7 +9,9 @@ corrupted; targets pass through untouched.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -99,8 +101,7 @@ class TypoEvent:
     kind: str  # transpose | omit | repeat | spatial
 
 
-def _match_case(template: str, ch: str) -> str:
-    return ch.upper() if template.isupper() else ch
+_KINDS = ("transpose", "omit", "repeat", "spatial", None)
 
 
 def corrupt(
@@ -117,51 +118,31 @@ def corrupt(
     if not text:
         raise ValueError("corrupt: empty text")
     rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    thresholds = np.cumsum([cfg.p_transpose, cfg.p_omit, cfg.p_repeat, cfg.p_spatial])
+    # one uniform draw per position; its bisection picks the event, or None
+    cumulative = list(accumulate((cfg.p_transpose, cfg.p_omit, cfg.p_repeat, cfg.p_spatial)))
     out: list[str] = []
     events: list[TypoEvent] = []
     i = 0
-    while i < len(text):
+    while i < len(text) and len(events) < cfg.max_errors_per_example:
         ch = text[i]
-        if len(events) >= cfg.max_errors_per_example:
-            out.append(ch)
-            i += 1
-            continue
-        u = rng.random()
-        kind = None
-        if u < thresholds[0]:
-            kind = "transpose"
-        elif u < thresholds[1]:
-            kind = "omit"
-        elif u < thresholds[2]:
-            kind = "repeat"
-        elif u < thresholds[3]:
-            kind = "spatial"
-
+        kind = _KINDS[bisect_right(cumulative, rng.random())]
         if kind == "transpose" and i + 1 < len(text):
-            out.append(text[i + 1])
-            out.append(ch)
-            events.append(TypoEvent(position=i, kind="transpose"))
-            i += 2
+            out += text[i + 1], ch
         elif kind == "omit":
-            events.append(TypoEvent(position=i, kind="omit"))
-            i += 1
+            pass
         elif kind == "repeat":
-            out.append(ch)
-            out.append(ch)
-            events.append(TypoEvent(position=i, kind="repeat"))
-            i += 1
-        elif kind == "spatial" and keyboard.neighbors(ch):
-            near = keyboard.neighbors(ch)
+            out += ch, ch
+        elif kind == "spatial" and (near := keyboard.neighbors(ch)):
             pick = near[int(rng.integers(len(near)))]
-            out.append(_match_case(ch, pick))
-            events.append(TypoEvent(position=i, kind="spatial"))
-            i += 1
+            out.append(pick.upper() if ch.isupper() else pick)
         else:
             # no event, or the drawn kind does not apply at this position
             out.append(ch)
             i += 1
-    return "".join(out), events
+            continue
+        events.append(TypoEvent(position=i, kind=kind))
+        i += 2 if kind == "transpose" else 1
+    return "".join(out) + text[i:], events
 
 
 def corrupt_dataset(

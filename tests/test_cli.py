@@ -415,6 +415,24 @@ def test_cluster_and_sample_subcommands(demo_dir, tmp_path):
     assert len(records.read_corpus(sampled)) == sum(min(5, s) for s in model.sizes)
 
 
+def test_cluster_from_embeddings_equals_cluster_from_corpus_and_stats_reads_it(
+    demo_dir, tmp_path, capsys
+):
+    corpus = demo_dir / "demo_corpus.jsonl"
+    embeddings = tmp_path / "embeddings.jsonl"
+    records.write_embeddings(cluster.hash_embed(records.read_corpus(corpus), 32, seed=11), embeddings)
+    common = ["--k", "10", "--seed", "11"]
+    assert main(["cluster", "--embeddings", str(embeddings), *common,
+                 "--out", str(tmp_path / "from_embeddings.jsonl")]) == 0
+    assert main(["cluster", "--corpus", str(corpus), "--embed-dim", "32", *common,
+                 "--out", str(tmp_path / "from_corpus.jsonl")]) == 0
+    assert (tmp_path / "from_embeddings.jsonl").read_bytes() == (tmp_path / "from_corpus.jsonl").read_bytes()
+
+    capsys.readouterr()
+    assert main(["stats", "--clusters", str(tmp_path / "from_embeddings.jsonl")]) == 0
+    assert re.search(r"^clusters: k=10 mean=200\.0 std=\d+\.\d$", capsys.readouterr().out, re.MULTILINE)
+
+
 def test_sample_subcommand_names_documents_missing_from_corpus(demo_dir, tmp_path, capsys):
     corpus = records.read_corpus(demo_dir / "demo_corpus.jsonl")
     clusters = tmp_path / "clusters.jsonl"

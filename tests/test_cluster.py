@@ -71,6 +71,29 @@ def test_kmeans_objective_monotone_and_fixed_point():
         assert int(model.sizes.sum()) == 80
 
 
+def test_kmeans_repairs_seeding_and_empty_clusters_on_duplicate_points(monkeypatch):
+    # 10 distinct points, 5 copies each, k=12: after 10 seeds every distance is 0,
+    # so k-means++ falls back to uniform draws, whose duplicate centroids lose
+    # every tie and come out of the first assignment empty
+    docs = _docs(np.repeat(np.eye(10), 5, axis=0))
+    weighted = []
+    draw = cluster._weighted_draw
+    monkeypatch.setattr(cluster, "_weighted_draw", lambda *a, **kw: weighted.append(1) or draw(*a, **kw))
+    model = kmeans(docs, k=12, seed=0, max_iters=50, tol=1e-8)
+    assert len(weighted) == 9  # 11 draws after the first seed, 2 of them uniform
+    assert model.objective == 0.0
+    assert model.sizes.tolist() == [5] * 10 + [0, 0]
+    # the reseed moved each empty centroid onto an input point
+    for c in (10, 11):
+        assert any(np.array_equal(model.centroids[c], row) for row in docs.matrix)
+    assert (np.diff(model.objective_history) <= 0).all()
+    assert verify_nearest_assignment(model, docs)
+    again = kmeans(docs, k=12, seed=0, max_iters=50, tol=1e-8)
+    np.testing.assert_array_equal(again.centroids, model.centroids)
+    assert again.assignments == model.assignments
+    assert again.objective_history == model.objective_history
+
+
 def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     rng = np.random.default_rng(7)
     centers = rng.normal(scale=10.0, size=(5, 8))

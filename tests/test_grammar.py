@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -22,6 +23,7 @@ from ecsynth.grammar import (
     render_prompt,
     roundtrip_filter,
 )
+from ecsynth import demo
 from ecsynth.records import Document, ECExample, ErrorAnnotation
 
 REFERENCE_OUTPUT = """**Ungrammatical sentences**: Yesterday I went to a store that have nice furnitures.
@@ -157,6 +159,48 @@ def test_mock_output_always_parses():
             except SkipExample:
                 continue
             assert parse_response(resp.raw).raw == resp.raw
+
+
+def test_mock_annotates_only_the_errors_it_applied():
+    # "the" is the last plural candidate; once toggled, no bare article is left to drop
+    mock = MockInjector(failure_rate=0.0, seed=0)
+    resp = mock.inject("It is the 1st", seed=6)
+    assert resp.ungrammatical == "It is thes 1st"
+    assert [e.description for e in resp.errors] == ["Pluralization error"]
+    for seed in range(40):
+        resp = mock.inject("It is the 1st", seed=seed)
+        dropped = "the" not in resp.ungrammatical.split() and "thes" not in resp.ungrammatical
+        assert dropped == ("Missing word error" in [e.description for e in resp.errors])
+
+
+# a skipped document hashes as this marker; the edge sentences cover
+# punctuation, escaped stars, case, NFC and both skip reasons
+_SKIP_MARKER = b"<skip>"
+_EDGE_SENTENCES = (
+    "The cat sat on the mat.", "Is the dog here?", "the dogs are late",
+    "A man, the dog, and a cat.", "He has **bold** cats.", "Hi", "hi yo",
+    "Café owners were there.", "The buses pass by.", "Numbers 123 and 4th things.",
+    "Wait... The dogs DO run!", "An apple; an orange: the end",
+)
+
+
+@pytest.mark.parametrize(
+    "failure_rate, seed, digest",
+    [
+        (0.0, 11, "2bc4b58cf4614f6a41e8216b45125f6936bc127e236c4fe5a92e37d0a844da27"),
+        (0.4, 29, "a543eaeae180c17a9f588739ba8e3b20e35668b800dc31e004ab95354eff1878"),
+    ],
+)
+def test_mock_completions_are_pinned(failure_rate, seed, digest):
+    mock = MockInjector(failure_rate=failure_rate, seed=seed)
+    h = hashlib.sha256()
+    for text in _EDGE_SENTENCES + tuple(d.text for d in demo.make_demo_corpus(20000, 3)):
+        try:
+            h.update(mock.complete(render_prompt(text)).encode())
+        except SkipExample:
+            h.update(_SKIP_MARKER)
+        h.update(b"\0")
+    assert h.hexdigest() == digest
 
 
 def test_mock_through_prompt_interface():
@@ -360,6 +404,21 @@ def test_inject_corpus_counts_failures_not_silently(http_server):
     run = inject_corpus(docs, client, concurrency=1)
     assert run.failed == 3
     assert run.pairs == ()
+
+
+@pytest.mark.parametrize("concurrency", [1, 3])
+def test_inject_corpus_counts_skipped_documents(concurrency):
+    mock = MockInjector(failure_rate=0.0, seed=12)
+    docs = [
+        Document(id="one-word", text="Hello"),
+        Document(id="kept", text="She has a cat."),
+        Document(id="no-rule", text="hi yo"),
+    ]
+    run = inject_corpus(docs, mock, concurrency=concurrency)
+    assert (run.skipped, run.failed) == (2, 0)
+    assert [d.id for d, _ in run.pairs] == ["kept"]
+    with pytest.raises(SkipExample, match="no corruption rule applies"):
+        mock.inject("hi yo")
 
 
 def test_inject_corpus_concurrency_preserves_order_and_results():

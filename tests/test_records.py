@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -299,36 +300,50 @@ def test_weights_round_trip(tmp_path):
 
 _K1 = '{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n'
 _K2 = '{"k": 2, "objective": 0.0, "sizes": [1, 1], "centroids": [[1.0], [0.0]]}\n'
-_A0 = '{"doc_id": "a", "cluster": 0}\n'
+
+
+def _assign(doc_id: object, cluster: object, distance: object = 0.0) -> str:
+    return json.dumps({"doc_id": doc_id, "cluster": cluster, "distance": distance}) + "\n"
+
+
+_A0 = _assign("a", 0)
 
 
 @pytest.mark.parametrize(
     "text, line",
     [
         ('{"k": 1}\n', 1),
-        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"doc_id": "a"}\n', 2),
-        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n{"cluster": 0}\n', 2),
-        (_K2 + '{"doc_id": "a", "cluster": 7}\n', 2),
-        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": -1}\n', 3),
+        (_K1 + '{"doc_id": "a", "distance": 0.0}\n', 2),
+        (_K1 + '{"cluster": 0, "distance": 0.0}\n', 2),
+        (_K2 + _assign("a", 7), 2),
+        (_K2 + _assign("a", 0) + _assign("b", -1), 3),
         # a repeated doc id
-        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "a", "cluster": 1}\n', 3),
+        (_K2 + _assign("a", 0) + _assign("a", 1), 3),
         # header sizes that disagree with the assignment lines: too few, and wrong counts
         (
             '{"k": 2, "objective": 0.0, "sizes": [2], "centroids": [[1.0], [0.0]]}\n'
-            '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": 0}\n',
+            + _assign("a", 0) + _assign("b", 0),
             1,
         ),
-        (_K2 + '{"doc_id": "a", "cluster": 0}\n{"doc_id": "b", "cluster": 0}\n', 1),
+        (_K2 + _assign("a", 0) + _assign("b", 0), 1),
         # a doc id that is not a string, and a cluster that is not an integer
-        (_K1 + '{"doc_id": null, "cluster": 0}\n', 2),
-        (_K1 + '{"doc_id": 5, "cluster": 0}\n', 2),
-        (_K1 + '{"doc_id": "a", "cluster": 0.7}\n', 2),
-        (_K1 + '{"doc_id": "a", "cluster": "0"}\n', 2),
-        (_K1 + '{"doc_id": "a", "cluster": true}\n', 2),
+        (_K1 + _assign(None, 0), 2),
+        (_K1 + _assign(5, 0), 2),
+        (_K1 + _assign("a", 0.7), 2),
+        (_K1 + _assign("a", "0"), 2),
+        (_K1 + _assign("a", True), 2),
         # a header k that is not the number of centroids
         ('{"k": "x", "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
         ('{"k": 7, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
         ('{"objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
+        # a distance that is missing, not a number, negative or not finite
+        (_K1 + '{"doc_id": "a", "cluster": 0}\n', 2),
+        (_K1 + _assign("a", 0, "0.5"), 2),
+        (_K1 + _assign("a", 0, True), 2),
+        (_K1 + _assign("a", 0, None), 2),
+        (_K1 + _assign("a", 0, -0.5), 2),
+        (_K1 + _assign("a", 0, float("nan")), 2),
+        (_K1 + _assign("a", 0, float("inf")), 2),
     ],
 )
 def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
@@ -425,7 +440,20 @@ def test_record_cache_writers_store_only_what_reads_back_equal_in_type(tmp_path,
         assert type(read_scores(tmp_path / "s.jsonl")[0].s_p) is float
         assert type(read_weights(tmp_path / "w.jsonl")["a"]) is float
         assert type(read_ec_dataset(tmp_path / "e.jsonl")[0].weight) is float
-    assert parsed == ["c.jsonl", "s.jsonl", "w.jsonl", "e.jsonl"]
+        # ids that are not strings: a fresh parse rejects them, so neither may be served
+        write_weights({5: 1.0}, tmp_path / "w5.jsonl")
+        with pytest.raises(RecordError, match="w5.jsonl.*line 1"):
+            read_weights(tmp_path / "w5.jsonl")
+        with pytest.raises(RecordError, match="sample id must be a string"):
+            ScoredSample(5, s_p=-1.0, s_f=-1.0)
+        with pytest.raises(RecordError, match="must be strings"):
+            ModelOutputs("x", {5: ("a",)})
+        with pytest.raises(RecordError, match="must be strings"):
+            EvalMatrix(
+                model_ids=(1, 2), sample_ids=("s",), chi=np.zeros((2, 1)),
+                live_metrics=np.zeros((2, 1)), metric_names=("m",),
+            )
+    assert parsed == ["c.jsonl", "s.jsonl", "w.jsonl", "e.jsonl", "w5.jsonl"]
 
 
 def test_record_cache_keys_by_path(tmp_path):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from ecsynth import demo
 from ecsynth.records import ECExample, RecordError
 from ecsynth.typo import (
     QWERTY,
@@ -99,6 +102,40 @@ def test_corrupt_deterministic():
     a = corrupt("determinism check sentence", cfg)
     b = corrupt("determinism check sentence", cfg)
     assert a == b
+
+
+_DENSE = dict(p_transpose=0.1, p_omit=0.1, p_repeat=0.1, p_spatial=0.2)
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    [
+        (dict(p_transpose=0, p_omit=0, p_repeat=0, p_spatial=0, seed=1),
+         "fb8a29fba531c9183e4d991797e9b0fc8e1736dd23320b4e985215d878eb688a"),
+        (dict(seed=2), "0d004717a5ae8b5b0b70660f9b3399699ca61a6640192f5425d0ed2b4f55bbcc"),
+        (dict(_DENSE, max_errors_per_example=1, seed=3),
+         "39941d4bca59d312902042f5285195cf3d805199838b5b55fafabbc52b75d25a"),
+        (dict(_DENSE, seed=4), "bde0c36763e566ee55075920a9fbadd74b977b851db8ef3e3fe56e8a5c4e80bf"),
+        (dict(_DENSE, max_errors_per_example=100, seed=5),
+         "9e2410a1b36f79fa67fb138171aaa99b46c40785e0e0346957eef85b94522c67"),
+        (dict(p_transpose=1.0, p_omit=0, p_repeat=0, p_spatial=0, max_errors_per_example=100, seed=6),
+         "dd327a6c447f29c865ce367197709019993f46e6f87f91925de15bb0598e686f"),
+        (dict(p_transpose=0, p_omit=1.0, p_repeat=0, p_spatial=0, max_errors_per_example=2, seed=7),
+         "dedfb9bcfb3089401f17de2e18ed2deeb1caac3467770413080530f75fed78b0"),
+        (dict(p_transpose=0, p_omit=0, p_repeat=1.0, p_spatial=0, max_errors_per_example=100, seed=8),
+         "a22f82b9b8e2f2deafb172ae528a727d9dad5d2c509d8935a4f2f3c22fd92174"),
+        (dict(p_transpose=0, p_omit=0, p_repeat=0, p_spatial=1.0, max_errors_per_example=100, seed=9),
+         "01a17336d19331839b89e46fc48a35968c30b60e1d77536e93ae6885c5b94258"),
+    ],
+)
+def test_corrupt_text_and_events_are_pinned(cfg, digest):
+    cfg = TypoConfig(**cfg)
+    texts = ("x", "ab", "Hello WORLD", "ÄÖ ß and 42", "a.b,c!")
+    h = hashlib.sha256()
+    for i, text in enumerate(texts + tuple(d.text for d in demo.make_demo_corpus(2000, 3))):
+        out, events = corrupt(text, cfg, seed=None if i % 2 else i)
+        h.update(repr((out, [(e.position, e.kind) for e in events])).encode())
+    assert h.hexdigest() == digest
 
 
 def test_corrupt_rejects_empty():
