@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
@@ -224,9 +225,10 @@ def _type_name(tp: Any) -> str:
 def _typed(tp: Any, value: object) -> object:
     """`value` checked against the field annotation `tp`; TypeError if it does not fit.
 
-    A bool is never accepted as a number. An int is accepted where a float
-    is declared and kept as it is, so a config's hash does not change with
-    loading. A fixed-length tuple field takes a list of that length.
+    A bool is never accepted as a number, nor NaN or an infinity as a float.
+    An int is accepted where a float is declared and kept as it is, so a
+    config's hash does not change with loading. A fixed-length tuple field
+    takes a list of that length.
     """
     origin = get_origin(tp)
     if origin is Literal:
@@ -238,6 +240,8 @@ def _typed(tp: Any, value: object) -> object:
         if isinstance(value, (list, tuple)) and len(value) == len(args):
             return tuple(_typed(a, v) for a, v in zip(args, value))
     elif isinstance(value, (int, float) if tp is float else tp) and not isinstance(value, bool):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise TypeError(f"expected a finite number, got {value!r}")
         return value
     raise TypeError(f"expected {_type_name(tp)}, got {value!r}")
 

@@ -27,9 +27,14 @@ are likewise each defined once.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -397,6 +402,62 @@ def _theta_inits(params: ReweightParams, options: FitOptions, st: _SetData) -> l
     return theta_inits
 
 
+@functools.cache
+def _openblas_setters() -> tuple[Callable[[int], int], ...]:
+    """`openblas_set_num_threads_local` of each OpenBLAS the process has loaded.
+
+    The loaded libraries are read from /proc/self/maps, so this finds nothing
+    off Linux, and RTLD_NOLOAD opens only a library already in memory. A build
+    older than OpenBLAS 0.3.27 lacks the symbol and is skipped. Each setter
+    sets the thread count and returns the count it replaced.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        try:
+            set_local = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(set_local)
+    return tuple(setters)
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Hold every loaded OpenBLAS to one thread for the block, then restore each count.
+
+    scipy's L-BFGS-B calls its bundled OpenBLAS on arrays as small as this
+    fit's, where a second thread adds no speed but spins a second core,
+    doubling the fit's CPU time. The thread count changes no result. In pthreads builds the
+    "local" setter sets the process-wide count, so overlapping holders share
+    one pin: the first saves the counts and the last restores them.
+    """
+    global _blas_holders, _blas_saved
+    setters = _openblas_setters()
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = [set_local(1) for set_local in setters]
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_local, n in zip(setters, _blas_saved):
+                    set_local(n)
+
+
 def _fit_theta(
     sets: list[_SetData],
     params: ReweightParams,
@@ -418,26 +479,27 @@ def _fit_theta(
     best_theta: np.ndarray | None = None
     best_val = np.inf
     failures = 0
-    for theta0 in theta_inits:
-        shrink = 1.0
-        for _attempt in range(3):
-            try:
-                res = minimize(
-                    _finite_eval,
-                    theta0 * shrink,
-                    args=(sets, params),
-                    jac=True,
-                    method="L-BFGS-B",
-                    options=lbfgs_options,
-                )
-            except _NonFiniteObjective:
-                shrink *= 0.5  # retry this init with a halved step
-                continue
-            if np.isfinite(res.fun) and res.fun < best_val:
-                best_val, best_theta = float(res.fun), res.x.copy()
-            break
-        else:
-            failures += 1
+    with _one_blas_thread():
+        for theta0 in theta_inits:
+            shrink = 1.0
+            for _attempt in range(3):
+                try:
+                    res = minimize(
+                        _finite_eval,
+                        theta0 * shrink,
+                        args=(sets, params),
+                        jac=True,
+                        method="L-BFGS-B",
+                        options=lbfgs_options,
+                    )
+                except _NonFiniteObjective:
+                    shrink *= 0.5  # retry this init with a halved step
+                    continue
+                if np.isfinite(res.fun) and res.fun < best_val:
+                    best_val, best_theta = float(res.fun), res.x.copy()
+                break
+            else:
+                failures += 1
     if best_theta is None:
         raise RuntimeError(f"fit failed: all {len(theta_inits)} restarts diverged")
     return best_theta, len(theta_inits) - failures

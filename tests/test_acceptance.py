@@ -405,10 +405,12 @@ def test_criterion_12_end_to_end_golden_run(tmp_path):
     _report(12, f"all {len(hashes)} artifacts byte-identical to goldens ({elapsed:.1f}s)")
 
 
-def test_criterion_12_goldens_do_not_depend_on_blas_threads(tmp_path):
+# 4 is more threads than a small machine has cores, and the most asked for
+@pytest.mark.parametrize("threads", ["1", "4"])
+def test_criterion_12_goldens_do_not_depend_on_blas_threads(tmp_path, threads):
     # a fresh interpreter, since OpenBLAS reads its thread count at load
     src = str(Path(ecsynth.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     config = str(tmp_path / "config.json")
     for argv in (["demo", "--out", str(tmp_path)], ["run", "--config", config]):
@@ -416,7 +418,7 @@ def test_criterion_12_goldens_do_not_depend_on_blas_threads(tmp_path):
             [sys.executable, "-m", "ecsynth.cli", *argv], env=env, check=True, capture_output=True
         )
     assert _hashes(tmp_path / "artifacts") == json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    _report(12, "goldens reproduced with OPENBLAS_NUM_THREADS=1")
+    _report(12, f"goldens reproduced with OPENBLAS_NUM_THREADS={threads}")
 
 
 def test_criterion_12_inputs_regenerate_bit_identically(tmp_path):

@@ -5,6 +5,7 @@ import contextlib
 import dataclasses
 import inspect
 import json
+import math
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -146,6 +147,13 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("paths.corpus", "", "paths.corpus must not be empty"),
         ("paths.domain_corpus", "", "paths.domain_corpus must not be empty"),
         ("paths.original_dataset", "", "paths.original_dataset must not be empty"),
+        ("reweight.lambda", math.inf, "reweight.lambda: expected a finite number"),
+        ("reweight.lambda", math.nan, "reweight.lambda: expected a finite number"),
+        ("reweight.c_max", math.inf, "reweight.c_max: expected a finite number"),
+        ("reweight.grad_tol", math.inf, "reweight.grad_tol: expected a finite number"),
+        ("reweight.grad_tol", math.nan, "reweight.grad_tol: expected a finite number"),
+        ("simbench.noise_sigma", math.inf, "simbench.noise_sigma: expected a finite number"),
+        ("scoring.delta", math.inf, "scoring.delta: expected a finite number"),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):
@@ -168,8 +176,10 @@ def _boundary_cases() -> list[tuple[str, object]]:
         hints = get_type_hints(cls)
         for f in dataclasses.fields(cls):
             tp = hints[f.name]
-            if tp in (int, float):
+            if tp is int:
                 values = [0, -1]
+            elif tp is float:
+                values = [0, -1, math.nan, math.inf]
             elif get_origin(tp) is tuple:
                 values = [[]]
             else:  # str or Literal
@@ -358,7 +368,13 @@ def test_every_command_help_exits_0(command, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["cluster", "--k", "5.5"], ["mix", "--ratio", "1:2:3"], ["plan", "--strategy", "Cont"]],
+    [
+        ["cluster", "--k", "5.5"],
+        ["mix", "--ratio", "1:2:3"],
+        ["plan", "--strategy", "Cont"],
+        ["simbench", "--c-max", "inf"],
+        ["simbench", "--noise-sigma", "nan"],
+    ],
 )
 def test_stage_subcommand_rejects_mistyped_flag(capsys, argv):
     with pytest.raises(SystemExit) as exit_info:

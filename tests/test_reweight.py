@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -419,3 +422,93 @@ def test_weights_for_mapping():
     w = weights_for(params, scores)
     assert set(w) == {"a", "b"}
     assert w["a"] == 1.005
+
+
+@pytest.fixture
+def blas_setters():
+    """Each loaded OpenBLAS's setter, every count set to 2 for the test and put back after."""
+    setters = reweight._openblas_setters()
+    if not setters:
+        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local (OpenBLAS >= 0.3.27)")
+    original = [set_local(2) for set_local in setters]
+    yield setters
+    for set_local, n in zip(setters, original):
+        set_local(n)
+
+
+def _blas_threads(setters) -> list[int]:
+    """Each library's thread count, read by setting it and putting it back."""
+    counts = [set_local(1) for set_local in setters]
+    for set_local, n in zip(setters, counts):
+        set_local(n)
+    return counts
+
+
+def test_one_blas_thread_pins_each_library_and_restores_it(blas_setters):
+    with reweight._one_blas_thread():
+        assert _blas_threads(blas_setters) == [1] * len(blas_setters)
+    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
+    with pytest.raises(KeyError):
+        with reweight._one_blas_thread():
+            raise KeyError("in the block")
+    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
+
+
+def test_one_blas_thread_overlapping_holders_restore_once(blas_setters):
+    # the setter is process-wide in pthreads builds: the pin holds until its last holder leaves
+    entered, release = threading.Event(), threading.Event()
+
+    def hold():
+        with reweight._one_blas_thread():
+            entered.set()
+            release.wait(10)
+
+    other = threading.Thread(target=hold)
+    with reweight._one_blas_thread():
+        other.start()
+        assert entered.wait(10)
+    assert _blas_threads(blas_setters) == [1] * len(blas_setters)
+    release.set()
+    other.join(10)
+    assert not other.is_alive()
+    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
+
+
+def test_one_blas_thread_concurrent_holders_keep_the_pin(monkeypatch):
+    count = [3]
+
+    def set_count(n):
+        previous, count[0] = count[0], n
+        return previous
+
+    monkeypatch.setattr(reweight, "_openblas_setters", lambda: (set_count,))
+    unpinned = []
+
+    def worker():
+        for _ in range(2000):
+            with reweight._one_blas_thread():
+                if count[0] != 1:
+                    unpinned.append(count[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert unpinned == []
+    assert count == [3]
+
+
+def test_fit_is_bitwise_the_same_without_the_blas_pin(monkeypatch):
+    matrix, scores = _random_instance(np.random.default_rng(23))
+    pinned = fit(matrix, scores, opts=FitOptions(seed=5), with_cv=True)
+    monkeypatch.setattr(reweight, "_openblas_setters", lambda: ())
+    unpinned = fit(matrix, scores, opts=FitOptions(seed=5), with_cv=True)
+    assert pinned.params.theta.tobytes() == unpinned.params.theta.tobytes()
+    assert pinned.residual_cv == unpinned.residual_cv
