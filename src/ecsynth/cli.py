@@ -519,6 +519,11 @@ def _fit_report_text(report: dict) -> str:
             lines.append(f"{label:<10}{'':>14}{'':>14}{r['mean']:>10.4e} ± {r['std']:.2e}")
     lines.append("")
     lines.append(f"containment (fitted <= uniform + 1e-9): {report['containment_ok']}")
+    lines.append("")
+    lines.append(f"{'restart':<10}{'objective':>14}{'iterations':>12}  converged")
+    for r in report["restarts"]:
+        objective = "diverged" if r["objective"] is None else f"{r['objective']:.6e}"
+        lines.append(f"{r['kind']:<10}{objective:>14}{r['iterations']:>12}  {r['converged']}")
     return "\n".join(lines) + "\n"
 
 
@@ -551,6 +556,17 @@ def _fit_report_json(fit: reweight_mod.ReweightFit) -> dict:
         "mean_weight": fit.mean_weight,
         "baselines": fit.baseline_residuals,
         "containment_ok": fit.containment_ok,
+        "restarts": [
+            {
+                "kind": r.kind,
+                "theta": list(r.theta),
+                # null for a start that never evaluated finite
+                "objective": r.objective if math.isfinite(r.objective) else None,
+                "iterations": r.iterations,
+                "converged": r.converged,
+            }
+            for r in fit.restarts
+        ],
     }
     for key, r in (("residual_cv", fit.residual_cv), ("residual_val", fit.residual_val)):
         if r is not None:

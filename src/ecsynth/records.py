@@ -741,13 +741,17 @@ def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
 
 
 def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
-    """Keyboard layout file: one JSON record {char, neighbors[]} per line."""
-    return dict(
-        _read_records(
-            "read_layout",
-            path,
-            "layout entry",
-            lambda obj: (obj["char"], frozenset(obj["neighbors"])),
-            key=lambda entry: entry[0],
-        )
-    )
+    """Keyboard layout file: one JSON record {char, neighbors[]} per line.
+
+    `char` and each neighbor are one-character strings.
+    """
+
+    def entry(obj: dict) -> tuple[str, frozenset[str]]:
+        char, neighbors = obj["char"], obj["neighbors"]
+        if not (isinstance(char, str) and len(char) == 1):
+            raise RecordError(f"char must be a one-character string, got {char!r}")
+        if not (_strings(neighbors) and all(len(n) == 1 for n in neighbors)):
+            raise RecordError(f"neighbors must be a list of one-character strings, got {neighbors!r}")
+        return char, frozenset(neighbors)
+
+    return dict(_read_records("read_layout", path, "layout entry", entry, key=lambda e: e[0]))

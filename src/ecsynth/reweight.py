@@ -10,10 +10,12 @@ and (theta, alpha) are learnt by minimizing, summed over metric sets,
 
 where s_j = (1/N) sum_i w_i * chi_{j,i} is model j's weighted offline metric
 and v_j its observed live-metric vector. Gradients are analytic (chain rule
-through the sigmoid); minimization is quasi-Newton from multiple seeded
-restarts over theta, with each alpha solved in closed form at every step
-(variable projection). Each metric set gets its own regression parameters
-because live metric scales differ across deployments; theta is shared.
+through the sigmoid); minimization is quasi-Newton over theta from multiple
+seeded restarts, with each alpha solved in closed form at every step
+(variable projection). Every restart of the fit and of each held-out CV fold
+is one row of a single batched BFGS solve (`minimize`). Each metric set gets
+its own regression parameters because live metric scales differ across
+deployments; theta is shared.
 
 Uniform weights (w == 1) are reachable inside the hypothesis class, and one
 restart always starts there, so the fitted training residual can never land
@@ -27,18 +29,11 @@ are likewise each defined once.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
-from scipy.special import expit
 
 from .records import EvalMatrix, ScoredSample, by_id
 from .scoring import heuristic_weight
@@ -109,6 +104,17 @@ class ResidualSummary:
 
 
 @dataclass(frozen=True)
+class RestartOutcome:
+    """How one restart of the main fit ended."""
+
+    kind: str                # "caller", "uniform", "sign+-" (and -+, ++, --) or "random"
+    theta: tuple[float, float, float]
+    objective: float         # at theta; inf for a start that never evaluated finite
+    iterations: int
+    converged: bool          # met max |gradient| <= grad_tol on the way
+
+
+@dataclass(frozen=True)
 class ReweightFit:
     params: ReweightParams
     regression: tuple[RegressionParams, ...]
@@ -120,6 +126,7 @@ class ReweightFit:
     restarts_run: int
     residual_cv: ResidualSummary | None = None
     residual_val: ResidualSummary | None = None
+    restarts: tuple[RestartOutcome, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,9 @@ class ObjectiveEval:
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return np.clip(expit(z), _SIG_EPS, 1.0 - _SIG_EPS)
+    # exp overflows to inf for z below about -709, where 1 / (1 + inf) is the exact limit 0
+    with np.errstate(over="ignore"):
+        return np.clip(1.0 / (1.0 + np.exp(-z)), _SIG_EPS, 1.0 - _SIG_EPS)
 
 
 def _weights(
@@ -353,6 +362,61 @@ def check_mean_weight(target: float, c_min: float, c_max: float) -> None:
         raise ValueError(f"target mean weight {target} must lie inside ({c_min}, {c_max})")
 
 
+def _brentq(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """Root of f between xa and xb, bitwise equal to `scipy.optimize.brentq(f, xa, xb, xtol)`.
+
+    A line-for-line port of scipy's C brentq (Brent, "Algorithms for
+    Minimization Without Derivatives", 1973, ch. 4) with scipy's defaults:
+    rtol = 4 eps and at most 100 iterations. As in scipy, a NaN value or
+    a bracket without a sign change is a ValueError.
+    """
+    rtol = 4 * np.finfo(float).eps
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = xa, xb
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq failed to converge after 100 iterations, value is {xcur}")
+
+
 def calibrate_bias(
     theta_f: float,
     theta_p: float,
@@ -379,130 +443,307 @@ def calibrate_bias(
         lo *= 2.0
     while gap(hi) < 0 and hi < 1e6:
         hi *= 2.0
-    return float(brentq(gap, lo, hi, xtol=1e-13))
+    return _brentq(gap, lo, hi, xtol=1e-13)
 
 
-def _theta_inits(params: ReweightParams, options: FitOptions, st: _SetData) -> list[np.ndarray]:
-    """Restart inits: the caller's theta, the exact uniform-weight theta, four
-    sign-pattern directions with the bias calibrated to mean weight 1 over
-    st's scores, and N(0, _THETA_SCALE^2) draws."""
+def _theta_inits(
+    params: ReweightParams, options: FitOptions, st: _SetData
+) -> list[tuple[str, np.ndarray]]:
+    """(kind, theta) of each restart: the caller's theta, the exact uniform-weight
+    theta, four sign-pattern directions with the bias calibrated to mean weight 1
+    over st's scores, and N(0, _THETA_SCALE^2) draws."""
     c_min, c_max = params.c_min, params.c_max
+    n = max(options.restarts, 2)
     rng = np.random.default_rng(options.seed)
     scale = _THETA_SCALE
-    theta_inits = [params.theta, np.array(ReweightParams.uniform_theta(c_min, c_max))]
-    for tf, tp in ((scale, -scale), (-scale, scale), (scale, scale), (-scale, -scale)):
+    inits = [("caller", params.theta), ("uniform", np.array(ReweightParams.uniform_theta(c_min, c_max)))]
+    for tf, tp in ((scale, -scale), (-scale, scale), (scale, scale), (-scale, -scale))[: n - 2]:
         try:
             b = calibrate_bias(tf, tp, st.s_f, st.s_p, c_min, c_max)
         except ValueError:
             b = 0.0
-        theta_inits.append(np.array([tf, tp, b]))
-    theta_inits = theta_inits[: max(options.restarts, 2)]
-    while len(theta_inits) < max(options.restarts, 2):
-        theta_inits.append(rng.normal(0.0, scale, size=3))
-    return theta_inits
+        signs = "".join("+" if t > 0 else "-" for t in (tf, tp))
+        inits.append((f"sign{signs}", np.array([tf, tp, b])))
+    while len(inits) < n:
+        inits.append(("random", rng.normal(0.0, scale, size=3)))
+    return inits
 
 
-@functools.cache
-def _openblas_setters() -> tuple[Callable[[int], int], ...]:
-    """`openblas_set_num_threads_local` of each OpenBLAS the process has loaded.
+# -- the batched solve --
 
-    The loaded libraries are read from /proc/self/maps, so this finds nothing
-    off Linux, and RTLD_NOLOAD opens only a library already in memory. A build
-    older than OpenBLAS 0.3.27 lacks the symbol and is skipped. Each setter
-    sets the thread count and returns the count it replaced.
+# one problem of a batched solve: for each metric set it sums over, the (K,)
+# mask of the model rows its regression uses (0.0 masks a held-out model)
+_Problem = dict[int, np.ndarray]
+
+
+@dataclass(frozen=True)
+class _Group:
+    """The rows of a batched solve that evaluate one metric set, each with its model mask."""
+
+    st: _SetData
+    x: np.ndarray     # (3, N): s_f, s_p and ones, so that z = theta @ x
+    rows: np.ndarray  # (M,)
+    mask: np.ndarray  # (M, K)
+
+
+def _groups(sets: Sequence[_SetData], problems: Sequence[_Problem], n_inits: int) -> list[_Group]:
+    """Row p * n_inits + k is restart k of problem p; one group per metric set in use."""
+    groups = []
+    for i, st in enumerate(sets):
+        owners = [p for p, problem in enumerate(problems) if i in problem]
+        if owners:
+            rows = np.concatenate([np.arange(p * n_inits, (p + 1) * n_inits) for p in owners])
+            mask = np.repeat(np.array([problems[p][i] for p in owners]), n_inits, axis=0)
+            x = np.stack([st.s_f, st.s_p, np.ones_like(st.s_f)])
+            groups.append(_Group(st=st, x=x, rows=rows, mask=mask))
+    return groups
+
+
+# a batched evaluation takes a group's rows in blocks of about this many
+# (row, sample) entries, so that its (rows, N) temporaries stay in cache
+_BLOCK = 1 << 16
+
+
+def _batch_eval(
+    theta: np.ndarray, rows: np.ndarray, groups: Sequence[_Group], n_rows: int, params: ReweightParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Objective (M,) and theta gradient (M, 3) of rows (M,) of n_rows at theta (M, 3).
+
+    The batched `_finite_eval`: each row sums over its problem's sets, with
+    alpha in closed form over the model rows its mask keeps. Values agree
+    with `_finite_eval` to rounding, not bitwise.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()}
-    except OSError:
-        return ()
-    setters = []
-    for path in sorted(paths):
-        try:
-            set_local = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
-        setters.append(set_local)
-    return tuple(setters)
+    at = np.full(n_rows, -1)
+    at[rows] = np.arange(len(rows))
+    value = np.zeros(len(rows))
+    grad = np.zeros((len(rows), 3))
+    for gr in groups:
+        i = at[gr.rows]
+        mask = gr.mask[i >= 0]
+        i = i[i >= 0]
+        step = max(1, _BLOCK // gr.st.chi.shape[1])
+        for lo in range(0, i.size, step):
+            block = i[lo : lo + step]
+            v, g = _block_eval(theta[block], mask[lo : lo + step], gr, params)
+            value[block] += v
+            grad[block] += g
+    return value, grad
 
 
-_blas_lock = threading.Lock()
-_blas_holders = 0
-_blas_saved: list[int] = []
+def _block_eval(
+    theta: np.ndarray, mask: np.ndarray, gr: _Group, params: ReweightParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_batch_eval` of one block of a group's rows: theta (M, 3), mask (M, K)."""
+    c_min, span, lam = params.c_min, params.c_max - params.c_min, params.lam
+    chi, v = gr.st.chi, gr.st.v
+    n = chi.shape[1]
+    sig = sigmoid(theta @ gr.x)                              # (M, N); w = c_min + span * sig
+    s = (c_min * chi.sum(axis=1) + span * (sig @ chi.T)) / n  # (M, K)
+    count = mask.sum(axis=1)
+    s_mean = (s * mask).sum(axis=1) / count
+    ds = (s - s_mean[:, None]) * mask
+    var = (ds * ds).sum(axis=1)
+    v_mean = mask @ v / count[:, None]                       # (M, d)
+    cov = np.einsum("mk,mkd->md", ds, v - v_mean[:, None, :])
+    solved = (var >= 1e-300) & np.isfinite(var)              # else degenerate, as in _closed_form
+    alpha_1 = np.where(solved[:, None], cov / np.where(solved, var, 1.0)[:, None], 0.0)
+    alpha_0 = v_mean - alpha_1 * s_mean[:, None]
+    resid = (s[:, :, None] * alpha_1[:, None, :] + alpha_0[:, None, :] - v) * mask[:, :, None]
+    wbar = c_min + span * sig.mean(axis=1)
+    value = (resid * resid).sum(axis=(1, 2)) + lam * (wbar - 1.0) ** 2
+    # n * dvalue/dw, then times dw/dz = span * sig * (1 - sig), in place
+    g = 2.0 * np.einsum("mkd,md->mk", resid, alpha_1) @ chi
+    g += (2.0 * lam * (wbar - 1.0))[:, None]
+    g *= sig
+    g *= np.subtract(1.0, sig, out=sig)
+    return value, g @ gr.x.T * (span / n)
 
 
-@contextmanager
-def _one_blas_thread() -> Iterator[None]:
-    """Hold every loaded OpenBLAS to one thread for the block, then restore each count.
+@dataclass(frozen=True)
+class _Solution:
+    x: np.ndarray           # (R, 3) last iterate of each row
+    fun: np.ndarray         # (R,) objective there; inf for an abandoned start
+    nit: int                # batched iterations
+    nfev: int               # batched evaluations
+    iterations: np.ndarray  # (R,) iterations each row ran
+    converged: np.ndarray   # (R,) whether the row met grad_tol
 
-    scipy's L-BFGS-B calls its bundled OpenBLAS on arrays as small as this
-    fit's, where a second thread adds no speed but spins a second core,
-    doubling the fit's CPU time. The thread count changes no result. In pthreads builds the
-    "local" setter sets the process-wide count, so overlapping holders share
-    one pin: the first saves the counts and the last restores them.
+
+# Armijo sufficient-decrease constant, and the backtracking steps a line search may take
+_ARMIJO = 1e-4
+_LINE_SEARCH_STEPS = 40
+# L-BFGS-B's ftol test: a row stalls once f_k - f_k+1 <= _FTOL * max(|f_k|, |f_k+1|, 1)
+_FTOL = 1e-18
+# a row above its problem's leader runs at most this many times the leader's iterations
+_LAGGARD_BUDGET = 2
+
+
+def minimize(
+    fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    x0: np.ndarray,
+    problem: np.ndarray,
+    max_iters: int = FitOptions.max_iters,
+    grad_tol: float = FitOptions.grad_tol,
+) -> _Solution:
+    """Batched BFGS from each row of x0 (R, 3); row r is a restart of problem[r].
+
+    fun(x, rows) returns the objective (M,) and gradient (M, 3) of rows (M,)
+    at x (M, 3), and is asked only for the rows still running. Each row keeps
+    a dense 3x3 inverse-Hessian approximation. Its first step has unit length,
+    as in L-BFGS-B (Byrd, Lu, Nocedal and Zhu, 1995), and every step
+    backtracks by quadratic interpolation until the Armijo condition holds.
+    A row stops when
+      - its max |gradient| is at most grad_tol (it converged), unless it is its
+        problem's leader: the lowest row that converged after descending. The
+        leader goes on until it stalls, so each problem's best is polished
+        past grad_tol;
+      - it stalls: no step decreases it, or by no more than L-BFGS-B's ftol test;
+      - it stands above its leader after _LAGGARD_BUDGET times the iterations
+        the leader took to converge;
+      - its gradient is exactly zero, or it has run max_iters iterations.
+    A start whose objective is not finite is retried from half of it, twice,
+    and then abandoned.
     """
-    global _blas_holders, _blas_saved
-    setters = _openblas_setters()
-    with _blas_lock:
-        if _blas_holders == 0:
-            _blas_saved = [set_local(1) for set_local in setters]
-        _blas_holders += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_holders -= 1
-            if _blas_holders == 0:
-                for set_local, n in zip(setters, _blas_saved):
-                    set_local(n)
+    x = np.array(x0, dtype=np.float64)
+    n_rows = len(x)
+    n_problems = int(problem.max()) + 1
+    f, g = fun(x, np.arange(n_rows))
+    nfev = 1
+    for _ in range(2):
+        bad = np.flatnonzero(~np.isfinite(f))
+        if bad.size:
+            x[bad] *= 0.5
+            f[bad], g[bad] = fun(x[bad], bad)
+            nfev += 1
+    running = np.isfinite(f)
+    f[~running] = np.inf
+    inv_hess = np.tile(np.eye(3), (n_rows, 1, 1))
+    scaled = np.zeros(n_rows, dtype=bool)  # inv_hess was scaled by a first curvature pair
+    iterations = np.zeros(n_rows, dtype=np.int64)
+    converged_at = np.full(n_rows, -1)     # iterations run when the row first met grad_tol
+
+    def apply_stop_rules() -> None:
+        met = running & (converged_at < 0) & (np.abs(g).max(axis=1) <= grad_tol)
+        converged_at[met] = iterations[met]
+        descended = converged_at > 0
+        lead_f = np.full(n_problems, np.inf)
+        np.minimum.at(lead_f, problem[descended], f[descended])
+        leader = descended & (f == lead_f[problem])
+        lead_iters = np.zeros(n_problems, dtype=np.int64)
+        lead_iters[problem[leader]] = converged_at[leader]
+        running[((converged_at >= 0) & ~leader) | ~g.any(axis=1)] = False
+        lagging = (f > lead_f[problem]) & (iterations >= _LAGGARD_BUDGET * lead_iters[problem])
+        running[lagging & np.isfinite(lead_f[problem])] = False
+
+    apply_stop_rules()
+    nit = 0
+    while nit < max_iters and running.any():
+        nit += 1
+        act = np.flatnonzero(running)
+        x_a, f_a, g_a = x[act], f[act], g[act]
+        d = -np.einsum("rij,rj->ri", inv_hess[act], g_a)
+        slope = (g_a * d).sum(axis=1)
+        uphill = ~(slope < 0)
+        if uphill.any():  # restart the approximation along steepest descent
+            inv_hess[act[uphill]] = np.eye(3)
+            scaled[act[uphill]] = False
+            d[uphill] = -g_a[uphill]
+            slope[uphill] = -(g_a[uphill] ** 2).sum(axis=1)
+        step = np.where(scaled[act], 1.0, 1.0 / np.sqrt((d * d).sum(axis=1)))
+        x_n, f_n, g_n = x_a.copy(), f_a.copy(), g_a.copy()
+        accepted = np.zeros(len(act), dtype=bool)
+        trying = np.arange(len(act))
+        for _ in range(_LINE_SEARCH_STEPS):
+            x_t = x_a[trying] + step[trying, None] * d[trying]
+            f_t, g_t = fun(x_t, act[trying])
+            nfev += 1
+            ok = f_t <= f_a[trying] + _ARMIJO * step[trying] * slope[trying]
+            done = trying[ok]
+            accepted[done] = True
+            x_n[done], f_n[done], g_n[done] = x_t[ok], f_t[ok], g_t[ok]
+            trying, f_t = trying[~ok], f_t[~ok]
+            if trying.size == 0:
+                break
+            # minimizer of the quadratic through f(0), f'(0) and f(t), kept in [t/10, t/2]
+            t = step[trying]
+            curv = f_t - f_a[trying] - slope[trying] * t
+            with np.errstate(divide="ignore", invalid="ignore"):
+                quad = np.where(curv > 0, -slope[trying] * t * t / (2.0 * curv), 0.5 * t)
+            step[trying] = np.clip(quad, 0.1 * t, 0.5 * t)
+
+        s, y = x_n - x_a, g_n - g_a
+        sy = (s * y).sum(axis=1)
+        update = accepted & (sy > 1e-10 * np.sqrt((s * s).sum(axis=1) * (y * y).sum(axis=1)))
+        u = act[update]
+        if u.size:
+            s, y, sy = s[update], y[update], sy[update]
+            first = ~scaled[u]
+            inv_hess[u[first]] = (sy[first] / (y[first] ** 2).sum(axis=1))[:, None, None] * np.eye(3)
+            scaled[u] = True
+            rho = (1.0 / sy)[:, None, None]
+            v = np.eye(3) - rho * s[:, :, None] * y[:, None, :]  # I - rho s y^T
+            inv_hess[u] = (
+                np.einsum("rij,rjk,rlk->ril", v, inv_hess[u], v) + rho * s[:, :, None] * s[:, None, :]
+            )
+        x[act], f[act], g[act] = x_n, f_n, g_n
+        iterations[act[accepted]] += 1
+        floor = _FTOL * np.maximum(np.maximum(np.abs(f_a), np.abs(f_n)), 1.0)
+        running[act[~accepted | (f_a - f_n <= floor)]] = False
+        apply_stop_rules()
+    return _Solution(
+        x=x, fun=f, nit=nit, nfev=nfev, iterations=iterations, converged=converged_at >= 0
+    )
 
 
-def _fit_theta(
-    sets: list[_SetData],
+def _folds(st: _SetData) -> list[_Problem]:
+    """The held-one-out CV problems on st (metric set 0): fold j masks model row j."""
+    k = st.chi.shape[0]
+    return [{0: (np.arange(k) != j).astype(np.float64)} for j in range(k)]
+
+
+def _solve(
+    sets: Sequence[_SetData],
+    problems: Sequence[_Problem],
     params: ReweightParams,
     options: FitOptions,
-    theta_inits: Sequence[np.ndarray],
-) -> tuple[np.ndarray, int]:
-    """Best-of-restarts projected quasi-Newton on theta; (theta, restarts run).
+    inits: Sequence[np.ndarray],
+) -> list[_Solution]:
+    """Every restart of every problem in one `minimize` call; one `_Solution` per problem.
 
     The envelope theorem makes the projected gradient exact: d/dtheta of
     min_alpha f equals the partial in theta at the solved alpha.
     """
-    lbfgs_options = {
-        "maxiter": options.max_iters,
-        "maxcor": 10,
-        "gtol": options.grad_tol,
-        "ftol": 1e-18,
-    }
+    n = len(inits)
+    n_rows = len(problems) * n
+    groups = _groups(sets, problems, n)
+    res = minimize(
+        lambda theta, rows: _batch_eval(theta, rows, groups, n_rows, params),
+        np.tile(np.array(inits, dtype=np.float64), (len(problems), 1)),
+        np.repeat(np.arange(len(problems)), n),
+        max_iters=options.max_iters,
+        grad_tol=options.grad_tol,
+    )
+    out = []
+    for p in range(len(problems)):
+        rows = slice(p * n, (p + 1) * n)
+        if not np.isfinite(res.fun[rows]).any():
+            raise RuntimeError(f"fit failed: all {n} restarts diverged")
+        out.append(replace(
+            res, x=res.x[rows], fun=res.fun[rows], iterations=res.iterations[rows],
+            converged=res.converged[rows],
+        ))
+    return out
 
-    best_theta: np.ndarray | None = None
-    best_val = np.inf
-    failures = 0
-    with _one_blas_thread():
-        for theta0 in theta_inits:
-            shrink = 1.0
-            for _attempt in range(3):
-                try:
-                    res = minimize(
-                        _finite_eval,
-                        theta0 * shrink,
-                        args=(sets, params),
-                        jac=True,
-                        method="L-BFGS-B",
-                        options=lbfgs_options,
-                    )
-                except _NonFiniteObjective:
-                    shrink *= 0.5  # retry this init with a halved step
-                    continue
-                if np.isfinite(res.fun) and res.fun < best_val:
-                    best_val, best_theta = float(res.fun), res.x.copy()
-                break
-            else:
-                failures += 1
-    if best_theta is None:
-        raise RuntimeError(f"fit failed: all {len(theta_inits)} restarts diverged")
-    return best_theta, len(theta_inits) - failures
+
+def _best(sol: _Solution) -> np.ndarray:
+    return sol.x[int(np.argmin(sol.fun))]
+
+
+def _check_cv(matrix: EvalMatrix) -> None:
+    if not isinstance(matrix, EvalMatrix):
+        raise TypeError("holdout_cv operates on a single eval matrix")
+    if matrix.n_models < 3:
+        raise ValueError(f"holdout_cv needs at least 3 models, got {matrix.n_models}")
 
 
 def fit(
@@ -527,22 +768,40 @@ def fit(
 
     val_data, when given, is scored by held-one-out regression-only refits at
     the fitted theta. with_cv runs full held-one-out cross validation on the
-    first metric set.
+    first metric set, as `holdout_cv` does, with its folds in the fit's own
+    batched solve.
     """
     params = init if init is not None else ReweightParams()
     options = opts if opts is not None else FitOptions()
     matrices = _as_matrices(data)
     sets = _problem(matrices, scores)
-    theta_inits = _theta_inits(params, options, sets[0])
-    theta_hat, restarts_run = _fit_theta(sets, params, options, theta_inits)
-    fitted = params.with_theta(theta_hat)
+    inits = _theta_inits(params, options, sets[0])
+    problems = [{i: np.ones(st.chi.shape[0]) for i, st in enumerate(sets)}]
+    if with_cv:
+        _check_cv(matrices[0])
+        problems += _folds(sets[0])
+    main, *folds = _solve(sets, problems, params, options, [theta for _, theta in inits])
+    # each restart's objective on the unbatched float path; the best of these is objective_train
+    objectives = [
+        _finite_eval(theta, sets, params)[0] if np.isfinite(value) else math.inf
+        for theta, value in zip(main.x, main.fun)
+    ]
+    best = int(np.argmin(objectives))
+    fitted = params.with_theta(main.x[best])
     w_by_set = [weights_array(fitted, st.s_f, st.s_p) for st in sets]
     residual_train, alpha_hat = _residual_with_weights(w_by_set, sets)
-    objective_train = _finite_eval(theta_hat, sets, params)[0]
     baselines = baseline_residuals(matrices, scores)
     containment = residual_train <= baselines["uniform"] + 1e-9
+    restarts = tuple(
+        RestartOutcome(
+            kind=kind, theta=tuple(float(t) for t in theta), objective=value,
+            iterations=int(its), converged=bool(conv),
+        )
+        for (kind, _), theta, value, its, conv in zip(
+            inits, main.x, objectives, main.iterations, main.converged
+        )
+    )
 
-    cv = holdout_cv(matrices[0], scores, init=params, opts=options) if with_cv else None
     val_summary = None
     if val_data is not None:
         val_summary = _validation_residuals(fitted, val_data, scores)
@@ -550,14 +809,15 @@ def fit(
     return ReweightFit(
         params=fitted,
         regression=tuple(alpha_hat),
-        objective_train=objective_train,
+        objective_train=objectives[best],
         residual_train=residual_train,
         mean_weight=float(np.concatenate(w_by_set).mean()),
         baseline_residuals=baselines,
         containment_ok=bool(containment),
-        restarts_run=restarts_run,
-        residual_cv=cv,
+        restarts_run=int(np.isfinite(main.fun).sum()),
+        residual_cv=_cv_summary(sets[0], folds, params) if with_cv else None,
         residual_val=val_summary,
+        restarts=restarts,
     )
 
 
@@ -569,27 +829,28 @@ def holdout_cv(
 ) -> ResidualSummary:
     """Held-one-out CV over models: fit on K-1, report the squared residual on the held-out one.
 
-    Each fold is `fit`'s theta search on the matrix without one model row.
-    The folds share the scores, so they share the restart inits too.
+    Each fold is `fit`'s theta search with one model row masked out of the
+    regression; all folds are solved in one batch. The folds share the
+    scores, so they share the restart inits too.
     """
-    matrix = data
-    if not isinstance(matrix, EvalMatrix):
-        raise TypeError("holdout_cv operates on a single eval matrix")
-    if matrix.n_models < 3:
-        raise ValueError(f"holdout_cv needs at least 3 models, got {matrix.n_models}")
+    _check_cv(data)
     params = init if init is not None else ReweightParams()
     options = opts if opts is not None else FitOptions()
-    (st,) = _problem(matrix, scores)
-    theta_inits = _theta_inits(params, options, st)
+    (st,) = _problem(data, scores)
+    inits = _theta_inits(params, options, st)
+    folds = _solve([st], _folds(st), params, options, [theta for _, theta in inits])
+    return _cv_summary(st, folds, params)
+
+
+def _cv_summary(st: _SetData, folds: Sequence[_Solution], params: ReweightParams) -> ResidualSummary:
+    """Each fold's held-out squared error at its best theta, with alpha refit on the kept models."""
     residuals = []
-    for j in range(matrix.n_models):
-        keep = [i for i in range(matrix.n_models) if i != j]
-        fold = _SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)
-        theta, _ = _fit_theta([fold], params, options, theta_inits)
-        w = weights_array(params.with_theta(theta), st.s_f, st.s_p)
+    for j, sol in enumerate(folds):
+        keep = [i for i in range(st.chi.shape[0]) if i != j]
+        w = weights_array(params.with_theta(_best(sol)), st.s_f, st.s_p)
         s_j = float(offline_metric(st.chi[j], w))
-        a = _closed_form_alpha(offline_metric(fold.chi, w), fold.v)
-        residuals.append(_holdout_error(a, s_j, matrix.live_metrics[j]))
+        a = _closed_form_alpha(offline_metric(st.chi[keep], w), st.v[keep])
+        residuals.append(_holdout_error(a, s_j, st.v[j]))
     return _summary(residuals)
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .evaluate import Judge, NormalizedJudge, export_chi_row
 from .records import ECExample, EvalMatrix, ModelOutputs, ScoredSample
@@ -32,6 +31,7 @@ from .reweight import (
     calibrate_bias,
     check_mean_weight,
     offline_metric,
+    sigmoid,
     weights_array,
 )
 
@@ -132,7 +132,8 @@ def _planted_rates(rng: np.random.Generator, n_models: int, w: np.ndarray) -> np
     base = rng.uniform(*_BASE_ACCURACY, size=n_models)
     skill = rng.normal(0.0, _SKILL_STD, size=n_models)
     centered = w - w.mean()
-    return np.clip(expit(logit(base)[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
+    logit = np.log(base / (1.0 - base))
+    return np.clip(sigmoid(logit[:, None] + skill[:, None] * centered[None, :]), 0.02, 0.98)
 
 
 def _live_metrics(

@@ -6,7 +6,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -687,6 +690,26 @@ def test_evaluate_subcommand(tmp_path):
     assert rc == 0
     text = report.read_text(encoding="utf-8")
     assert "Top-1" in text and "70.00" in text and "100.00" in text
+
+
+def test_a_run_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency; a fresh interpreter, since the tests import scipy
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import ecsynth.cli as cli\n"
+        "from ecsynth.demo import materialize\n"
+        "out = Path(sys.argv[1])\n"
+        "cli.run_pipeline(cli.load_config(materialize(out)), config_dir=out)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "artifacts" / "eval_report.json").exists()
 
 
 def test_run_stage_subset(demo_dir):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
-import sys
-import threading
+import math
 
 import numpy as np
 import pytest
@@ -266,28 +265,140 @@ def test_fit_agrees_with_regression_only_refit_at_fitted_params():
         assert a.degenerate == b.degenerate
 
 
+def _spy_minimize(monkeypatch) -> list:
+    """Records each `reweight.minimize` call as (fun, x0, problem, result)."""
+    calls = []
+    real = reweight.minimize
+
+    def spy(fun, x0, problem, **kwargs):
+        res = real(fun, x0, problem, **kwargs)
+        calls.append((fun, x0, problem, res))
+        return res
+
+    monkeypatch.setattr(reweight, "minimize", spy)
+    return calls
+
+
+def _assert_batched_equals_objective(value, grad, expected):
+    # the batched path sums in another order, so equality holds to rounding only
+    assert value == pytest.approx(expected.value, rel=1e-12, abs=1e-300)
+    scale = max(float(np.abs(expected.grad_theta).max()), 1e-300)
+    np.testing.assert_allclose(grad, expected.grad_theta, rtol=0, atol=1e-9 * scale)
+
+
 @pytest.mark.parametrize("n_sets", [1, 2])
 def test_projected_objective_equals_objective_at_closed_form_alpha(monkeypatch, n_sets):
     bench = generate(PlantedSpec(n_samples=120, n_models=6, n_sets=n_sets, seed=5))
     params = ReweightParams()
-    funs = []
-    real = reweight.minimize
-
-    def spy(fun, x0, **kwargs):
-        funs.append(lambda theta: fun(theta, *kwargs.get("args", ())))
-        return real(fun, x0, **kwargs)
-
-    monkeypatch.setattr(reweight, "minimize", spy)
+    calls = _spy_minimize(monkeypatch)
     fit(bench.matrices, bench.scores, init=params, opts=FitOptions(restarts=2, max_iters=3))
-    projected = funs[0]  # the first restart minimizes over theta alone
-    rng = np.random.default_rng(11)
-    for theta in rng.normal(0.0, 3.0, size=(100, 3)):
-        value, grad = projected(theta)
+    ((fun, _, problem, _),) = calls  # one batched solve; rows 0 and 1 are the fit's restarts
+    assert problem.tolist() == [0, 0]
+    thetas = np.random.default_rng(11).normal(0.0, 3.0, size=(100, 3))
+    for theta in thetas:
+        (value,), (grad,) = fun(theta[None, :], np.array([0]))
         at = params.with_theta(theta)
         alphas, _ = _regression_only(at, bench.matrices, bench.scores)
         expected = objective(at, alphas, bench.matrices, bench.scores)
-        assert value == expected.value
-        assert grad.tobytes() == expected.grad_theta.tobytes()
+        _assert_batched_equals_objective(value, grad, expected)
+    # a batch of rows evaluates each row as it does alone
+    both = fun(thetas[:2], np.array([0, 1]))
+    for r in range(2):
+        alone = fun(thetas[r : r + 1], np.array([r]))
+        assert both[0][r] == pytest.approx(alone[0][0], rel=1e-14)
+
+
+def test_cv_rows_mask_their_held_out_model(monkeypatch):
+    bench = generate(PlantedSpec(n_samples=120, n_models=5, n_sets=1, seed=9))
+    (matrix,) = bench.matrices
+    params = ReweightParams()
+    calls = _spy_minimize(monkeypatch)
+    fit(matrix, bench.scores, init=params, opts=FitOptions(restarts=2, max_iters=3), with_cv=True)
+    ((fun, _, problem, _),) = calls  # the fit and its 5 folds in one solve
+    assert problem.tolist() == [p for p in range(6) for _ in range(2)]
+    theta = np.array([[6.0, -4.0, 20.0]])
+    for j in range(matrix.n_models):
+        keep = [i for i in range(matrix.n_models) if i != j]
+        fold = EvalMatrix(
+            model_ids=tuple(matrix.model_ids[i] for i in keep),
+            sample_ids=matrix.sample_ids,
+            chi=matrix.chi[keep],
+            live_metrics=matrix.live_metrics[keep],
+            metric_names=matrix.metric_names,
+        )
+        (value,), (grad,) = fun(theta, np.array([2 * (j + 1) + 1]))
+        at = params.with_theta(theta[0])
+        alphas, _ = _regression_only(at, fold, bench.scores)
+        _assert_batched_equals_objective(value, grad, objective(at, alphas, fold, bench.scores))
+
+
+def _quadratic_batch(centers, scales):
+    """fun for minimize: row r minimizes sum(scales[r] * (x - centers[r])**2) + r."""
+
+    def fun(x, rows):
+        d = x - centers[rows]
+        return (scales[rows] * d * d).sum(axis=1) + rows, 2.0 * scales[rows] * d
+
+    return fun
+
+
+def test_minimize_converges_each_row_and_polishes_the_best():
+    centers = np.array([[1.0, -2.0, 3.0], [0.5, 0.5, 0.5], [-4.0, 2.0, 1.0]])
+    scales = np.array([[1.0, 10.0, 0.1], [1.0, 1.0, 1.0], [3.0, 1e-2, 5.0]])
+    x0 = np.zeros((3, 3))
+    res = reweight.minimize(_quadratic_batch(centers, scales), x0, np.array([0, 1, 2]), grad_tol=1e-6)
+    np.testing.assert_allclose(res.x, centers, atol=1e-6)
+    assert res.converged.all()
+    assert (res.iterations > 0).all() and res.nit == res.iterations.max()
+    assert res.nfev >= res.nit + 1
+    # each row leads its own problem, so it is polished past grad_tol
+    np.testing.assert_allclose(res.fun, [0.0, 1.0, 2.0], atol=1e-15)
+
+
+def test_minimize_stops_rows_that_lag_their_problems_leader():
+    # one problem: row 0 starts at the minimum's doorstep, row 1 far up an
+    # ill-conditioned valley that takes many iterations to descend
+    centers = np.zeros((2, 3))
+    scales = np.array([[1.0, 1.0, 1.0], [1.0, 1e-7, 1.0]])
+
+    def fun(x, rows):
+        d = x - centers[rows]
+        return (scales[rows] * d * d).sum(axis=1), 2.0 * scales[rows] * d
+
+    x0 = np.array([[1e-3, 0.0, 0.0], [1.0, 1e4, 1.0]])
+    res = reweight.minimize(fun, x0, np.array([0, 0]), grad_tol=1e-9)
+    assert res.converged.tolist() == [True, False]
+    assert res.fun[1] > res.fun[0]
+    assert res.iterations[1] <= 2 * max(res.iterations[0], 1)
+
+
+def test_minimize_retries_a_non_finite_start_from_half_of_it_then_abandons_it():
+    quad = _quadratic_batch(np.zeros((3, 3)), np.ones((3, 3)))
+
+    def fun(x, rows):
+        f, g = quad(x, rows)
+        # row 1 is finite only where max |x| <= 1.5, row 2 nowhere
+        infinite = (rows == 2) | ((rows == 1) & (np.abs(x).max(axis=1) > 1.5))
+        return np.where(infinite, np.inf, f), g
+
+    res = reweight.minimize(fun, np.full((3, 3), 2.0), np.array([0, 1, 2]))
+    assert res.fun[:2] == pytest.approx([0.0, 1.0], abs=1e-15) and res.converged[:2].all()
+    assert res.fun[2] == math.inf and res.iterations[2] == 0 and not res.converged[2]
+
+
+def test_fit_reports_every_restart():
+    b = generate(PlantedSpec(seed=3))
+    f = fit(b.matrices, b.scores, opts=FitOptions(seed=3))
+    kinds = [r.kind for r in f.restarts]
+    assert kinds == ["caller", "uniform", "sign+-", "sign-+", "sign++", "sign--", "random", "random"]
+    assert f.restarts_run == 8
+    assert min(r.objective for r in f.restarts) == f.objective_train
+    best = min(f.restarts, key=lambda r: r.objective)
+    assert best.theta == (f.params.theta_f, f.params.theta_p, f.params.theta_b)
+    assert all(r.iterations >= 0 for r in f.restarts)
+    assert [r.kind for r in fit(b.matrices, b.scores, opts=FitOptions(restarts=1)).restarts] == [
+        "caller", "uniform"
+    ]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -424,91 +535,91 @@ def test_weights_for_mapping():
     assert w["a"] == 1.005
 
 
-@pytest.fixture
-def blas_setters():
-    """Each loaded OpenBLAS's setter, every count set to 2 for the test and put back after."""
-    setters = reweight._openblas_setters()
-    if not setters:
-        pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local (OpenBLAS >= 0.3.27)")
-    original = [set_local(2) for set_local in setters]
-    yield setters
-    for set_local, n in zip(setters, original):
-        set_local(n)
+# -- the batched solve against scipy, the reference it replaced --
 
 
-def _blas_threads(setters) -> list[int]:
-    """Each library's thread count, read by setting it and putting it back."""
-    counts = [set_local(1) for set_local in setters]
-    for set_local, n in zip(setters, counts):
-        set_local(n)
-    return counts
+def _lbfgsb_best(sets, params, options, inits) -> float:
+    """Best objective of scipy's L-BFGS-B from each init, with the options the fit used to pass it."""
+    lbfgsb = pytest.importorskip("scipy.optimize").minimize
+    return min(
+        lbfgsb(
+            reweight._finite_eval, theta0, args=(sets, params), jac=True, method="L-BFGS-B",
+            options={"maxiter": options.max_iters, "maxcor": 10, "gtol": options.grad_tol, "ftol": 1e-18},
+        ).fun
+        for theta0 in inits
+    )
 
 
-def test_one_blas_thread_pins_each_library_and_restores_it(blas_setters):
-    with reweight._one_blas_thread():
-        assert _blas_threads(blas_setters) == [1] * len(blas_setters)
-    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
-    with pytest.raises(KeyError):
-        with reweight._one_blas_thread():
-            raise KeyError("in the block")
-    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
+@pytest.mark.parametrize("seed", range(5))
+def test_fit_reaches_lbfgsb_best_on_planted_benchmarks(seed):
+    b = generate(PlantedSpec(seed=seed))
+    params, options = ReweightParams(), FitOptions(seed=seed)
+    f = fit(b.matrices, b.scores, init=params, opts=options)
+    sets = reweight._problem(b.matrices, b.scores)
+    inits = [theta for _, theta in reweight._theta_inits(params, options, sets[0])]
+    assert f.objective_train <= _lbfgsb_best(sets, params, options, inits) * (1 + 1e-9)
 
 
-def test_one_blas_thread_overlapping_holders_restore_once(blas_setters):
-    # the setter is process-wide in pthreads builds: the pin holds until its last holder leaves
-    entered, release = threading.Event(), threading.Event()
+def test_fit_and_folds_reach_lbfgsb_best_on_the_demo(tmp_path):
+    from ecsynth import records
+    from ecsynth.cli import STAGE_ORDER, load_config, run_pipeline
+    from ecsynth.demo import materialize
+    from ecsynth.util import derive_seed
 
-    def hold():
-        with reweight._one_blas_thread():
-            entered.set()
-            release.wait(10)
-
-    other = threading.Thread(target=hold)
-    with reweight._one_blas_thread():
-        other.start()
-        assert entered.wait(10)
-    assert _blas_threads(blas_setters) == [1] * len(blas_setters)
-    release.set()
-    other.join(10)
-    assert not other.is_alive()
-    assert _blas_threads(blas_setters) == [2] * len(blas_setters)
-
-
-def test_one_blas_thread_concurrent_holders_keep_the_pin(monkeypatch):
-    count = [3]
-
-    def set_count(n):
-        previous, count[0] = count[0], n
-        return previous
-
-    monkeypatch.setattr(reweight, "_openblas_setters", lambda: (set_count,))
-    unpinned = []
-
-    def worker():
-        for _ in range(2000):
-            with reweight._one_blas_thread():
-                if count[0] != 1:
-                    unpinned.append(count[0])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert unpinned == []
-    assert count == [3]
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, tmp_path, stages=STAGE_ORDER[: STAGE_ORDER.index("simbench") + 1])
+    matrix = records.read_eval_matrix(workdir / "eval_matrix.jsonl")
+    scores = records.read_scores(workdir / "scores.jsonl")
+    params = config.reweight.params()
+    options = config.reweight.options(derive_seed(config.seed, "fit-reweight"))
+    (st,) = reweight._problem(matrix, scores)
+    inits = [theta for _, theta in reweight._theta_inits(params, options, st)]
+    folds = reweight._folds(st)
+    solved = reweight._solve([st], [{0: np.ones(matrix.n_models)}] + folds, params, options, inits)
+    for problem, sol in zip([None] + folds, solved):
+        keep = slice(None) if problem is None else problem[0] > 0
+        sets = [reweight._SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)]
+        ours = reweight._finite_eval(reweight._best(sol), sets, params)[0]
+        assert ours <= _lbfgsb_best(sets, params, options, inits) * (1 + 1e-9)
 
 
-def test_fit_is_bitwise_the_same_without_the_blas_pin(monkeypatch):
-    matrix, scores = _random_instance(np.random.default_rng(23))
-    pinned = fit(matrix, scores, opts=FitOptions(seed=5), with_cv=True)
-    monkeypatch.setattr(reweight, "_openblas_setters", lambda: ())
-    unpinned = fit(matrix, scores, opts=FitOptions(seed=5), with_cv=True)
-    assert pinned.params.theta.tobytes() == unpinned.params.theta.tobytes()
-    assert pinned.residual_cv == unpinned.residual_cv
+def test_brentq_port_equals_scipy_bitwise(monkeypatch):
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    port = reweight._brentq
+    pairs = []
+
+    def both(f, xa, xb, xtol):
+        root = port(f, xa, xb, xtol)
+        pairs.append((root, brentq(f, xa, xb, xtol=xtol)))
+        return root
+
+    monkeypatch.setattr(reweight, "_brentq", both)
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        n = int(rng.integers(1, 300))
+        s_f, s_p = rng.normal(-4.0, 1.5, n), rng.normal(-4.0, 1.5, n)
+        c_min = float(rng.uniform(0.001, 0.9))
+        c_max = float(rng.uniform(1.1, 4.0))
+        target = float(rng.uniform(c_min, c_max))
+        theta_f, theta_p = rng.normal(0.0, 8.0, 2)
+        calibrate_bias(theta_f, theta_p, s_f, s_p, c_min, c_max, target=target)
+    assert len(pairs) == 300
+    assert [a.hex() for a, _ in pairs] == [b.hex() for _, b in pairs]
+    # and on roots where interpolation, extrapolation and bisection all take turns
+    functions = [
+        (lambda x: x**3 - 2.0, 0.0, 3.0),
+        (lambda x: math.cos(x) - x, -2.0, 2.0),
+        (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+        (lambda x: math.atan(50.0 * (x - 0.3)), -1.0, 1.0),
+        (lambda x: x, 0.0, 1.0),
+    ]
+    for f, xa, xb in functions:
+        for xtol in (1e-13, 1e-6):
+            assert port(f, xa, xb, xtol).hex() == brentq(f, xa, xb, xtol=xtol).hex()
+
+
+def test_brentq_port_rejects_what_scipy_rejects():
+    with pytest.raises(ValueError, match="different signs"):
+        reweight._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13)
+    with pytest.raises(ValueError, match="NaN"):
+        reweight._brentq(lambda x: math.nan, -1.0, 1.0, 1e-13)

@@ -162,18 +162,19 @@ def _digest(bench) -> str:
     return h.hexdigest()
 
 
-# recorded from `generate`; a change to the planted model or its draw order moves them
+# recorded from `generate`; a change to the planted model or its draw order moves them, and so
+# can numpy's float64 exp, whose last bit differs from the C library's on some CPUs
 @pytest.mark.parametrize(
     "spec, expected",
     [
-        (PlantedSpec(), "dc245c2ee88a75381ae6b7f34e171f8ae7c2c3f1957b2f4b2b7ead8a0d32a192"),
+        (PlantedSpec(), "c74309f68e017c131188ed939bd6f8e1f919f1640b294f718789260c6f6886d9"),
         (
             PlantedSpec(n_samples=120, n_models=4, n_sets=1, noise_sigma=0.01, seed=8),
-            "4b2775860ea4d263d7a2db565d108de554fbdc7181e7ef3d4e9b5123fa2dc0c2",
+            "322e288c643f82d5bf4d8c6e9a3d4bc2856cceea3e962033a697a8f409f14d3c",
         ),
         (
             PlantedSpec(n_samples=100, n_models=5, theta_b=0.25, target_mean_weight=None, seed=8),
-            "2a82ba72a9755a0993515a12c6747e03c5c77879268855a498c47cfefd535af7",
+            "2c7c19802f797ca13125663186a98cd371a59e702852755f819afd66f5552cfa",
         ),
         (
             PlantedSpec(n_samples=80, n_models=3, n_metrics=3, noise_sigma=0.0, seed=2),
@@ -181,7 +182,7 @@ def _digest(bench) -> str:
         ),
         (
             PlantedSpec(target_mean_weight=1.6, noise_sigma=1e-3, seed=18),
-            "7c25b0753baa05c5cc74196bd0d5a68b700c6a861213bbc47f0e3a6d288d0cd1",
+            "2f6a1ddb76a4c05491556b7a0af130a911ee8629005dab55e88e4ee258f315fe",
         ),
     ],
     ids=["default", "n_sets=1", "fixed_bias", "n_metrics=3", "target=1.6"],

@@ -213,7 +213,21 @@ def test_load_keyboard(tmp_path):
     assert kb.neighbors("z") == ()
 
 
-@pytest.mark.parametrize("entry", ['{"char": "a"}', '{"neighbors": ["b"]}'])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"char": "a"}',
+        '{"neighbors": ["b"]}',
+        '{"char": "a", "neighbors": "sq"}',
+        '{"char": "a", "neighbors": [1, 2]}',
+        '{"char": "a", "neighbors": [""]}',
+        '{"char": "a", "neighbors": ["bc"]}',
+        '{"char": "a", "neighbors": null}',
+        '{"char": "ab", "neighbors": ["b"]}',
+        '{"char": "", "neighbors": ["b"]}',
+        '{"char": null, "neighbors": ["b"]}',
+    ],
+)
 def test_load_keyboard_malformed_names_file_and_line(tmp_path, entry):
     path = tmp_path / "layout.jsonl"
     path.write_text('{"char": "b", "neighbors": ["a"]}\n' + entry + "\n", encoding="utf-8")
