@@ -5,8 +5,10 @@ deterministic stand-in so the stage can run self-contained. Distances are
 squared Euclidean on L2-normalized vectors, which orders the same as cosine.
 
 The stage works on one `records.Embeddings` matrix throughout: hash_embed
-builds it with one bincount, kmeans reads it in row blocks, and
-`records.write_clusters` takes it for the per-document distances.
+fills it one block of documents at a time, kmeans reads it in row blocks, and
+`records.write_clusters` takes it for the per-document distances. Every other
+array the stage builds is a row block or one value per row, so its memory is
+about one N x D matrix plus blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ class ClusterStats:
 
 
 # Byte budget of one row block's temporaries: the (rows x k) distance matrix
-# in `_nearest` and the (rows x D) differences in `_point_d2`. The demo's
+# in `_nearest`, the (rows x D) squares in `_sq_norms`, differences in
+# `_point_d2` and hashed counts in `hash_embed`. The demo's
 # 2,000 x 50 assignment fits in one block, so its artifacts equal an
 # unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
 _BLOCK_BYTES = 4 << 20
@@ -72,6 +75,26 @@ def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray
     return assign
 
 
+def _block_rows(x: np.ndarray) -> int:
+    """Rows of x in one `_BLOCK_BYTES` block of float64 (rows x D) temporaries."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
+
+
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of x, in O(block x D) memory.
+
+    Bitwise equal to `np.sum(x * x, axis=1)`: each row's sum is the same in
+    any block. The one definition of the row norms `_distances` takes.
+    """
+    n = x.shape[0]
+    rows = _block_rows(x)
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        block = x[lo : lo + rows]
+        np.sum(block * block, axis=1, out=out[lo : lo + rows])
+    return out
+
+
 def _point_d2(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
     """Squared distance of each row to its assigned centroid, in O(block x D) memory.
 
@@ -80,11 +103,12 @@ def _point_d2(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.nd
     same in any block, so the result does not depend on the block size.
     """
     n = x.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
+    rows = _block_rows(x)
     out = np.empty(n)
     for lo in range(0, n, rows):
         block = slice(lo, lo + rows)
-        diff = x[block] - centroids[assign[block]]
+        diff = centroids[assign[block]]
+        np.subtract(x[block], diff, out=diff)
         out[block] = np.einsum("ij,ij->i", diff, diff)
     return out
 
@@ -175,7 +199,7 @@ def kmeans(
     if k > n:
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
-    xx = np.sum(x * x, axis=1)
+    xx = _sq_norms(x)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, xx, k, rng)
 
@@ -261,7 +285,7 @@ def cluster_stats(model: ClusterModel) -> ClusterStats:
 def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bool:
     """Fixed-point check: reassigning every point to its nearest centroid changes nothing."""
     x = embeddings.matrix
-    assign = _nearest(x, np.sum(x * x, axis=1), model.centroids)
+    assign = _nearest(x, _sq_norms(x), model.centroids)
     return all(model.assignments[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
 
 
@@ -271,28 +295,38 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
     Test stand-in for an external embedding model: same text always maps to
     the same unit vector, disjoint vocabularies land near-orthogonal. A text
     without words embeds as the zero vector.
+
+    Documents are hashed one block at a time into their rows of one matrix,
+    which `Embeddings` adopts without a copy.
     """
     check_embed_dim(dim)
     key = str(seed).encode("utf-8")
+    n = len(docs)
+    matrix = np.empty((n, dim))
+    rows = _block_rows(matrix)
     # gram -> its code: 2 * slot, plus 1 when its sign is +1
     memo: dict[str, int] = {}
-    codes: list[int] = []
-    counts = np.empty(len(docs), dtype=np.int64)  # grams per document
-    for row, doc in enumerate(docs):
-        words = doc.text.lower().split()
-        grams = words + [f"{a} {b}" for a, b in zip(words, words[1:])]
-        for gram in grams:
-            if gram not in memo:
-                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-                h = int.from_bytes(digest, "big")
-                memo[gram] = 2 * ((h >> 1) % dim) + (h & 1)
-        codes.extend(map(memo.__getitem__, grams))
-        counts[row] = len(grams)
-    code = np.array(codes, dtype=np.int64)
-    cells = np.repeat(np.arange(len(docs), dtype=np.int64) * dim, counts) + (code >> 1)
-    signs = np.where(code & 1, 1.0, -1.0)
-    # entries are sums of +-1.0 and squared norms sums of squared integers: exact in any order
-    matrix = np.bincount(cells, weights=signs, minlength=len(docs) * dim).reshape(len(docs), dim)
-    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))[:, None]
-    np.divide(matrix, norms, out=matrix, where=norms > 0.0)
+    for lo in range(0, n, rows):
+        block = docs[lo : lo + rows]
+        codes: list[int] = []
+        counts = np.empty(len(block), dtype=np.int64)  # grams per document
+        for row, doc in enumerate(block):
+            words = doc.text.lower().split()
+            grams = words + [f"{a} {b}" for a, b in zip(words, words[1:])]
+            for gram in grams:
+                if gram not in memo:
+                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
+                    h = int.from_bytes(digest, "big")
+                    memo[gram] = 2 * ((h >> 1) % dim) + (h & 1)
+            codes.extend(map(memo.__getitem__, grams))
+            counts[row] = len(grams)
+        code = np.array(codes, dtype=np.int64)
+        cells = np.repeat(np.arange(len(block), dtype=np.int64) * dim, counts) + (code >> 1)
+        signs = np.where(code & 1, 1.0, -1.0)
+        # entries are sums of +-1.0 and squared norms sums of squared integers: exact in any order
+        out = matrix[lo : lo + len(block)]
+        out[...] = np.bincount(cells, weights=signs, minlength=out.size).reshape(out.shape)
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+        np.divide(out, norms, out=out, where=norms > 0.0)
+    matrix.setflags(write=False)
     return Embeddings(ids=tuple(doc.id for doc in docs), matrix=matrix)

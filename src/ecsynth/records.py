@@ -12,7 +12,9 @@ Reports, manifests and run logs are one JSON document or plain text. No
 other module knows a record format.
 
 Embeddings are read and passed on as one `Embeddings`: a tuple of ids and
-one read-only N x D matrix, never one object per document.
+one read-only N x D matrix, never one object per document. It adopts a
+read-only float64 array that owns its data, without a copy, and copies
+anything else.
 
 Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
@@ -204,8 +206,11 @@ class EvalMatrix:
 class Embeddings:
     """One vector per document: row i of `matrix` embeds document `ids[i]`.
 
-    The matrix is a read-only float64 copy of shape (N, D) with D >= 1 and
-    only finite entries.
+    The matrix is read-only float64 of shape (N, D) with D >= 1 and only
+    finite entries. A read-only float64 ndarray that owns its data (its
+    `base` is None) is adopted without a copy: its maker hands it over and
+    keeps no writeable view of it. Anything else, a writeable array or a
+    view included, is copied.
     """
 
     ids: tuple[str, ...]
@@ -213,12 +218,20 @@ class Embeddings:
 
     def __post_init__(self) -> None:
         ids = tuple(self.ids)
-        matrix = np.array(self.matrix, dtype=np.float64)
+        matrix = self.matrix
+        adopt = (
+            type(matrix) is np.ndarray and matrix.dtype == np.float64
+            and matrix.base is None and not matrix.flags.writeable
+        )
+        if not adopt:
+            matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[1] < 1:
             raise ValueError(f"embeddings: need an N x D matrix with D >= 1, got shape {matrix.shape}")
         if len(ids) != matrix.shape[0]:
             raise ValueError(f"embeddings: {len(ids)} ids for {matrix.shape[0]} vectors")
-        if not np.isfinite(matrix).all():
+        # NaN propagates through min and max, and an infinity is one of them:
+        # a finiteness check that builds no N x D mask
+        if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
             row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
             raise ValueError(f"embeddings: vector of doc {ids[row]!r} has NaN/Inf entries")
         matrix.setflags(write=False)
@@ -676,7 +689,8 @@ def write_clusters(model: ClusterModel, path: str | Path, embeddings: Embeddings
     rows = max(1, _DIFF_BLOCK_BYTES // (8 * x.shape[1]))
     for lo in range(0, len(ids), rows):
         block = slice(lo, lo + rows)
-        diff = x[block] - model.centroids[assign[block]]
+        diff = model.centroids[assign[block]]
+        np.subtract(x[block], diff, out=diff)
         dist[block] = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
     lines = (
         {"doc_id": i, "cluster": c, "distance": d}

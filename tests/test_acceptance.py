@@ -181,7 +181,9 @@ def test_criterion_03_hypothesis_class_containment():
 
 
 def test_criterion_04_planted_recovery_protocol():
-    start = time.perf_counter()
+    # CPU time, so that other processes on the machine do not count: the fit is
+    # numpy on one thread, and its CPU time equals its wall time
+    start = time.process_time()
     spec0 = PlantedSpec(n_samples=500, n_models=12, n_metrics=2, noise_sigma=1e-3)
     orderings = []
     for seed in range(5):
@@ -207,7 +209,7 @@ def test_criterion_04_planted_recovery_protocol():
     )
     f0 = fit(noiseless.matrices, noiseless.scores, opts=FitOptions(seed=0))
     assert f0.residual_train < 1e-8
-    elapsed = time.perf_counter() - start
+    elapsed = time.process_time() - start
     assert elapsed < 60.0
     _report(
         4,

@@ -147,13 +147,25 @@ def test_kmeans_memory_stays_below_few_n_by_d():
     docs = _docs(x / np.linalg.norm(x, axis=1, keepdims=True))
     tracemalloc.start()
     try:
-        kmeans(docs, k=8, seed=0, max_iters=2, tol=1e-8)
+        model = kmeans(docs, k=8, seed=0, max_iters=2, tol=1e-8)
         _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert verify_nearest_assignment(model, docs)
+        _, verify_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one N x D float64 matrix is 19.5 MB; kmeans reads the embeddings' matrix
-    # in place, and the blocked objective builds no second or third
-    assert peak < 2.5 * n * dim * 8
+    # one N x D float64 matrix is 20.5 MB; kmeans reads the embeddings' matrix
+    # in place, and the row norms, the assignment and the objective are all
+    # blocked, so neither call builds a second one (an `x * x` would)
+    assert peak < 1.0 * n * dim * 8
+    assert verify_peak < 0.5 * n * dim * 8
+
+
+@pytest.mark.parametrize("n", [1, 7, 8_193])
+def test_sq_norms_blocks_equal_the_expression(n):
+    # at D = 64 a default block holds 8,192 rows, so 8,193 rows take two
+    x = np.random.default_rng(n).normal(size=(n, 64))
+    assert cluster._sq_norms(x).tobytes() == np.sum(x * x, axis=1).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -187,8 +199,9 @@ def test_kmeans_input_validation(tmp_path):
 
 
 def test_embeddings_reject_nonfinite():
-    with pytest.raises(ValueError, match="'x'"):
-        Embeddings(ids=("w", "x"), matrix=np.array([[1.0, 0.0], [1.0, np.nan]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="'x'"):
+            Embeddings(ids=("w", "x"), matrix=np.array([[1.0, 0.0], [1.0, bad]]))
 
 
 @pytest.mark.parametrize(
@@ -207,6 +220,21 @@ def test_embeddings_matrix_is_a_read_only_copy():
     assert emb.matrix[0, 0] == 1.0
     with pytest.raises(ValueError):
         emb.matrix[0, 0] = 5.0
+
+
+def test_embeddings_adopt_only_a_frozen_owned_float64_array():
+    frozen = np.ones((2, 3))
+    frozen.setflags(write=False)
+    assert np.shares_memory(Embeddings(ids=("a", "b"), matrix=frozen).matrix, frozen)
+    owner = np.ones((4, 3))
+    view = owner[:2]
+    view.setflags(write=False)
+    single = np.ones((2, 3), dtype=np.float32)
+    single.setflags(write=False)
+    for other in (np.ones((2, 3)), view, single):
+        matrix = Embeddings(ids=("a", "b"), matrix=other).matrix
+        assert not np.shares_memory(matrix, other)
+        assert matrix.dtype == np.float64 and not matrix.flags.writeable
 
 
 def _draw_cases(count: int):
@@ -359,8 +387,11 @@ def _hash_embed_reference(docs: list[Document], dim: int, seed: int) -> np.ndarr
     return np.stack(rows)
 
 
-@pytest.mark.parametrize("seed", [0, 11])
-def test_hash_embed_memo_matches_per_occurrence_hashing(seed):
+@pytest.mark.parametrize(
+    "seed, block_docs", [(0, None), (11, None), (0, 2), (11, 2)],
+    ids=["0", "11", "0-blocks-of-2", "11-blocks-of-2"],
+)
+def test_hash_embed_memo_matches_per_occurrence_hashing(monkeypatch, seed, block_docs):
     texts = [
         "the cat sat on the mat the cat sat",
         "the cat sat on the mat the cat sat",
@@ -371,9 +402,26 @@ def test_hash_embed_memo_matches_per_occurrence_hashing(seed):
     docs = [Document(id=f"t{i}", text=t) for i, t in enumerate(texts)]
     # Document refuses an empty text; hash_embed reads only id and text
     docs.insert(3, SimpleNamespace(id="empty", text=""))
+    if block_docs is not None:
+        # two documents a block: the empty text closes the second of three
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 16 * block_docs)
     got = hash_embed(docs, dim=16, seed=seed).matrix
     want = _hash_embed_reference(docs, dim=16, seed=seed)
     assert got.tobytes() == want.tobytes()
+
+
+def test_hash_embed_memory_stays_near_one_n_by_d():
+    n, dim = 40_000, 64
+    docs = make_demo_corpus(n, 3)
+    tracemalloc.start()
+    try:
+        hash_embed(docs, dim=dim, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the matrix itself is one N x D (20.5 MB); the hashed counts are built a
+    # block of documents at a time, and `Embeddings` adopts the matrix uncopied
+    assert peak < 1.5 * n * dim * 8
 
 
 def test_hash_embed_dim_floor():
