@@ -9,16 +9,25 @@ fills it one block of documents at a time, kmeans reads it in row blocks, and
 `records.write_clusters` takes it for the per-document distances. Every other
 array the stage builds is a row block or one value per row, so its memory is
 about one N x D matrix plus blocks.
+
+kmeans holds OpenBLAS to one thread (`util.one_blas_thread`) and gives its
+row blocks to one thread per core instead. Each BLAS call is then the same
+one-thread call whichever thread makes it, and every sum that fixes a float
+order runs in the calling thread over the whole array, so the result does
+not depend on the core count or on OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import util
 from .records import ClusterModel, Document, Embeddings
 
 
@@ -35,6 +44,44 @@ class ClusterStats:
 # 2,000 x 50 assignment fits in one block, so its artifacts equal an
 # unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
 _BLOCK_BYTES = 4 << 20
+
+# Seeding splits its rows into spans whose starts are multiples of this, so
+# a kernel that takes rows in groups groups them as in one whole-array call.
+_SPAN_ALIGN = 64
+
+
+class _Workers:
+    """`count` threads for kmeans' row work: the calling thread and a pool of the rest.
+
+    A task writes only its own rows, into arrays the calling thread
+    allocated, so which thread runs it changes no result and no thread
+    keeps a malloc arena of large buffers.
+    """
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self._pool = ThreadPoolExecutor(count - 1) if count > 1 else None
+
+    def __enter__(self) -> _Workers:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+
+    def run(self, task: Callable[[int], None], parts: int) -> None:
+        """task(0), ..., task(parts - 1), parts <= count, task(0) in this thread; waits for all."""
+        futures = [self._pool.submit(task, j) for j in range(1, parts)] if parts > 1 else []
+        try:
+            if parts > 0:
+                task(0)
+        finally:
+            wait(futures)
+        for f in futures:
+            f.result()
+
+
+_SERIAL = _Workers(1)
 
 
 def _distances(
@@ -58,26 +105,37 @@ def _distances(
     return np.maximum(out, 0.0, out=out)
 
 
-def _nearest(x: np.ndarray, xx: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid, in O(block x k) memory rather than O(N x k).
+def _block_rows(width: int) -> int:
+    """Rows in one `_BLOCK_BYTES` block of float64 (rows x width) temporaries."""
+    return max(1, _BLOCK_BYTES // (8 * max(1, width)))
 
-    argmin breaks ties toward the lowest index.
+
+def _nearest(
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, workers: _Workers = _SERIAL,
+) -> np.ndarray:
+    """Index of each row's nearest centroid, in O(block x k) memory per worker rather than O(N x k).
+
+    argmin breaks ties toward the lowest index. BLAS runs on one thread, so a
+    block's GEMM gives the same bits on any worker and under any
+    OPENBLAS_NUM_THREADS.
     """
     n, k = x.shape[0], centroids.shape[0]
     cc = np.sum(centroids * centroids, axis=1)
-    rows = max(1, _BLOCK_BYTES // (8 * k))
-    buf = np.empty((min(rows, n), k))
+    rows = _block_rows(k)
+    starts = range(0, n, rows)
+    parts = min(workers.count, len(starts))
+    bufs = [np.empty((min(rows, n), k)) for _ in range(parts)]
     assign = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        d = _distances(x[block], xx[block], centroids, cc, out=buf[: min(rows, n - lo)])
-        assign[block] = np.argmin(d, axis=1)
+
+    def task(j: int) -> None:
+        for lo in starts[j::parts]:
+            block = slice(lo, lo + rows)
+            d = _distances(x[block], xx[block], centroids, cc, out=bufs[j][: min(rows, n - lo)])
+            assign[block] = np.argmin(d, axis=1)
+
+    with util.one_blas_thread():
+        workers.run(task, parts)
     return assign
-
-
-def _block_rows(x: np.ndarray) -> int:
-    """Rows of x in one `_BLOCK_BYTES` block of float64 (rows x D) temporaries."""
-    return max(1, _BLOCK_BYTES // (8 * max(1, x.shape[1])))
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -87,7 +145,7 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     any block. The one definition of the row norms `_distances` takes.
     """
     n = x.shape[0]
-    rows = _block_rows(x)
+    rows = _block_rows(x.shape[1])
     out = np.empty(n)
     for lo in range(0, n, rows):
         block = x[lo : lo + rows]
@@ -95,21 +153,32 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_d2(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> np.ndarray:
-    """Squared distance of each row to its assigned centroid, in O(block x D) memory.
+def _point_d2(
+    x: np.ndarray, centroids: np.ndarray, assign: np.ndarray, workers: _Workers = _SERIAL,
+) -> np.ndarray:
+    """Squared distance of each row to its assigned centroid, in O(block x D) memory per worker.
 
     By direct subtraction: exact zero for coincident points, unlike the
     expanded form `_distances` uses for the argmin. Each row's sum is the
     same in any block, so the result does not depend on the block size.
     """
-    n = x.shape[0]
-    rows = _block_rows(x)
+    n, dim = x.shape
+    rows = _block_rows(dim)
+    starts = range(0, n, rows)
+    parts = min(workers.count, len(starts))
+    bufs = [np.empty((min(rows, n), dim)) for _ in range(parts)]
     out = np.empty(n)
-    for lo in range(0, n, rows):
-        block = slice(lo, lo + rows)
-        diff = centroids[assign[block]]
-        np.subtract(x[block], diff, out=diff)
-        out[block] = np.einsum("ij,ij->i", diff, diff)
+
+    def task(j: int) -> None:
+        for lo in starts[j::parts]:
+            block = slice(lo, lo + rows)
+            diff = bufs[j][: min(rows, n - lo)]
+            # "clip" takes no temporary, which "raise" does; argmin's indices are in range
+            np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
+            np.subtract(x[block], diff, out=diff)
+            np.einsum("ij,ij->i", diff, diff, out=out[block])
+
+    workers.run(task, parts)
     return out
 
 
@@ -129,19 +198,42 @@ def _weighted_draw(
     return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
-def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _spans(n: int, parts: int) -> list[slice]:
+    """At most `parts` contiguous spans of range(n), each starting at a multiple of _SPAN_ALIGN."""
+    step = -(-n // (parts * _SPAN_ALIGN)) * _SPAN_ALIGN
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def _kmeans_pp_init(
+    x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator, workers: _Workers = _SERIAL,
+) -> np.ndarray:
+    """k-means++ seeds. Each pick's distances and minimum run in one row span per worker.
+
+    A GEMV gives each row the same bits in any row span, so the spans change
+    no distance; the sum and the draw run here, over the whole array.
+    """
     n = x.shape[0]
     col = np.empty((n, 1))
     cdf = np.empty(n)
+    # min(inf, d) is d bit for bit, NaN included, so the first pick needs no case of its own
+    closest = np.full(n, np.inf)
+    spans = _spans(n, workers.count)
 
-    def to_point(i: int) -> np.ndarray:
-        """Distances to point i, in `col`: valid until the next call."""
+    def take_point(i: int) -> None:
+        """Lower `closest` to the distances to point i."""
         c = x[i][None, :]
-        return _distances(x, xx, c, np.sum(c * c, axis=1), out=col)[:, 0]
+        cc = np.sum(c * c, axis=1)
+
+        def task(j: int) -> None:
+            s = spans[j]
+            d = _distances(x[s], xx[s], c, cc, out=col[s])[:, 0]
+            np.minimum(closest[s], d, out=closest[s])
+
+        workers.run(task, len(spans))
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    closest = to_point(chosen[0]).copy()
+    take_point(chosen[0])
     for c in range(1, k):
         total = closest.sum()  # entries are >= 0: `_distances` clamps them
         if not np.isfinite(total):
@@ -152,7 +244,7 @@ def _kmeans_pp_init(x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Genera
             chosen[c] = rng.choice(candidates)
         else:
             chosen[c] = _weighted_draw(closest, total, rng, out=cdf)
-        np.minimum(closest, to_point(chosen[c]), out=closest)
+        take_point(chosen[c])
     return x[chosen].copy()
 
 
@@ -199,16 +291,40 @@ def kmeans(
     if k > n:
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
+    with util.one_blas_thread() as pinned, _Workers(_worker_count(n, k) if pinned else 1) as pool:
+        centroids, assign, prev_obj, history = _lloyd(x, k, seed, max_iters, tol, pool)
+
+    sizes = np.bincount(assign, minlength=k).astype(np.int64)
+    assignments = dict(zip(embeddings.ids, assign.tolist()))
+    return ClusterModel(
+        centroids=centroids,
+        assignments=assignments,
+        sizes=sizes,
+        objective=prev_obj,
+        objective_history=tuple(history),
+    )
+
+
+def _worker_count(n: int, k: int) -> int:
+    """kmeans' threads: one per core it may run on, and at most one per `_nearest` block."""
+    return min(len(os.sched_getaffinity(0)), -(-n // _block_rows(k)))
+
+
+def _lloyd(
+    x: np.ndarray, k: int, seed: int, max_iters: int, tol: float, workers: _Workers,
+) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
+    """Seeding and Lloyd iterations: (centroids, assignment, objective, objective history)."""
+    n = x.shape[0]
     xx = _sq_norms(x)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, xx, k, rng)
+    centroids = _kmeans_pp_init(x, xx, k, rng, workers)
 
     prev_obj = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
     for it in range(max_iters):
-        assign = _nearest(x, xx, centroids)
-        point_d2 = _point_d2(x, centroids, assign)
+        assign = _nearest(x, xx, centroids, workers)
+        point_d2 = _point_d2(x, centroids, assign, workers)
         obj = float(point_d2.sum())
         if obj > prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise AssertionError(f"kmeans objective increased: {prev_obj} -> {obj} at iter {it}")
@@ -232,16 +348,7 @@ def kmeans(
                 new_centroids[c] = x[far]
                 repair_d2[far] = -1.0
         centroids = new_centroids
-
-    sizes = np.bincount(assign, minlength=k).astype(np.int64)
-    assignments = dict(zip(embeddings.ids, assign.tolist()))
-    return ClusterModel(
-        centroids=centroids,
-        assignments=assignments,
-        sizes=sizes,
-        objective=prev_obj,
-        objective_history=tuple(history),
-    )
+    return centroids, assign, prev_obj, history
 
 
 def quota_sample(model: ClusterModel, docs_per_cluster: int, seed: int) -> list[str]:
@@ -283,7 +390,10 @@ def cluster_stats(model: ClusterModel) -> ClusterStats:
 
 
 def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bool:
-    """Fixed-point check: reassigning every point to its nearest centroid changes nothing."""
+    """Fixed-point check: reassigning every point to its nearest centroid changes nothing.
+
+    `_nearest` holds BLAS to one thread here as in kmeans, so the check sees the fit's bits.
+    """
     x = embeddings.matrix
     assign = _nearest(x, _sq_norms(x), model.centroids)
     return all(model.assignments[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
@@ -303,7 +413,7 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
     key = str(seed).encode("utf-8")
     n = len(docs)
     matrix = np.empty((n, dim))
-    rows = _block_rows(matrix)
+    rows = _block_rows(dim)
     # gram -> its code: 2 * slot, plus 1 when its sign is +1
     memo: dict[str, int] = {}
     for lo in range(0, n, rows):

@@ -166,12 +166,8 @@ def _weights(
     return c_min + (c_max - c_min) * sig, sig
 
 
-def weight(params: ReweightParams, s: ScoredSample) -> float:
-    """Bounded sigmoid weight of one sample, strictly inside (c_min, c_max)."""
-    return float(weights_array(params, s.s_f, s.s_p))
-
-
 def weights_array(params: ReweightParams, s_f: np.ndarray, s_p: np.ndarray) -> np.ndarray:
+    """Bounded sigmoid weight of each sample, strictly inside (c_min, c_max)."""
     return _weights(params.theta, params.c_min, params.c_max, s_f, s_p)[0]
 
 

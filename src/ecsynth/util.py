@@ -1,4 +1,5 @@
-"""Deterministic hashing, seeding, and normalization helpers, and the one HTTP POST.
+"""Deterministic hashing, seeding, and normalization helpers, the one HTTP POST,
+and the one BLAS thread pin.
 
 Python's builtin hash() is salted per process, so every derived seed in the
 pipeline goes through blake2b instead. All text comparison in the toolkit is
@@ -7,12 +8,18 @@ done byte-wise on NFC-normalized strings.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
+import os
+import threading
 import time
 import unicodedata
 import urllib.request
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable, Iterator
 
 
 def nfc(text: str) -> str:
@@ -82,3 +89,61 @@ def post_text(
             if attempt >= max_retries:
                 raise
             time.sleep(retry_backoff * (attempt + 1))
+
+
+@functools.cache
+def _openblas_setters() -> tuple[Callable[[int], int], ...]:
+    """`openblas_set_num_threads_local` of each OpenBLAS the process has loaded.
+
+    The loaded libraries are read from /proc/self/maps, so this finds nothing
+    off Linux, and RTLD_NOLOAD opens only a library already in memory. A build
+    older than OpenBLAS 0.3.27 lacks the symbol and is skipped. Each setter
+    sets the thread count and returns the count it replaced. The list is
+    read once, at the first call, so that call comes after numpy is imported.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(paths):
+        try:
+            set_local = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        set_local.argtypes, set_local.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(set_local)
+    return tuple(setters)
+
+
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Hold every loaded OpenBLAS to one thread for the block, then restore each count.
+
+    Yields whether any library is held. OpenBLAS splits a product among its
+    threads in ways that can change the last bit of a sum, so a result
+    computed under the pin does not depend on the thread count, and no idle
+    BLAS thread spins between calls. In pthreads builds the "local" setter
+    sets the process-wide count, so overlapping holders share one pin: the
+    first saves the counts and the last restores them.
+    """
+    global _blas_holders, _blas_saved
+    setters = _openblas_setters()
+    with _blas_lock:
+        if _blas_holders == 0:
+            _blas_saved = [set_local(1) for set_local in setters]
+        _blas_holders += 1
+    try:
+        yield bool(setters)
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if _blas_holders == 0:
+                for set_local, n in zip(setters, _blas_saved):
+                    set_local(n)

@@ -36,7 +36,6 @@ from ecsynth.reweight import (
     fit,
     holdout_cv,
     objective,
-    weight,
     weights_array,
 )
 from ecsynth.scoring import heuristic_weight
@@ -77,7 +76,7 @@ def test_criterion_01_weight_bound_invariant():
     assert (w > 0.01).all() and (w < 2.0).all()
     np.testing.assert_array_equal(w, w_full[:200])
 
-    w0 = weight(ReweightParams(), ScoredSample("x", s_p=3.3, s_f=-9.9))
+    w0 = float(weights_array(ReweightParams(), s_f=-9.9, s_p=3.3))
     assert w0 == 0.01 + 1.99 * 0.5
     assert w0 == 1.005
     elapsed = time.perf_counter() - start

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ecsynth import cluster
+import ecsynth
+from ecsynth import cluster, util
 from ecsynth.cluster import cluster_stats, hash_embed, kmeans, quota_sample, verify_nearest_assignment
 from ecsynth.demo import make_demo_corpus
 from ecsynth.records import (
@@ -457,3 +463,168 @@ def test_embeddings_file_round_trip(tmp_path):
     back = read_embeddings(path)
     assert back.ids == docs.ids
     np.testing.assert_array_equal(back.matrix, docs.matrix)
+
+
+# Prints the OpenBLAS thread count before `_nearest`, the count each of its
+# GEMMs ran under, and its assignment of 20,000 demo documents to 500 of them.
+_THREADS_CHILD = """
+import json, sys
+import numpy as np
+from ecsynth import cluster, util
+from ecsynth.demo import make_demo_corpus
+
+setters = util._openblas_setters()
+
+def active():
+    counts = [set_local(1) for set_local in setters]
+    for set_local, n in zip(setters, counts):
+        set_local(n)
+    return counts
+
+during = []
+distances = cluster._distances
+
+def spy(*args, **kwargs):
+    during.append(active())
+    return distances(*args, **kwargs)
+
+cluster._distances = spy
+x = cluster.hash_embed(make_demo_corpus(20_000, 3), dim=64, seed=1).matrix
+centroids = x[np.random.default_rng(0).choice(len(x), 500, replace=False)]
+before = active()
+assign = cluster._nearest(x, cluster._sq_norms(x), centroids)
+json.dump({"before": before, "during": during, "assign": assign.tolist()}, sys.stdout)
+"""
+
+
+def test_assignment_does_not_depend_on_openblas_threads():
+    # Under 2 OpenBLAS threads an unpinned GEMM puts 2 of these 20,000 rows
+    # in another cluster than under 1. OpenBLAS reads OPENBLAS_NUM_THREADS when
+    # it loads, so each count runs in a fresh interpreter.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS starts at most one thread per core")
+    src = str(Path(ecsynth.__file__).resolve().parents[1])
+    got = {}
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD],
+            env=env, check=True, capture_output=True, text=True,
+        )
+        got[threads] = json.loads(proc.stdout)
+        libraries = len(got[threads]["before"])
+        if not libraries:
+            pytest.skip("no loaded OpenBLAS exports openblas_set_num_threads_local")
+        assert got[threads]["before"] == [threads] * libraries
+        assert got[threads]["during"] and all(c == [1] * libraries for c in got[threads]["during"])
+    assert got[1]["assign"] == got[2]["assign"]
+
+
+@pytest.mark.parametrize("n", [2_000, 50_000])
+def test_gemv_row_spans_equal_one_call(n):
+    # seeding takes each pick's GEMV in row spans; every row must get the same bits
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 64))
+    c = rng.normal(size=(1, 64))
+    with util.one_blas_thread():
+        whole = (x @ c.T).tobytes()
+        for parts in (2, 3, 7):
+            spans = cluster._spans(n, parts)
+            assert len(spans) == parts and all(s.start % cluster._SPAN_ALIGN == 0 for s in spans)
+            assert np.concatenate([x[s] @ c.T for s in spans]).tobytes() == whole
+        for cut in (64, 1_024, n // 2 // 64 * 64):
+            assert np.concatenate([x[:cut] @ c.T, x[cut:] @ c.T]).tobytes() == whole
+
+
+def _three_block_input(monkeypatch) -> Embeddings:
+    """3,000 docs, k=40, D=16, with blocks small enough that each per-core path has at least 3."""
+    # `_nearest` takes 6 blocks of 500 rows and `_point_d2` 3 of at most 1,250;
+    # seeding splits 3,000 rows into spans of 1,024
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 40 * 500)
+    return hash_embed(make_demo_corpus(3000, 5), dim=16, seed=5)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_per_core_paths_equal_the_serial_path(monkeypatch, workers):
+    x = _three_block_input(monkeypatch).matrix
+    xx = cluster._sq_norms(x)
+    interval = sys.getswitchinterval()
+    # workers write disjoint rows of shared arrays; frequent thread switches
+    # would expose a row written twice or not at all
+    sys.setswitchinterval(1e-6)
+    try:
+        with util.one_blas_thread(), cluster._Workers(workers) as pool:
+            serial_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
+            seeds = cluster._kmeans_pp_init(x, xx, 40, serial_rng)
+            assert cluster._kmeans_pp_init(x, xx, 40, rng, pool).tobytes() == seeds.tobytes()
+            assert rng.bit_generator.state == serial_rng.bit_generator.state
+            assign = cluster._nearest(x, xx, seeds)
+            assert cluster._nearest(x, xx, seeds, pool).tobytes() == assign.tobytes()
+            d2 = cluster._point_d2(x, seeds, assign).tobytes()
+            assert cluster._point_d2(x, seeds, assign, pool).tobytes() == d2
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_workers_raise_a_task_error_once_every_task_has_ended():
+    done = []
+
+    def task(j: int) -> None:
+        if j == 1:
+            raise ValueError("task 1")
+        done.append(j)
+
+    with cluster._Workers(3) as pool, pytest.raises(ValueError, match="task 1"):
+        pool.run(task, 3)
+    assert sorted(done) == [0, 2]
+
+
+class _CountingWorkers(cluster._Workers):
+    """`cluster._Workers` that records the thread count of each instance."""
+
+    made: list[int] = []
+
+    def __init__(self, count: int) -> None:
+        self.made.append(count)
+        super().__init__(count)
+
+
+def _kmeans_on_cores(
+    monkeypatch, emb: Embeddings, cores: int, tmp_path: Path
+) -> tuple[ClusterModel, bytes]:
+    """kmeans as on a machine with `cores` cores: its model and its clusters file's bytes.
+
+    `_CountingWorkers.made` then holds the thread count it ran with.
+    """
+    monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(cluster, "_Workers", _CountingWorkers)
+    _CountingWorkers.made = []
+    model = kmeans(emb, k=40, seed=5, max_iters=5, tol=1e-8)
+    path = tmp_path / f"clusters-{cores}.jsonl"
+    write_clusters(model, path, emb)
+    return model, path.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_kmeans_artifact_does_not_depend_on_the_core_count(monkeypatch, tmp_path, workers):
+    if not util._openblas_setters():
+        pytest.skip("without an OpenBLAS thread pin kmeans runs serially")
+    emb = _three_block_input(monkeypatch)
+    serial, serial_bytes = _kmeans_on_cores(monkeypatch, emb, 1, tmp_path)
+    assert _CountingWorkers.made == [1]
+    model, got = _kmeans_on_cores(monkeypatch, emb, workers, tmp_path)
+    assert _CountingWorkers.made == [workers]
+    assert got == serial_bytes
+    assert model.objective_history == serial.objective_history
+    assert verify_nearest_assignment(model, emb)
+
+
+def test_kmeans_without_a_blas_pin_runs_serially(monkeypatch, tmp_path):
+    emb = _three_block_input(monkeypatch)
+    pinned, pinned_bytes = _kmeans_on_cores(monkeypatch, emb, 3, tmp_path)
+    monkeypatch.setattr(util, "_openblas_setters", lambda: ())
+    model, got = _kmeans_on_cores(monkeypatch, emb, 3, tmp_path)
+    assert _CountingWorkers.made == [1]
+    assert got == pinned_bytes
+    assert model.objective_history == pinned.objective_history

@@ -22,7 +22,6 @@ from ecsynth.reweight import (
     holdout_cv,
     objective,
     offline_metric,
-    weight,
     weights_array,
     weights_for,
 )
@@ -72,20 +71,20 @@ def _first_models(matrix, n):
 
 def test_weight_at_zero_theta_is_exact_center():
     params = ReweightParams()
-    w = weight(params, ScoredSample("x", s_p=123.4, s_f=-567.8))
+    w = float(weights_array(params, s_f=-567.8, s_p=123.4))
     assert w == 0.01 + 1.99 * 0.5
     assert w == 1.005
 
 
 def test_weight_matches_reported_fitted_model_form():
     params = ReweightParams(theta_f=40.64, theta_p=-30.44, theta_b=-1.59)
-    w = weight(params, ScoredSample("x", s_p=0.0, s_f=0.0))
+    w = float(weights_array(params, s_f=0.0, s_p=0.0))
     assert w == pytest.approx(0.01 + 1.99 * expit(-1.59), rel=1e-12)
 
 
 def test_weight_saturates_toward_c_max_but_stays_inside():
     params = ReweightParams(theta_f=1e6)
-    w = weight(params, ScoredSample("x", s_p=0.0, s_f=5.0))
+    w = float(weights_array(params, s_f=5.0, s_p=0.0))
     assert w < 2.0
     assert w == pytest.approx(2.0, abs=1e-9)
 
@@ -98,7 +97,7 @@ def test_weight_saturates_toward_c_max_but_stays_inside():
 )
 def test_weight_strictly_inside_bounds(theta, s_f, s_p):
     params = ReweightParams(theta_f=theta[0], theta_p=theta[1], theta_b=theta[2])
-    w = weight(params, ScoredSample("x", s_p=s_p, s_f=s_f))
+    w = float(weights_array(params, s_f=s_f, s_p=s_p))
     assert 0.01 < w < 2.0
 
 
