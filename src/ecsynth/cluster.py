@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,44 +45,6 @@ class ClusterStats:
 # 2,000 x 50 assignment fits in one block, so its artifacts equal an
 # unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
 _BLOCK_BYTES = 4 << 20
-
-# Seeding splits its rows into spans whose starts are multiples of this, so
-# a kernel that takes rows in groups groups them as in one whole-array call.
-_SPAN_ALIGN = 64
-
-
-class _Workers:
-    """`count` threads for kmeans' row work: the calling thread and a pool of the rest.
-
-    A task writes only its own rows, into arrays the calling thread
-    allocated, so which thread runs it changes no result and no thread
-    keeps a malloc arena of large buffers.
-    """
-
-    def __init__(self, count: int) -> None:
-        self.count = count
-        self._pool = ThreadPoolExecutor(count - 1) if count > 1 else None
-
-    def __enter__(self) -> _Workers:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def run(self, task: Callable[[int], None], parts: int) -> None:
-        """task(0), ..., task(parts - 1), parts <= count, task(0) in this thread; waits for all."""
-        futures = [self._pool.submit(task, j) for j in range(1, parts)] if parts > 1 else []
-        try:
-            if parts > 0:
-                task(0)
-        finally:
-            wait(futures)
-        for f in futures:
-            f.result()
-
-
-_SERIAL = _Workers(1)
 
 
 def _distances(
@@ -110,31 +73,51 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * max(1, width)))
 
 
+def _blockwise(
+    n: int, rows: int, width: int, work: Callable[[slice, np.ndarray], None],
+    pool: ThreadPoolExecutor | None, parts: int,
+) -> None:
+    """work(block, buf) for each `rows`-row block of range(n); buf is a (block rows x width) buffer.
+
+    The blocks are dealt round-robin into min(parts, blocks) hands, one pool
+    task each; without a pool one hand takes them all here, in order. Each
+    hand's buffer is allocated here, so no pool thread keeps a malloc arena of
+    large buffers. work must write only its own block's rows.
+    """
+    starts = range(0, n, rows)
+    hands = min(parts, len(starts)) if pool is not None else 1
+    bufs = [np.empty((min(rows, n), width)) for _ in range(hands)]
+
+    def hand(j: int) -> None:
+        for lo in starts[j::hands]:
+            work(slice(lo, lo + rows), bufs[j][: min(rows, n - lo)])
+
+    if pool is None:
+        hand(0)
+        return
+    for f in [pool.submit(hand, j) for j in range(hands)]:
+        f.result()
+
+
 def _nearest(
-    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, workers: _Workers = _SERIAL,
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray,
+    pool: ThreadPoolExecutor | None = None, parts: int = 1,
 ) -> np.ndarray:
-    """Index of each row's nearest centroid, in O(block x k) memory per worker rather than O(N x k).
+    """Index of each row's nearest centroid, in O(block x k) memory per hand rather than O(N x k).
 
     argmin breaks ties toward the lowest index. BLAS runs on one thread, so a
-    block's GEMM gives the same bits on any worker and under any
+    block's GEMM gives the same bits on any thread and under any
     OPENBLAS_NUM_THREADS.
     """
     n, k = x.shape[0], centroids.shape[0]
     cc = np.sum(centroids * centroids, axis=1)
-    rows = _block_rows(k)
-    starts = range(0, n, rows)
-    parts = min(workers.count, len(starts))
-    bufs = [np.empty((min(rows, n), k)) for _ in range(parts)]
     assign = np.empty(n, dtype=np.int64)
 
-    def task(j: int) -> None:
-        for lo in starts[j::parts]:
-            block = slice(lo, lo + rows)
-            d = _distances(x[block], xx[block], centroids, cc, out=bufs[j][: min(rows, n - lo)])
-            assign[block] = np.argmin(d, axis=1)
+    def work(block: slice, buf: np.ndarray) -> None:
+        assign[block] = np.argmin(_distances(x[block], xx[block], centroids, cc, out=buf), axis=1)
 
     with util.one_blas_thread():
-        workers.run(task, parts)
+        _blockwise(n, _block_rows(k), k, work, pool, parts)
     return assign
 
 
@@ -154,31 +137,25 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 
 def _point_d2(
-    x: np.ndarray, centroids: np.ndarray, assign: np.ndarray, workers: _Workers = _SERIAL,
+    x: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
+    pool: ThreadPoolExecutor | None = None, parts: int = 1,
 ) -> np.ndarray:
-    """Squared distance of each row to its assigned centroid, in O(block x D) memory per worker.
+    """Squared distance of each row to its assigned centroid, in O(block x D) memory per hand.
 
     By direct subtraction: exact zero for coincident points, unlike the
     expanded form `_distances` uses for the argmin. Each row's sum is the
     same in any block, so the result does not depend on the block size.
     """
     n, dim = x.shape
-    rows = _block_rows(dim)
-    starts = range(0, n, rows)
-    parts = min(workers.count, len(starts))
-    bufs = [np.empty((min(rows, n), dim)) for _ in range(parts)]
     out = np.empty(n)
 
-    def task(j: int) -> None:
-        for lo in starts[j::parts]:
-            block = slice(lo, lo + rows)
-            diff = bufs[j][: min(rows, n - lo)]
-            # "clip" takes no temporary, which "raise" does; argmin's indices are in range
-            np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
-            np.subtract(x[block], diff, out=diff)
-            np.einsum("ij,ij->i", diff, diff, out=out[block])
+    def work(block: slice, diff: np.ndarray) -> None:
+        # "clip" takes no temporary, which "raise" does; argmin's indices are in range
+        np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
+        np.subtract(x[block], diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=out[block])
 
-    workers.run(task, parts)
+    _blockwise(n, _block_rows(dim), dim, work, pool, parts)
     return out
 
 
@@ -198,38 +175,30 @@ def _weighted_draw(
     return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
-def _spans(n: int, parts: int) -> list[slice]:
-    """At most `parts` contiguous spans of range(n), each starting at a multiple of _SPAN_ALIGN."""
-    step = -(-n // (parts * _SPAN_ALIGN)) * _SPAN_ALIGN
-    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
-
-
 def _kmeans_pp_init(
-    x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator, workers: _Workers = _SERIAL,
+    x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
+    pool: ThreadPoolExecutor | None = None, parts: int = 1,
 ) -> np.ndarray:
-    """k-means++ seeds. Each pick's distances and minimum run in one row span per worker.
+    """k-means++ seeds. Each pick's distances and minimum run in `_block_rows(D)`-row blocks.
 
-    A GEMV gives each row the same bits in any row span, so the spans change
-    no distance; the sum and the draw run here, over the whole array.
+    A GEMV gives each row the same bits in any block, so the blocks change no
+    distance; the sum and the draw run here, over the whole array.
     """
-    n = x.shape[0]
-    col = np.empty((n, 1))
+    n, dim = x.shape
     cdf = np.empty(n)
     # min(inf, d) is d bit for bit, NaN included, so the first pick needs no case of its own
     closest = np.full(n, np.inf)
-    spans = _spans(n, workers.count)
 
     def take_point(i: int) -> None:
         """Lower `closest` to the distances to point i."""
         c = x[i][None, :]
         cc = np.sum(c * c, axis=1)
 
-        def task(j: int) -> None:
-            s = spans[j]
-            d = _distances(x[s], xx[s], c, cc, out=col[s])[:, 0]
-            np.minimum(closest[s], d, out=closest[s])
+        def work(block: slice, col: np.ndarray) -> None:
+            d = _distances(x[block], xx[block], c, cc, out=col)[:, 0]
+            np.minimum(closest[block], d, out=closest[block])
 
-        workers.run(task, len(spans))
+        _blockwise(n, _block_rows(dim), 1, work, pool, parts)
 
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
@@ -291,8 +260,10 @@ def kmeans(
     if k > n:
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
-    with util.one_blas_thread() as pinned, _Workers(_worker_count(n, k) if pinned else 1) as pool:
-        centroids, assign, prev_obj, history = _lloyd(x, k, seed, max_iters, tol, pool)
+    with util.one_blas_thread() as pinned:
+        parts = _worker_count(n, k) if pinned else 1
+        with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
+            centroids, assign, prev_obj, history = _lloyd(x, k, seed, max_iters, tol, pool, parts)
 
     sizes = np.bincount(assign, minlength=k).astype(np.int64)
     assignments = dict(zip(embeddings.ids, assign.tolist()))
@@ -311,20 +282,24 @@ def _worker_count(n: int, k: int) -> int:
 
 
 def _lloyd(
-    x: np.ndarray, k: int, seed: int, max_iters: int, tol: float, workers: _Workers,
+    x: np.ndarray, k: int, seed: int, max_iters: int, tol: float,
+    pool: ThreadPoolExecutor | None, parts: int,
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Seeding and Lloyd iterations: (centroids, assignment, objective, objective history)."""
+    """Seeding and Lloyd iterations: (centroids, assignment, objective, objective history).
+
+    Row blocks go to `parts` threads of `pool`, or run here when it is None.
+    """
     n = x.shape[0]
     xx = _sq_norms(x)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, xx, k, rng, workers)
+    centroids = _kmeans_pp_init(x, xx, k, rng, pool, parts)
 
     prev_obj = np.inf
     history: list[float] = []
     assign = np.zeros(n, dtype=np.int64)
     for it in range(max_iters):
-        assign = _nearest(x, xx, centroids, workers)
-        point_d2 = _point_d2(x, centroids, assign, workers)
+        assign = _nearest(x, xx, centroids, pool, parts)
+        point_d2 = _point_d2(x, centroids, assign, pool, parts)
         obj = float(point_d2.sum())
         if obj > prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise AssertionError(f"kmeans objective increased: {prev_obj} -> {obj} at iter {it}")

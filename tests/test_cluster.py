@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -522,25 +523,21 @@ def test_assignment_does_not_depend_on_openblas_threads():
 
 
 @pytest.mark.parametrize("n", [2_000, 50_000])
-def test_gemv_row_spans_equal_one_call(n):
-    # seeding takes each pick's GEMV in row spans; every row must get the same bits
+def test_seeding_gemv_blocks_equal_one_call(n):
+    # seeding takes each pick's GEMV in `_block_rows(D)`-row blocks; every row
+    # must get the bits of one whole-array call, as before blocking
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, 64))
     c = rng.normal(size=(1, 64))
     with util.one_blas_thread():
         whole = (x @ c.T).tobytes()
-        for parts in (2, 3, 7):
-            spans = cluster._spans(n, parts)
-            assert len(spans) == parts and all(s.start % cluster._SPAN_ALIGN == 0 for s in spans)
-            assert np.concatenate([x[s] @ c.T for s in spans]).tobytes() == whole
-        for cut in (64, 1_024, n // 2 // 64 * 64):
-            assert np.concatenate([x[:cut] @ c.T, x[cut:] @ c.T]).tobytes() == whole
+        for rows in (64, 1_000, cluster._block_rows(64)):
+            assert np.concatenate([x[lo : lo + rows] @ c.T for lo in range(0, n, rows)]).tobytes() == whole
 
 
 def _three_block_input(monkeypatch) -> Embeddings:
     """3,000 docs, k=40, D=16, with blocks small enough that each per-core path has at least 3."""
-    # `_nearest` takes 6 blocks of 500 rows and `_point_d2` 3 of at most 1,250;
-    # seeding splits 3,000 rows into spans of 1,024
+    # `_nearest` takes 6 blocks of 500 rows, and `_point_d2` and seeding 3 of at most 1,250
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 40 * 500)
     return hash_embed(make_demo_corpus(3000, 5), dim=16, seed=5)
 
@@ -554,40 +551,28 @@ def test_per_core_paths_equal_the_serial_path(monkeypatch, workers):
     # would expose a row written twice or not at all
     sys.setswitchinterval(1e-6)
     try:
-        with util.one_blas_thread(), cluster._Workers(workers) as pool:
+        with util.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
             serial_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
             seeds = cluster._kmeans_pp_init(x, xx, 40, serial_rng)
-            assert cluster._kmeans_pp_init(x, xx, 40, rng, pool).tobytes() == seeds.tobytes()
+            got = cluster._kmeans_pp_init(x, xx, 40, rng, pool, workers)
+            assert got.tobytes() == seeds.tobytes()
             assert rng.bit_generator.state == serial_rng.bit_generator.state
             assign = cluster._nearest(x, xx, seeds)
-            assert cluster._nearest(x, xx, seeds, pool).tobytes() == assign.tobytes()
+            assert cluster._nearest(x, xx, seeds, pool, workers).tobytes() == assign.tobytes()
             d2 = cluster._point_d2(x, seeds, assign).tobytes()
-            assert cluster._point_d2(x, seeds, assign, pool).tobytes() == d2
+            assert cluster._point_d2(x, seeds, assign, pool, workers).tobytes() == d2
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_workers_raise_a_task_error_once_every_task_has_ended():
-    done = []
-
-    def task(j: int) -> None:
-        if j == 1:
-            raise ValueError("task 1")
-        done.append(j)
-
-    with cluster._Workers(3) as pool, pytest.raises(ValueError, match="task 1"):
-        pool.run(task, 3)
-    assert sorted(done) == [0, 2]
-
-
-class _CountingWorkers(cluster._Workers):
-    """`cluster._Workers` that records the thread count of each instance."""
+class _CountingPool(ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the thread count of each instance."""
 
     made: list[int] = []
 
-    def __init__(self, count: int) -> None:
-        self.made.append(count)
-        super().__init__(count)
+    def __init__(self, max_workers: int) -> None:
+        self.made.append(max_workers)
+        super().__init__(max_workers)
 
 
 def _kmeans_on_cores(
@@ -595,11 +580,11 @@ def _kmeans_on_cores(
 ) -> tuple[ClusterModel, bytes]:
     """kmeans as on a machine with `cores` cores: its model and its clusters file's bytes.
 
-    `_CountingWorkers.made` then holds the thread count it ran with.
+    `_CountingPool.made` then holds the thread count of the pool it made, if any.
     """
     monkeypatch.setattr(cluster.os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(cluster, "_Workers", _CountingWorkers)
-    _CountingWorkers.made = []
+    monkeypatch.setattr(cluster, "ThreadPoolExecutor", _CountingPool)
+    _CountingPool.made = []
     model = kmeans(emb, k=40, seed=5, max_iters=5, tol=1e-8)
     path = tmp_path / f"clusters-{cores}.jsonl"
     write_clusters(model, path, emb)
@@ -612,9 +597,9 @@ def test_kmeans_artifact_does_not_depend_on_the_core_count(monkeypatch, tmp_path
         pytest.skip("without an OpenBLAS thread pin kmeans runs serially")
     emb = _three_block_input(monkeypatch)
     serial, serial_bytes = _kmeans_on_cores(monkeypatch, emb, 1, tmp_path)
-    assert _CountingWorkers.made == [1]
+    assert _CountingPool.made == []
     model, got = _kmeans_on_cores(monkeypatch, emb, workers, tmp_path)
-    assert _CountingWorkers.made == [workers]
+    assert _CountingPool.made == [workers]
     assert got == serial_bytes
     assert model.objective_history == serial.objective_history
     assert verify_nearest_assignment(model, emb)
@@ -625,6 +610,6 @@ def test_kmeans_without_a_blas_pin_runs_serially(monkeypatch, tmp_path):
     pinned, pinned_bytes = _kmeans_on_cores(monkeypatch, emb, 3, tmp_path)
     monkeypatch.setattr(util, "_openblas_setters", lambda: ())
     model, got = _kmeans_on_cores(monkeypatch, emb, 3, tmp_path)
-    assert _CountingWorkers.made == [1]
+    assert _CountingPool.made == []
     assert got == pinned_bytes
     assert model.objective_history == pinned.objective_history
