@@ -1,14 +1,18 @@
-"""Command-line entry point: the stage registry, the pipeline runner and the CLI.
+"""Command-line entry point: the stage registry, the stage runner and the CLI.
 
 Each of the 11 stages is declared once in `STAGES`: the config sections it
-reads, its named input and output file slots, and one body function that
-returns the counts its run-log record stores. `ecsynth run` executes stages
-in dependency order from one strict, type-checked JSON config, resolving the
-slots to configured paths and workdir artifacts and logging each stage's
-seed, config hash, input/output hashes and counts, so a rerun with the same
-config produces byte-identical artifacts. `ecsynth <stage>` runs the same
-body on the files its `--<slot>` flags name; its other flags are generated
-from the section dataclasses, so their defaults and types are the config's.
+reads, its named input and output file slots with their record kinds, and one
+body function from input records to output records plus the counts its
+run-log record stores. One runner, `_run_stage`, reads and writes every
+stage file: it reads the input slots, calls the body and writes what it
+returns. `ecsynth run` executes stages in dependency order from one strict,
+type-checked JSON config, resolving the slots to configured paths and workdir
+artifacts. It hands each file's records on to later stages without a parse,
+and logs each stage's seed, config hash, input/output hashes and counts, so a
+rerun with the same config produces byte-identical artifacts. `ecsynth
+<stage>` runs the same runner on the files its `--<slot>` flags name; its
+other flags are generated from the section dataclasses, so their defaults and
+types are the config's.
 
 Exit codes: 0 success, 1 validation error, 2 stage failure.
 """
@@ -329,31 +333,47 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 @dataclass(frozen=True)
 class Slot:
-    """A named file a stage reads or writes; the body gets it as a keyword argument.
+    """A named file a stage reads or writes, and the kind of records it holds.
 
-    The pipeline takes it from `config`, a dotted config field holding a path
-    relative to the config file (no file when the field is empty), or from
-    `artifact`, a name in the workdir (for kind "files", a glob pattern that
-    must match). A stage subcommand takes it from `--<flag or name>`.
+    The pipeline takes its path from `config`, a dotted config field holding a
+    path relative to the config file (no file when the field is empty), or
+    from `artifact`, a name in the workdir (for kind "files", a glob pattern
+    that must match). A stage subcommand takes it from `--<flag or name>`.
+
+    `record` is the kind of records in the file. The runner reads an input
+    slot and passes the body its records, or None for an optional slot without
+    a file; a slot without a record kind is passed as its path. The runner
+    writes what the body returns for an output slot.
     """
 
     name: str
     artifact: str = ""
     config: str = ""
-    # "file"; "files": a list of files; "dir": a directory of files;
-    # "ref": a file the output names by path but the stage does not read
+    # "file"; "files": a list of files, passed as a list of their records;
+    # "dir": a directory, written from a {file name: records} dict;
+    # "ref": a file the output names by its path but the stage does not read,
+    # passed as that path relative to the directory of the stage's first output
     kind: str = "file"
+    record: str = ""
     optional: bool = False
     flag: str = ""
+
+
+def _flag(slot: Slot) -> str:
+    return "--" + (slot.flag or slot.name).replace("_", "-")
 
 
 @dataclass(frozen=True)
 class Stage:
     name: str
     help: str
-    # body(config, seed, **slots, **extras) -> counts; a stage that reads the
-    # "eval" section also gets judge=, one judge for the whole run
-    body: Callable[..., dict]
+    # body(config, seed, **inputs, **extras) -> (outputs, counts): it gets each
+    # input slot's records (see Slot) and, if it reads the "eval" section,
+    # judge=, one judge for the whole run. `outputs` maps an output slot's
+    # name to its records, or to a tuple (records, the writer's further
+    # arguments). An optional output may be missing when the inputs cannot
+    # make it; the runner writes only the outputs that have a path.
+    body: Callable[..., tuple[dict, dict]]
     sections: tuple[str, ...]  # config sections ("cluster") or single fields ("mix.ratio") it reads
     inputs: tuple[Slot, ...]
     outputs: tuple[Slot, ...]
@@ -382,36 +402,36 @@ def _judge(e: EvalSection) -> eval_mod.Judge:
     return eval_mod.MemoJudge(inner)
 
 
-def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings, out) -> dict:
+def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings) -> tuple[dict, dict]:
     c = cfg.cluster
-    if embeddings:
-        embedded = records.read_embeddings(embeddings)
-    elif corpus:
-        embedded = cluster_mod.hash_embed(records.read_corpus(corpus), c.embed_dim, seed=seed)
+    if embeddings is not None:
+        embedded = embeddings
+    elif corpus is not None:
+        embedded = cluster_mod.hash_embed(corpus, c.embed_dim, seed=seed)
     else:
         raise ConfigError("cluster requires --embeddings or --corpus")
     model = cluster_mod.kmeans(embedded, k=c.k, seed=seed, max_iters=c.max_iters, tol=c.tol)
-    records.write_clusters(model, out, embedded)
     stats = cluster_mod.cluster_stats(model)
-    return {
+    counts = {
         "docs": len(embedded),
         "k": model.k,
         "objective": model.objective,
         "mean_size": stats.mean_size,
         "std_size": stats.std_size,
     }
+    # the model as read_clusters reads it back: a float objective, no history
+    read_back = dataclasses.replace(model, objective=float(model.objective), objective_history=())
+    return {"out": (read_back, embedded)}, counts
 
 
-def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus, out) -> dict:
-    model = records.read_clusters(clusters)
-    docs = {d.id: d for d in records.read_corpus(corpus)}
-    picked = cluster_mod.quota_sample(model, cfg.sample.per_cluster, seed=seed)
+def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus) -> tuple[dict, dict]:
+    docs = {d.id: d for d in corpus}
+    picked = cluster_mod.quota_sample(clusters, cfg.sample.per_cluster, seed=seed)
     sampled = records.by_id(picked, docs, "corpus documents")
-    records.write_corpus(sampled, out)
-    return {"sampled": len(sampled)}
+    return {"out": sampled}, {"sampled": len(sampled)}
 
 
-def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus, out) -> dict:
+def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus) -> tuple[dict, dict]:
     g = cfg.grammar
     if g.client == "mock":
         client: grammar_mod.InjectorClient = grammar_mod.MockInjector(
@@ -424,10 +444,9 @@ def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus, out) -> dict:
             timeout=g.timeout,
             max_retries=g.max_retries,
         )
-    run = grammar_mod.inject_corpus(records.read_corpus(corpus), client, concurrency=g.concurrency)
+    run = grammar_mod.inject_corpus(corpus, client, concurrency=g.concurrency)
     result = grammar_mod.roundtrip_filter(list(run.pairs))
-    records.write_ec_dataset(list(result.kept), out)
-    return {
+    return {"out": list(result.kept)}, {
         "injected": len(run.pairs),
         "kept": len(result.kept),
         "dropped": result.dropped_count,
@@ -436,60 +455,49 @@ def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus, out) -> dict:
     }
 
 
-def _inject_typos(cfg: PipelineConfig, seed: int, *, dataset, layout, out) -> dict:
-    examples = records.read_ec_dataset(dataset)
+def _inject_typos(cfg: PipelineConfig, seed: int, *, dataset, layout) -> tuple[dict, dict]:
     keyboard = typo_mod.load_keyboard(layout) if layout else typo_mod.QWERTY
-    corrupted = typo_mod.corrupt_dataset(examples, cfg.typo.build(seed), keyboard)
-    records.write_ec_dataset(corrupted, out)
-    return {"examples": len(corrupted)}
+    corrupted = typo_mod.corrupt_dataset(dataset, cfg.typo.build(seed), keyboard)
+    return {"out": corrupted}, {"examples": len(corrupted)}
 
 
 def _score(
-    cfg: PipelineConfig, seed: int, *, dataset, public_corpus, domain_corpus, import_scores, out
-) -> dict:
-    examples = records.read_ec_dataset(dataset)
-    if import_scores:
-        imported = {s.sample_id: s for s in records.read_scores(import_scores)}
-        scores = records.by_id([ex.id for ex in examples], imported, "imported scores")
-    elif public_corpus and domain_corpus:
+    cfg: PipelineConfig, seed: int, *, dataset, public_corpus, domain_corpus, import_scores
+) -> tuple[dict, dict]:
+    if import_scores is not None:
+        imported = {s.sample_id: s for s in import_scores}
+        scores = records.by_id([ex.id for ex in dataset], imported, "imported scores")
+    elif public_corpus is not None and domain_corpus is not None:
         s = cfg.scoring
-        public = scoring_mod.train_ngram(records.read_corpus(public_corpus), s.order, s.delta)
-        domain = scoring_mod.train_ngram(records.read_corpus(domain_corpus), s.order, s.delta)
-        scores = scoring_mod.score_dataset(examples, public, domain)
+        public = scoring_mod.train_ngram(public_corpus, s.order, s.delta)
+        domain = scoring_mod.train_ngram(domain_corpus, s.order, s.delta)
+        scores = scoring_mod.score_dataset(dataset, public, domain)
     else:
         raise ConfigError("score requires --import or both --public-corpus and --domain-corpus")
-    records.write_scores(scores, out)
-    return {"scored": len(scores)}
+    return {"out": scores}, {"scored": len(scores)}
 
 
-def _simbench(
-    cfg: PipelineConfig, seed: int, *, dataset, scores, outputs, eval_matrix, planted, judge
-) -> dict:
-    examples = records.read_ec_dataset(dataset)
+def _simbench(cfg: PipelineConfig, seed: int, *, dataset, scores, judge) -> tuple[dict, dict]:
     spec = simbench_mod.DeploymentSimSpec(
         **dataclasses.asdict(cfg.simbench),
         c_min=cfg.reweight.c_min,
         c_max=cfg.reweight.c_max,
         seed=seed,
     )
-    sim = simbench_mod.simulate_deployments(
-        examples, records.read_scores(scores), spec, judge=judge
-    )
-    outputs.mkdir(parents=True, exist_ok=True)
-    for o in sim.outputs:
-        records.write_outputs(o, outputs / f"{o.model_id}.jsonl")
-    records.write_eval_matrix(sim.matrix, eval_matrix)
-    records.write_json(
-        {
-            "theta": [sim.params.theta_f, sim.params.theta_p, sim.params.theta_b],
-            "alpha_1": [float(x) for x in sim.alpha[0]],
-            "alpha_0": [float(x) for x in sim.alpha[1]],
-            "noise_floor": sim.noise_floor,
-            "mean_weight": float(sim.weights.mean()),
-        },
-        planted,
-    )
-    return {"models": len(sim.outputs), "noise_floor": sim.noise_floor}
+    sim = simbench_mod.simulate_deployments(dataset, scores, spec, judge=judge)
+    planted = {
+        "theta": [sim.params.theta_f, sim.params.theta_p, sim.params.theta_b],
+        "alpha_1": [float(x) for x in sim.alpha[0]],
+        "alpha_0": [float(x) for x in sim.alpha[1]],
+        "noise_floor": sim.noise_floor,
+        "mean_weight": float(sim.weights.mean()),
+    }
+    outputs = {
+        "outputs": {f"{o.model_id}.jsonl": o for o in sim.outputs},
+        "eval_matrix": sim.matrix,
+        "planted": planted,
+    }
+    return outputs, {"models": len(sim.outputs), "noise_floor": sim.noise_floor}
 
 
 def _fit_report_text(report: dict) -> str:
@@ -575,32 +583,23 @@ def _fit_report_json(fit: reweight_mod.ReweightFit) -> dict:
 
 
 def _fit_reweight(
-    cfg: PipelineConfig, seed: int, *,
-    eval_matrix, val_matrix, scores, dataset, report, report_txt, weights_out, weighted,
-) -> dict:
-    if weighted and not dataset:
-        raise ConfigError("--weighted requires --dataset")
+    cfg: PipelineConfig, seed: int, *, eval_matrix, val_matrix, scores, dataset
+) -> tuple[dict, dict]:
     r = cfg.reweight
-    matrices = [records.read_eval_matrix(p) for p in eval_matrix]
-    score_list = records.read_scores(scores)
     fit = reweight_mod.fit(
-        matrices,
-        score_list,
+        eval_matrix,
+        scores,
         init=r.params(),
         opts=r.options(seed),
-        val_data=[records.read_eval_matrix(p) for p in val_matrix] if val_matrix else None,
-        with_cv=matrices[0].n_models >= 3,
+        val_data=val_matrix,
+        with_cv=eval_matrix[0].n_models >= 3,
     )
-    report_obj = _fit_report_json(fit)
-    records.write_json(report_obj, report)
-    if report_txt:
-        records.write_text(_fit_report_text(report_obj), report_txt)
-    weights = reweight_mod.weights_for(fit.params, score_list)
-    if weights_out:
-        records.write_weights(weights, weights_out)
-    if weighted:
-        records.write_ec_dataset(_with_weights(records.read_ec_dataset(dataset), weights), weighted)
-    return {
+    report = _fit_report_json(fit)
+    weights = reweight_mod.weights_for(fit.params, scores)
+    outputs = {"report": report, "report_txt": _fit_report_text(report), "weights_out": weights}
+    if dataset is not None:
+        outputs["weighted"] = _with_weights(dataset, weights)
+    return outputs, {
         "residual_train": fit.residual_train,
         "uniform": fit.baseline_residuals["uniform"],
         "heuristic": fit.baseline_residuals["heuristic"],
@@ -613,14 +612,11 @@ def _with_weights(examples: list[records.ECExample], weights: dict[str, float]) 
     return [ex.with_weight(w) for ex, w in zip(examples, ws)]
 
 
-def _filter(cfg: PipelineConfig, seed: int, *, dataset, weights, out) -> dict:
-    examples = records.read_ec_dataset(dataset)
-    if weights:
-        examples = _with_weights(examples, records.read_weights(weights))
+def _filter(cfg: PipelineConfig, seed: int, *, dataset, weights) -> tuple[dict, dict]:
+    examples = dataset if weights is None else _with_weights(dataset, weights)
     threshold = cfg.mix.filter_threshold
     kept = mix_mod.filter_by_weight(examples, threshold)
-    records.write_ec_dataset(kept, out)
-    return {
+    return {"out": kept}, {
         "input": len(examples),
         "kept": len(kept),
         "threshold": threshold,
@@ -629,127 +625,128 @@ def _filter(cfg: PipelineConfig, seed: int, *, dataset, weights, out) -> dict:
 
 
 def _mix(
-    cfg: PipelineConfig, seed: int, *, original, synthetic, filtered, out, mix_filtered, total
-) -> dict:
-    if (filtered is None) != (mix_filtered is None):
-        raise ConfigError("--filtered and --mix-filtered go together")
+    cfg: PipelineConfig, seed: int, *, original, synthetic, filtered, total
+) -> tuple[dict, dict]:
     spec = cfg.mix.build(seed)
-    original_set = records.read_ec_dataset(original)
-    for src, dst in ((synthetic, out), (filtered, mix_filtered)):
-        if src:
-            mixed = mix_mod.mix_datasets(original_set, records.read_ec_dataset(src), spec, total=total)
-            records.write_ec_dataset(mixed, dst)
-    return {"original": len(original_set), "ratio": list(cfg.mix.ratio)}
+    outputs = {"out": mix_mod.mix_datasets(original, synthetic, spec, total=total)}
+    if filtered is not None:
+        outputs["mix_filtered"] = mix_mod.mix_datasets(original, filtered, spec, total=total)
+    return outputs, {"original": len(original), "ratio": list(cfg.mix.ratio)}
 
 
-def _plan(cfg: PipelineConfig, seed: int, *, out, **datasets) -> dict:
-    # the slots are the manifest's dataset keys; paths are written relative to
-    # the manifest, so a workdir's manifest is byte-identical wherever it lives
-    paths = {}
-    for key, p in datasets.items():
-        if p is not None:
-            if not p.exists():
-                raise FileNotFoundError(f"{key} dataset not found: {p}")
-            paths[key] = os.path.relpath(p, out.parent)
+def _plan(cfg: PipelineConfig, seed: int, **datasets) -> tuple[dict, dict]:
+    # the slots are the manifest's dataset keys; their paths are relative to the
+    # manifest, so a workdir's manifest is byte-identical wherever it lives
+    paths = {key: p for key, p in datasets.items() if p is not None}
     manifest = mix_mod.continue_plan(cfg.plan.strategy, paths)
-    # key order is the manifest's own, so not `write_json`, which sorts keys
-    records.write_text(json.dumps(manifest, indent=2) + "\n", out)
-    return {"strategy": cfg.plan.strategy, "phases": len(manifest["phases"])}
+    # key order is the manifest's own, so text, not json, which sorts keys
+    return {"out": json.dumps(manifest, indent=2) + "\n"}, {
+        "strategy": cfg.plan.strategy, "phases": len(manifest["phases"]),
+    }
 
 
 def _evaluate(
-    cfg: PipelineConfig, seed: int, *, outputs, dataset, weights, report, report_json, k, judge
-) -> dict:
-    examples = records.read_ec_dataset(dataset)
-    weight_map = records.read_weights(weights) if weights else None
-    groups = [(p.stem, [records.read_outputs(p)]) for p in outputs]
-    result = eval_mod.eval_report(groups, examples, judge, weights=weight_map, ks=tuple(k))
-    if report:
-        records.write_text(_eval_report_text(result), report)
-    if report_json:
-        records.write_json(result, report_json)
-    return {"models": len(groups), "samples": len(examples)}
+    cfg: PipelineConfig, seed: int, *, outputs, dataset, weights, k, judge
+) -> tuple[dict, dict]:
+    groups = [(o.model_id, [o]) for o in outputs]
+    result = eval_mod.eval_report(groups, dataset, judge, weights=weights, ks=tuple(k))
+    return {"report": _eval_report_text(result), "report_json": result}, {
+        "models": len(groups), "samples": len(dataset),
+    }
 
 
 STAGES = (
     Stage(
         "cluster", "k-means over document embeddings", _cluster, ("cluster",),
         inputs=(
-            Slot("corpus", config="paths.corpus", optional=True),
-            Slot("embeddings", optional=True),
+            Slot("corpus", config="paths.corpus", record="corpus", optional=True),
+            Slot("embeddings", record="embeddings", optional=True),
         ),
-        outputs=(Slot("out", "clusters.jsonl"),),
+        outputs=(Slot("out", "clusters.jsonl", record="clusters"),),
     ),
     Stage(
         "sample", "fixed quota per cluster", _sample, ("sample",),
-        inputs=(Slot("clusters", "clusters.jsonl"), Slot("corpus", config="paths.corpus")),
-        outputs=(Slot("out", "sampled.jsonl"),),
+        inputs=(
+            Slot("clusters", "clusters.jsonl", record="clusters"),
+            Slot("corpus", config="paths.corpus", record="corpus"),
+        ),
+        outputs=(Slot("out", "sampled.jsonl", record="corpus"),),
     ),
     Stage(
         "inject-grammar", "grammar-error injection with roundtrip filtration",
         _inject_grammar, ("grammar",),
-        inputs=(Slot("corpus", "sampled.jsonl"),),
-        outputs=(Slot("out", "ec_grammar.jsonl"),),
+        inputs=(Slot("corpus", "sampled.jsonl", record="corpus"),),
+        outputs=(Slot("out", "ec_grammar.jsonl", record="ec_dataset"),),
     ),
     Stage(
         "inject-typos", "simulated mobile typing errors", _inject_typos, ("typo",),
         inputs=(
-            Slot("dataset", "ec_grammar.jsonl"),
+            Slot("dataset", "ec_grammar.jsonl", record="ec_dataset"),
+            # typo.load_keyboard reads the layout file itself
             Slot("layout", config="typo.layout", optional=True),
         ),
-        outputs=(Slot("out", "ec_synth.jsonl"),),
+        outputs=(Slot("out", "ec_synth.jsonl", record="ec_dataset"),),
     ),
     Stage(
         "score", "dual average log-likelihood scores per target", _score, ("scoring",),
         inputs=(
-            Slot("dataset", "ec_synth.jsonl"),
-            Slot("public_corpus", config="paths.corpus", optional=True),
-            Slot("domain_corpus", config="paths.domain_corpus", optional=True),
-            Slot("import_scores", config="scoring.import_scores", optional=True, flag="import"),
+            Slot("dataset", "ec_synth.jsonl", record="ec_dataset"),
+            Slot("public_corpus", config="paths.corpus", record="corpus", optional=True),
+            Slot("domain_corpus", config="paths.domain_corpus", record="corpus", optional=True),
+            Slot(
+                "import_scores", config="scoring.import_scores", record="scores",
+                optional=True, flag="import",
+            ),
         ),
-        outputs=(Slot("out", "scores.jsonl"),),
+        outputs=(Slot("out", "scores.jsonl", record="scores"),),
     ),
     Stage(
         "simbench", "simulated deployments: model outputs, measurements, live metrics",
         _simbench, ("simbench", "reweight.c_min", "reweight.c_max", "eval"),
-        inputs=(Slot("dataset", "ec_synth.jsonl"), Slot("scores", "scores.jsonl")),
+        inputs=(
+            Slot("dataset", "ec_synth.jsonl", record="ec_dataset"),
+            Slot("scores", "scores.jsonl", record="scores"),
+        ),
         outputs=(
-            Slot("outputs", "outputs", kind="dir"),
-            Slot("eval_matrix", "eval_matrix.jsonl"),
-            Slot("planted", "planted.json"),
+            Slot("outputs", "outputs", kind="dir", record="outputs"),
+            Slot("eval_matrix", "eval_matrix.jsonl", record="eval_matrix"),
+            Slot("planted", "planted.json", record="json"),
         ),
     ),
     Stage(
         "fit-reweight", "fit the reweighting model to live metrics", _fit_reweight, ("reweight",),
         inputs=(
-            Slot("eval_matrix", "eval_matrix.jsonl", kind="files"),
-            Slot("val_matrix", kind="files", optional=True),
-            Slot("scores", "scores.jsonl"),
-            Slot("dataset", "ec_synth.jsonl", optional=True),
+            Slot("eval_matrix", "eval_matrix.jsonl", kind="files", record="eval_matrix"),
+            Slot("val_matrix", kind="files", record="eval_matrix", optional=True),
+            Slot("scores", "scores.jsonl", record="scores"),
+            Slot("dataset", "ec_synth.jsonl", record="ec_dataset", optional=True),
         ),
         outputs=(
-            Slot("report", "fit_report.json"),
-            Slot("report_txt", "fit_report.txt", optional=True),
-            Slot("weights_out", "weights.jsonl", optional=True),
-            Slot("weighted", "ec_weighted.jsonl", optional=True),
+            Slot("report", "fit_report.json", record="json"),
+            Slot("report_txt", "fit_report.txt", record="text", optional=True),
+            Slot("weights_out", "weights.jsonl", record="weights", optional=True),
+            Slot("weighted", "ec_weighted.jsonl", record="ec_dataset", optional=True),
         ),
     ),
     Stage(
         "filter", "keep samples at or above a weight threshold", _filter,
         ("mix.filter_threshold",),
-        inputs=(Slot("dataset", "ec_weighted.jsonl"), Slot("weights", optional=True)),
-        outputs=(Slot("out", "ec_filtered.jsonl"),),
+        inputs=(
+            Slot("dataset", "ec_weighted.jsonl", record="ec_dataset"),
+            Slot("weights", record="weights", optional=True),
+        ),
+        outputs=(Slot("out", "ec_filtered.jsonl", record="ec_dataset"),),
     ),
     Stage(
         "mix", "interleave original and synthetic data at a ratio", _mix, ("mix.ratio",),
         inputs=(
-            Slot("original", config="paths.original_dataset"),
-            Slot("synthetic", "ec_weighted.jsonl"),
-            Slot("filtered", "ec_filtered.jsonl", optional=True),
+            Slot("original", config="paths.original_dataset", record="ec_dataset"),
+            Slot("synthetic", "ec_weighted.jsonl", record="ec_dataset"),
+            Slot("filtered", "ec_filtered.jsonl", record="ec_dataset", optional=True),
         ),
         outputs=(
-            Slot("out", "mix.jsonl"),
-            Slot("mix_filtered", "mix_filtered.jsonl", optional=True),
+            Slot("out", "mix.jsonl", record="ec_dataset"),
+            Slot("mix_filtered", "mix_filtered.jsonl", record="ec_dataset", optional=True),
         ),
         extras={"total": {"type": int, "default": None}},
     ),
@@ -761,24 +758,127 @@ STAGES = (
             Slot("mix", "mix.jsonl", kind="ref", optional=True),
             Slot("mix_filtered", "mix_filtered.jsonl", kind="ref", optional=True),
         ),
-        outputs=(Slot("out", "manifest.json"),),
+        outputs=(Slot("out", "manifest.json", record="text"),),
     ),
     Stage(
         "evaluate", "sequence accuracy / good-ratio report", _evaluate, ("eval",),
         inputs=(
-            Slot("outputs", "outputs/*.jsonl", kind="files"),
-            Slot("dataset", "ec_synth.jsonl"),
-            Slot("weights", "weights.jsonl", optional=True),
+            Slot("outputs", "outputs/*.jsonl", kind="files", record="outputs"),
+            Slot("dataset", "ec_synth.jsonl", record="ec_dataset"),
+            Slot("weights", "weights.jsonl", record="weights", optional=True),
         ),
         outputs=(
-            Slot("report", "eval_report.txt", optional=True),
-            Slot("report_json", "eval_report.json", optional=True),
+            Slot("report", "eval_report.txt", record="text", optional=True),
+            Slot("report_json", "eval_report.json", record="json", optional=True),
         ),
         extras={"k": {"type": int, "nargs": "+", "default": [1, 3]}},
     ),
 )
 
 STAGE_ORDER = tuple(s.name for s in STAGES)
+
+
+# -- stage runner --
+
+
+def _record_io() -> dict[str, tuple[Callable | None, Callable | None]]:
+    """Each record kind's (reader, writer) in `records`.
+
+    Looked up at each call, so that a wrapper installed on a reader or writer
+    sees the stages' calls.
+    """
+    return {
+        "corpus": (records.read_corpus, records.write_corpus),
+        "ec_dataset": (records.read_ec_dataset, records.write_ec_dataset),
+        "scores": (records.read_scores, records.write_scores),
+        "weights": (records.read_weights, records.write_weights),
+        "eval_matrix": (records.read_eval_matrix, records.write_eval_matrix),
+        "clusters": (records.read_clusters, records.write_clusters),
+        "outputs": (records.read_outputs, records.write_outputs),
+        "embeddings": (records.read_embeddings, None),
+        "json": (None, records.write_json),
+        "text": (None, records.write_text),
+    }
+
+
+@dataclass
+class Held:
+    """The files one run or one stage subcommand has read or written, by resolved path.
+
+    `values` keeps each file's record kind and records, so a later stage gets
+    them without a parse. `digests` keeps each file's sha256, computed once:
+    when the file is written or first read.
+    """
+
+    values: dict[Path, tuple[str, object]] = field(default_factory=dict)
+    digests: dict[Path, str] = field(default_factory=dict)
+
+    def digest(self, path: Path) -> str:
+        key = path.resolve()
+        if key not in self.digests:
+            self.digests[key] = file_sha256(path)
+        return self.digests[key]
+
+    def read(self, record: str, path: Path) -> object:
+        key = path.resolve()
+        kind, value = self.values.get(key, ("", None))
+        if kind != record:
+            value = _record_io()[record][0](path)
+            self.values[key] = (record, value)
+            self.digest(path)
+        return value
+
+    def write(self, record: str, path: Path, value: object, *args: object) -> None:
+        _record_io()[record][1](value, path, *args)
+        key = path.resolve()
+        self.values[key] = (record, value)
+        self.digests[key] = file_sha256(path)
+
+
+def _input(slot: Slot, path: Any, held: Held, base: Path | None) -> object:
+    """What the body gets for an input slot at `path` (see Slot).
+
+    `base` is the path of the stage's first output, which a ref is relative to.
+    """
+    if path is None:
+        return None
+    if slot.kind == "ref":
+        if not path.exists():
+            raise FileNotFoundError(f"{slot.name} file not found: {path}")
+        return os.path.relpath(path, base.parent)
+    if not slot.record:
+        return path
+    if slot.kind == "files":
+        return [held.read(slot.record, p) for p in path]
+    return held.read(slot.record, path)
+
+
+def _run_stage(
+    stage: Stage, config: PipelineConfig, seed: int, paths: dict[str, Any], held: Held,
+    extras: dict,
+) -> dict:
+    """Run one stage on the files `paths` names by slot; returns the body's counts.
+
+    The only code that reads or writes a stage's files: it reads the input
+    slots through `held`, calls the body, and writes through `held` what the
+    body returns for each output slot that has a path.
+    """
+    base = paths[stage.outputs[0].name]
+    inputs = {slot.name: _input(slot, paths[slot.name], held, base) for slot in stage.inputs}
+    outputs, counts = stage.body(config, seed, **inputs, **extras)
+    for slot in stage.outputs:
+        path, value = paths[slot.name], outputs.get(slot.name)
+        if path is None:
+            continue
+        if value is None:
+            raise ConfigError(f"{stage.name}: {_flag(slot)} needs an input that was not given")
+        if slot.kind == "dir":
+            path.mkdir(parents=True, exist_ok=True)
+            for name, item in value.items():
+                held.write(slot.record, path / name, item)
+        else:
+            held.write(slot.record, path, *(value if isinstance(value, tuple) else (value,)))
+    return counts
 
 
 # -- pipeline runner --
@@ -791,6 +891,7 @@ class RunContext:
     workdir: Path
     cfg_hash: str
     judge: eval_mod.Judge  # shared by every judged stage, so each pair is judged once per run
+    held: Held = field(default_factory=Held)  # every file the run read or wrote
 
     def stage_seed(self, stage: str) -> int:
         return derive_seed(self.config.seed, stage)
@@ -810,43 +911,40 @@ class RunContext:
             return found
         return self.workdir / slot.artifact
 
-    def log(self, stage: str, inputs: Sequence[Path], outputs: Sequence[Path], counts: dict) -> None:
-        logdir = self.workdir / "runlog"
-        logdir.mkdir(parents=True, exist_ok=True)
+    def run(self, stage: Stage) -> None:
+        """Run one stage on its configured files and artifacts, and log it."""
+        paths = {slot.name: self.resolve(slot) for slot in stage.slots}
+        for slot in stage.outputs:
+            if slot.kind == "dir" and paths[slot.name].exists():
+                # evaluate and the run log must not pick up an earlier run's files
+                shutil.rmtree(paths[slot.name])
+        extras = {name: kw["default"] for name, kw in stage.extras.items()}
+        if stage.judged:
+            extras["judge"] = self.judge
+        counts = _run_stage(stage, self.config, self.stage_seed(stage.name), paths, self.held, extras)
         record = {
-            "stage": stage,
-            "seed": self.stage_seed(stage),
+            "stage": stage.name,
+            "seed": self.stage_seed(stage.name),
             "config_hash": self.cfg_hash,
-            "inputs": {p.name: file_sha256(p) for p in inputs},
-            "outputs": {p.name: file_sha256(p) for p in outputs},
+            "inputs": self._digests(stage.inputs, paths),
+            "outputs": self._digests(stage.outputs, paths),
             "counts": counts,
         }
-        records.write_json(record, logdir / f"{stage}.json")
+        logdir = self.workdir / "runlog"
+        logdir.mkdir(parents=True, exist_ok=True)
+        records.write_json(record, logdir / f"{stage.name}.json")
 
-
-def _hashed(slots: Sequence[Slot], files: dict) -> list[Path]:
-    """The files of `slots` a run-log record hashes."""
-    out: list[Path] = []
-    for slot in slots:
-        value = files[slot.name]
-        if slot.kind == "dir":
-            value = sorted(p for p in value.iterdir() if p.is_file())
-        if value is not None and slot.kind != "ref":
-            out += value if isinstance(value, list) else [value]
-    return out
-
-
-def _run_stage(ctx: RunContext, stage: Stage) -> None:
-    files = {slot.name: ctx.resolve(slot) for slot in stage.slots}
-    for slot in stage.outputs:
-        if slot.kind == "dir" and files[slot.name].exists():
-            # evaluate and the run log must not pick up an earlier run's files
-            shutil.rmtree(files[slot.name])
-    extras = {name: kw["default"] for name, kw in stage.extras.items()}
-    if stage.judged:
-        extras["judge"] = ctx.judge
-    counts = stage.body(ctx.config, ctx.stage_seed(stage.name), **files, **extras)
-    ctx.log(stage.name, _hashed(stage.inputs, files), _hashed(stage.outputs, files), counts)
+    def _digests(self, slots: Sequence[Slot], paths: dict[str, Any]) -> dict[str, str]:
+        """File name -> sha256 of each file of `slots` that a run-log record names."""
+        out = {}
+        for slot in slots:
+            value = paths[slot.name]
+            if slot.kind == "dir":
+                value = sorted(p for p in value.iterdir() if p.is_file())
+            if value is not None and slot.kind != "ref":
+                for p in value if isinstance(value, list) else [value]:
+                    out[p.name] = self.held.digest(p)
+        return out
 
 
 def run_pipeline(
@@ -856,8 +954,10 @@ def run_pipeline(
 ) -> Path:
     """Execute the requested stages in dependency order; returns the workdir.
 
-    The run parses each input and artifact at most once: stages share one
-    `records.record_cache()`, which closes when the run returns or fails.
+    The run reads each configured input once and hands each stage's records
+    to the stages after it: a stage parses only the files that no earlier
+    stage of this call read or wrote. Every stage of the run so sees one
+    snapshot of each input, however the file changes on disk meanwhile.
     """
     unknown = sorted(set(stages or ()) - set(STAGE_ORDER))
     if unknown:
@@ -870,14 +970,13 @@ def run_pipeline(
         config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash,
         judge=_judge(config.eval),
     )
-    with records.record_cache():
-        for stage in STAGES:
-            if stages is not None and stage.name not in stages:
-                continue
-            try:
-                _run_stage(ctx, stage)
-            except Exception as e:
-                raise StageError(stage.name, e) from e
+    for stage in STAGES:
+        if stages is not None and stage.name not in stages:
+            continue
+        try:
+            ctx.run(stage)
+        except Exception as e:
+            raise StageError(stage.name, e) from e
     return workdir
 
 
@@ -908,10 +1007,11 @@ def _cmd_stage(stage: Stage, args: argparse.Namespace) -> int:
         paths=PathsConfig("", "", "", ""),
         **{section: types[section](**kw) for section, kw in sections.items()},
     )
-    kwargs = {name: values[name] for name in [s.name for s in stage.slots] + list(stage.extras)}
+    paths = {slot.name: values[slot.name] for slot in stage.slots}
+    extras = {name: values[name] for name in stage.extras}
     if stage.judged:
-        kwargs["judge"] = _judge(config.eval)
-    counts = stage.body(config, args.seed, **kwargs)
+        extras["judge"] = _judge(config.eval)
+    counts = _run_stage(stage, config, args.seed, paths, Held(), extras)
     print(json.dumps(counts, sort_keys=True))
     return 0
 
@@ -921,7 +1021,7 @@ def _add_stage_parser(sub: argparse._SubParsersAction, stage: Stage) -> None:
     for slot in stage.slots:
         many = {"nargs": "+", "action": "extend"} if slot.kind == "files" else {}
         p.add_argument(
-            "--" + (slot.flag or slot.name).replace("_", "-"),
+            _flag(slot),
             dest=slot.name,
             type=Path,
             required=not slot.optional,

@@ -25,18 +25,16 @@ Every writer replaces its file atomically: it writes a sibling temp file and
 renames it over the path, so a write that fails leaves the old file (or no
 file) and no temp file behind.
 
-Inside `record_cache()`, which `cli.run_pipeline` opens for one run, a reader
-parses each file at most once: an entry is keyed by (reader, resolved path,
-sha256 of the file's bytes), so a file changed on disk is parsed again, and a
-writer stores the records it wrote, so the next stage parses nothing. Readers
-return fresh lists and dicts of the shared immutable records. The cache lasts
-until the block exits; outside it every read parses its file.
+`write_corpus` and `write_scores` raise a RecordError on a repeated id,
+which their readers reject, rather than write a file that no read accepts.
+
+A reader parses its file on every call. Only `cli`'s stage runner reads and
+writes stage files; within one pipeline run it reads each file once and
+hands the records on from stage to stage.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import json
 import math
@@ -47,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .util import file_sha256, nfc
+from .util import nfc
 
 PROVENANCES = frozenset({"original", "synthetic", "synthetic_filtered"})
 
@@ -304,10 +302,10 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
-def _parse_records(
+def _read_records(
     path: str | Path, what: str, build: Callable[[dict], T],
     key: Callable[[T], str] | None = None,
-) -> tuple[T, ...]:
+) -> list[T]:
     """One record per line, in file order.
 
     A line `build` rejects, or (when `key` is given) a key that is not a
@@ -329,15 +327,7 @@ def _parse_records(
         if key is not None:
             seen.add(k)
         out.append(rec)
-    return tuple(out)
-
-
-def _read_records(
-    reader: str, path: str | Path, what: str, build: Callable[[dict], T],
-    key: Callable[[T], str] | None = None,
-) -> list[T]:
-    """`_parse_records` through the run cache: a fresh list of the cached records."""
-    return list(_cached(reader, path, lambda: _parse_records(path, what, build, key)))
+    return out
 
 
 def _write(path: str | Path, chunks: Iterable[str]) -> None:
@@ -374,66 +364,13 @@ def write_text(text: str, path: str | Path) -> None:
     _write(path, (text,))
 
 
-# -- run-scoped record cache --
-
-# (reader, resolved path, sha256 of the file) -> what the reader builds from that
-# file; None outside `record_cache()`. A context variable, so runs in two threads
-# keep two caches.
-_cache: contextvars.ContextVar[dict[tuple[str, Path, str], object] | None] = (
-    contextvars.ContextVar("record_cache", default=None)
-)
-
-
-@contextlib.contextmanager
-def record_cache() -> Iterator[None]:
-    """Within the block, each reader parses a given file content at most once.
-
-    A nested block shares the cache that is already open.
-    """
-    if _cache.get() is not None:
-        yield
-        return
-    token = _cache.set({})
-    try:
-        yield
-    finally:
-        _cache.reset(token)
-
-
-def _cached(reader: str, path: str | Path, parse: Callable[[], T]) -> T:
-    """parse(), or the value stored for the reader and the file's current content.
-
-    `reader` is the name of the public reader, so two readers of one file
-    keep separate entries.
-    """
-    cache = _cache.get()
-    if cache is None:
-        return parse()
-    key = (reader, Path(path).resolve(), file_sha256(path))
-    if key not in cache:
-        cache[key] = parse()
-    return cache[key]  # type: ignore[return-value]
-
-
-def _store(reader: str, path: str | Path, value: object) -> None:
-    """Write-through: `value` is what `reader` builds from the file just written."""
-    cache = _cache.get()
-    if cache is not None:
-        cache[(reader, Path(path).resolve(), file_sha256(path))] = value
-
-
-# What a writer checks before it stores its records: a reader rejects a
-# repeated id, and it reads a number back as a builtin type, so a float
-# subclass such as numpy.float64 would not equal a fresh parse in type.
-
-
-def _unique(ids: Iterable[str]) -> bool:
-    ids = list(ids)
-    return len(set(ids)) == len(ids)
-
-
-def _floats(values: Iterable[object]) -> bool:
-    return all(type(v) is float for v in values)
+def _distinct(ids: Iterable[str], what: str) -> None:
+    """A writer's check of the ids its reader requires to be distinct."""
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise RecordError(f"duplicate {what} id {i!r}")
+        seen.add(i)
 
 
 def _strings(value: object) -> bool:
@@ -444,7 +381,6 @@ def _strings(value: object) -> bool:
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
     return _read_records(
-        "read_corpus",
         path,
         "document",
         lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", "")),
@@ -453,9 +389,8 @@ def read_corpus(path: str | Path) -> list[Document]:
 
 
 def write_corpus(docs: Sequence[Document], path: str | Path) -> None:
+    _distinct((d.id for d in docs), "document")
     _write_records(path, ({"id": d.id, "text": d.text, "source_tag": d.source_tag} for d in docs))
-    if _cache.get() is not None and _unique(d.id for d in docs):
-        _store("read_corpus", path, tuple(docs))
 
 
 def _example_to_obj(ex: ECExample) -> dict:
@@ -485,20 +420,15 @@ def _example_from_obj(obj: dict) -> ECExample:
 
 def read_ec_dataset(path: str | Path) -> list[ECExample]:
     """Read an EC dataset. Repeated ids are allowed: mixed datasets oversample."""
-    return _read_records("read_ec_dataset", path, "example", _example_from_obj)
+    return _read_records(path, "example", _example_from_obj)
 
 
 def write_ec_dataset(examples: Sequence[ECExample], path: str | Path) -> None:
     _write_records(path, map(_example_to_obj, examples))
-    if _cache.get() is not None and all(
-        ex.weight is None or type(ex.weight) in (bool, int, float) for ex in examples
-    ):
-        _store("read_ec_dataset", path, tuple(examples))
 
 
 def read_scores(path: str | Path) -> list[ScoredSample]:
     return _read_records(
-        "read_scores",
         path,
         "sample",
         lambda obj: ScoredSample(obj["sample_id"], s_p=float(obj["s_p"]), s_f=float(obj["s_f"])),
@@ -507,19 +437,13 @@ def read_scores(path: str | Path) -> list[ScoredSample]:
 
 
 def write_scores(scores: Sequence[ScoredSample], path: str | Path) -> None:
+    _distinct((s.sample_id for s in scores), "sample")
     _write_records(path, ({"sample_id": s.sample_id, "s_p": s.s_p, "s_f": s.s_f} for s in scores))
-    if (
-        _cache.get() is not None
-        and _unique(s.sample_id for s in scores)
-        and _floats(v for s in scores for v in (s.s_p, s.s_f))
-    ):
-        _store("read_scores", path, tuple(scores))
 
 
 def read_weights(path: str | Path) -> dict[str, float]:
     return dict(
         _read_records(
-            "read_weights",
             path,
             "sample",
             lambda obj: (obj["sample_id"], float(obj["weight"])),
@@ -530,20 +454,10 @@ def read_weights(path: str | Path) -> dict[str, float]:
 
 def write_weights(weights: dict[str, float], path: str | Path) -> None:
     _write_records(path, ({"sample_id": sid, "weight": w} for sid, w in weights.items()))
-    if (
-        _cache.get() is not None
-        and all(isinstance(sid, str) for sid in weights)
-        and _floats(weights.values())
-    ):
-        _store("read_weights", path, tuple(weights.items()))
 
 
 def read_eval_matrix(path: str | Path) -> EvalMatrix:
     """Read header + K chi rows + K live-metric rows; rejects chi entries outside {0,1}."""
-    return _cached("read_eval_matrix", path, lambda: _parse_eval_matrix(path))
-
-
-def _parse_eval_matrix(path: str | Path) -> EvalMatrix:
     rows = list(_read_lines(path))
     if not rows:
         raise RecordError(f"{path}: empty eval-matrix file")
@@ -600,28 +514,10 @@ def write_eval_matrix(matrix: EvalMatrix, path: str | Path) -> None:
         {"model_id": m, "live": [float(x) for x in row]} for m, row in zip(ids, matrix.live_metrics)
     )
     _write_records(path, itertools.chain([header], chi, live))
-    _store("read_eval_matrix", path, matrix)
 
 
 def read_clusters(path: str | Path) -> ClusterModel:
     """Read a clusters file: header line, then one assignment line per document."""
-    return _fresh_clusters(_cached("read_clusters", path, lambda: _parse_clusters(path)))
-
-
-def _fresh_clusters(model: ClusterModel) -> ClusterModel:
-    """The model as `read_clusters` builds it from the model's file.
-
-    New arrays and a new dict, the file's number types, no objective history.
-    """
-    return ClusterModel(
-        centroids=np.array(model.centroids, dtype=np.float64),
-        assignments={doc_id: int(c) for doc_id, c in model.assignments.items()},
-        sizes=np.array(model.sizes, dtype=np.int64),
-        objective=float(model.objective),
-    )
-
-
-def _parse_clusters(path: str | Path) -> ClusterModel:
     rows = _read_lines(path)
     header_line, header = next(rows, (1, {}))  # an empty file fails as a header without keys
     try:
@@ -697,8 +593,6 @@ def write_clusters(model: ClusterModel, path: str | Path, embeddings: Embeddings
         for i, c, d in zip(ids, assign.tolist(), dist.tolist())
     )
     _write_records(path, itertools.chain([header], lines))
-    if _cache.get() is not None:
-        _store("read_clusters", path, _fresh_clusters(model))
 
 
 def read_embeddings(path: str | Path) -> Embeddings:
@@ -706,10 +600,6 @@ def read_embeddings(path: str | Path) -> Embeddings:
 
     Ids must be unique and every vector must have the first one's length.
     """
-    return _cached("read_embeddings", path, lambda: _parse_embeddings(path))
-
-
-def _parse_embeddings(path: str | Path) -> Embeddings:
     width: list[int] = []  # the first vector's length
 
     def build(obj: dict) -> tuple[str, np.ndarray]:
@@ -722,7 +612,7 @@ def _parse_embeddings(path: str | Path) -> Embeddings:
             raise ValueError(f"vector has {vector.size} entries, the first has {width[0]}")
         return obj["doc_id"], vector
 
-    docs = _parse_records(path, "doc", build, key=lambda doc: doc[0])
+    docs = _read_records(path, "doc", build, key=lambda doc: doc[0])
     if not docs:
         raise RecordError(f"{path}: no embeddings")
     try:
@@ -744,14 +634,13 @@ def read_outputs(path: str | Path) -> ModelOutputs:
             raise RecordError(f"candidates must be a non-empty list of strings, got {cands!r}")
         return sid, tuple(cands)
 
-    rows = _read_records("read_outputs", path, "sample", row, key=lambda r: r[0])
+    rows = _read_records(path, "sample", row, key=lambda r: r[0])
     return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
 
 
 def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
     rows = outputs.candidates.items()
     _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))
-    _store("read_outputs", path, tuple(rows))
 
 
 def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
@@ -768,4 +657,4 @@ def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
             raise RecordError(f"neighbors must be a list of one-character strings, got {neighbors!r}")
         return char, frozenset(neighbors)
 
-    return dict(_read_records("read_layout", path, "layout entry", entry, key=lambda e: e[0]))
+    return dict(_read_records(path, "layout entry", entry, key=lambda e: e[0]))

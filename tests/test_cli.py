@@ -19,14 +19,13 @@ import numpy as np
 import pytest
 
 from ecsynth import cli as cli_mod
-from ecsynth import cluster, evaluate, grammar, mix, records, reweight, scoring, simbench, typo
+from ecsynth import cluster, evaluate, grammar, mix, records, reweight, scoring, simbench, typo, util
 from ecsynth.cli import (
     STAGE_ORDER,
     ConfigError,
     EvalSection,
     PathsConfig,
     PipelineConfig,
-    StageError,
     _section_types,
     build_parser,
     load_config,
@@ -491,6 +490,36 @@ def test_fit_reweight_weighted_names_dataset_ids_without_weights(tmp_path, capsy
     assert "missing" in err and "not-scored" in err
 
 
+def test_score_subcommand_refuses_a_repeated_sample_id(demo_dir, tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    records.write_ec_dataset(
+        [ECExample(id="a", source="teh cat", target="the cat"),
+         ECExample(id="a", source="teh dog", target="the dog")],
+        dataset,
+    )
+    out = tmp_path / "s.jsonl"
+    rc = main(["score", "--dataset", str(dataset),
+               "--public-corpus", str(demo_dir / "demo_corpus.jsonl"),
+               "--domain-corpus", str(demo_dir / "demo_domain.jsonl"), "--out", str(out)])
+    assert rc == 1
+    assert "duplicate sample id 'a'" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / ".s.jsonl.tmp").exists()
+
+
+def test_simbench_subcommand_keeps_the_files_of_its_outputs_dir(tmp_path):
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path, stages=STAGE_ORDER[:5])
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    (outputs / "keep.jsonl").write_text("", encoding="utf-8")
+    assert main(["simbench", "--dataset", str(workdir / "ec_synth.jsonl"),
+                 "--scores", str(workdir / "scores.jsonl"), "--outputs", str(outputs),
+                 "--eval-matrix", str(tmp_path / "m.jsonl"),
+                 "--planted", str(tmp_path / "planted.json")]) == 0
+    assert (outputs / "keep.jsonl").exists()
+    assert len(list(outputs.glob("*.jsonl"))) == 1 + config.simbench.n_models
+
+
 def test_plan_subcommand_names_missing_dataset(tmp_path, capsys):
     mixed = tmp_path / "mix.jsonl"
     records.write_ec_dataset([ECExample(id="e1", source="teh cat", target="the cat")], mixed)
@@ -863,70 +892,68 @@ READERS = {
 }
 
 
-def test_pipeline_write_through_equals_a_fresh_parse(tmp_path, monkeypatch, parsed):
-    stored = []
-    original = records._store
+def test_pipeline_write_through_equals_a_fresh_parse(tmp_path, monkeypatch):
+    # what the runner holds after a run, and would hand a later stage, is what
+    # a fresh read of the file gives, equal in type too: a producer that
+    # returned a numpy float, or a model not in its read form, would differ
+    held = []
+    original = cli_mod.RunContext.run
 
-    def spy(reader, path, value):
-        stored.append((reader, Path(path).resolve(), value))
-        original(reader, path, value)
+    def spy(self, stage):
+        held.append(self.held)
+        original(self, stage)
 
-    monkeypatch.setattr(records, "_store", spy)
+    monkeypatch.setattr(cli_mod.RunContext, "run", spy)
     config = load_config(materialize(tmp_path))
     workdir = run_pipeline(config, config_dir=tmp_path).resolve()
-    # every JSONL artifact of the run is stored as it is written
-    assert sorted(p for _, p, _ in stored) == sorted(workdir.rglob("*.jsonl"))
-    assert {reader for reader, _, _ in stored} == set(READERS)
-    for reader, path, value in stored:
-        with records.record_cache():
-            original(reader, path, value)
-            n = len(parsed)
-            served = READERS[reader](path)
-            assert len(parsed) == n, path
-        assert _same(served, READERS[reader](path)), path
+    assert len(held) == len(STAGE_ORDER) and all(h is held[0] for h in held)
+    artifacts = {p: v for p, v in held[0].values.items() if p.is_relative_to(workdir)}
+    jsonl = sorted(workdir.rglob("*.jsonl"))
+    assert sorted(p for p in artifacts if p.suffix == ".jsonl") == jsonl
+    assert {f"read_{artifacts[p][0]}" for p in jsonl} == set(READERS)
+    for path in jsonl:
+        kind, value = artifacts[path]
+        assert _same(value, READERS[f"read_{kind}"](path)), path
 
 
-def test_no_record_cache_outlives_a_run(tmp_path, monkeypatch, parsed):
-    config = load_config(materialize(tmp_path))
-    workdir = run_pipeline(config, config_dir=tmp_path, stages=["cluster", "sample"])
-    # the run wrote sampled.jsonl through the cache; after it, every read parses
-    sampled = workdir / "sampled.jsonl"
-    records.read_corpus(sampled)
-    records.read_corpus(sampled)
-    assert parsed.count(sampled.resolve()) == 2
-    sampled.write_text('{"id": "x", "text": "rewritten"}\n', encoding="utf-8")
-    assert records.read_corpus(sampled) == [records.Document(id="x", text="rewritten")]
+def test_pipeline_computes_one_digest_per_file(tmp_path, monkeypatch):
+    hashed = []
+    original = util.file_sha256
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("typo model broke")
-
-    monkeypatch.setattr(cli_mod.typo_mod, "corrupt_dataset", fail)
-    stages = ["cluster", "sample", "inject-grammar", "inject-typos"]
-    with pytest.raises(StageError, match="inject-typos"):
-        run_pipeline(config, config_dir=tmp_path, stages=stages)
-    grammar = workdir / "ec_grammar.jsonl"
-    records.read_ec_dataset(grammar)
-    records.read_ec_dataset(grammar)
-    assert parsed.count(grammar.resolve()) == 2
-
-
-def test_pipeline_parses_an_input_changed_during_the_run_again(tmp_path, monkeypatch, parsed):
-    config = load_config(materialize(tmp_path))
-    corpus = (tmp_path / config.paths.corpus).resolve()
-    original = records.read_clusters
-
-    def edit_corpus_then_read(path):
-        # the sample stage reads the clusters, then the corpus
-        docs = records.read_corpus(corpus)
-        edited = [{"id": d.id, "text": d.text + " (edited)"} for d in docs]
-        corpus.write_text("".join(json.dumps(o) + "\n" for o in edited), encoding="utf-8")
+    def spy(path):
+        hashed.append(Path(path).resolve())
         return original(path)
 
-    monkeypatch.setattr(records, "read_clusters", edit_corpus_then_read)
+    monkeypatch.setattr(util, "file_sha256", spy)
+    monkeypatch.setattr(cli_mod, "file_sha256", spy)
+    config = load_config(materialize(tmp_path))
+    workdir = run_pipeline(config, config_dir=tmp_path).resolve()
+    paths = config.paths
+    inputs = {(tmp_path / p).resolve() for p in (paths.corpus, paths.domain_corpus, paths.original_dataset)}
+    # the run log names every other file's digest; its own files are not hashed
+    artifacts = {p for p in workdir.rglob("*") if p.is_file() and p.parent.name != "runlog"}
+    assert (len(inputs), len(artifacts)) == (3, 25)
+    assert sorted(hashed) == sorted(inputs | artifacts)
+
+
+def test_pipeline_reads_each_configured_input_once_as_one_snapshot(tmp_path, monkeypatch, parsed):
+    config = load_config(materialize(tmp_path))
+    corpus = (tmp_path / config.paths.corpus).resolve()
+    original = cli_mod.cluster_mod.kmeans
+
+    def edit_corpus_then_fit(*args, **kwargs):
+        # cluster has read the corpus; sample, which reads it next, must get the same texts
+        objs = [json.loads(line) for line in corpus.read_text(encoding="utf-8").splitlines()]
+        edited = [{**o, "text": o["text"] + " (edited)"} for o in objs]
+        corpus.write_text("".join(json.dumps(o) + "\n" for o in edited), encoding="utf-8")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod.cluster_mod, "kmeans", edit_corpus_then_fit)
     workdir = run_pipeline(config, config_dir=tmp_path, stages=["cluster", "sample"])
-    assert parsed.count(corpus) == 2
+    assert parsed.count(corpus) == 1
+    assert all(d.text.endswith(" (edited)") for d in records.read_corpus(corpus))
     sampled = records.read_corpus(workdir / "sampled.jsonl")
-    assert sampled and all(d.text.endswith(" (edited)") for d in sampled)
+    assert sampled and not any(d.text.endswith(" (edited)") for d in sampled)
 
 
 def test_stage_order_constant_complete():

@@ -1,20 +1,17 @@
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecsynth import records
 from ecsynth.records import (
     Document,
     ECExample,
     ErrorAnnotation,
     EvalMatrix,
-    ModelOutputs,
     RecordError,
     ScoredSample,
     read_clusters,
@@ -26,11 +23,9 @@ from ecsynth.records import (
     read_outputs,
     read_scores,
     read_weights,
-    record_cache,
     write_corpus,
     write_ec_dataset,
     write_eval_matrix,
-    write_outputs,
     write_scores,
     write_weights,
 )
@@ -286,6 +281,20 @@ def test_scores_round_trip_and_duplicates(tmp_path):
         read_scores(path)
 
 
+@pytest.mark.parametrize(
+    "write, records_",
+    [
+        (write_corpus, [Document(id="a", text="one"), Document(id="a", text="two")]),
+        (write_scores, [ScoredSample("a", s_p=-1.0, s_f=-1.0)] * 2),
+    ],
+)
+def test_writer_refuses_a_repeated_id_its_reader_rejects(tmp_path, write, records_):
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(RecordError, match="duplicate .* id 'a'"):
+        write(records_, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scored_sample_rejects_nonfinite():
     with pytest.raises(RecordError):
         ScoredSample("a", s_p=float("nan"), s_f=0.0)
@@ -376,91 +385,3 @@ def test_read_rejects_mistyped_ids_and_candidates(tmp_path, reader, text):
     path.write_text(text, encoding="utf-8")
     with pytest.raises(RecordError, match="records.jsonl.*line 1"):
         reader(path)
-
-
-# -- run-scoped record cache --
-
-
-@pytest.fixture
-def parsed(monkeypatch) -> list[str]:
-    """The name of each file `_read_lines` parses, in call order."""
-    names: list[str] = []
-    original = records._read_lines
-
-    def counting(path):
-        names.append(Path(path).name)
-        return original(path)
-
-    monkeypatch.setattr(records, "_read_lines", counting)
-    return names
-
-
-def test_record_cache_parses_each_file_content_once(tmp_path, parsed):
-    path = tmp_path / "corpus.jsonl"
-    path.write_text('{"id": "a", "text": "one"}\n', encoding="utf-8")
-    with record_cache():
-        first = read_corpus(path)
-        first.append(Document(id="b", text="added by the caller"))
-        assert read_corpus(path) == [Document(id="a", text="one")]  # a fresh list
-        assert parsed == ["corpus.jsonl"]
-        # changed on disk, not through a writer: parsed again
-        path.write_text('{"id": "a", "text": "two"}\n', encoding="utf-8")
-        assert read_corpus(path) == [Document(id="a", text="two")]
-        assert parsed == ["corpus.jsonl"] * 2
-    # outside the block every read parses
-    read_corpus(path)
-    read_corpus(path)
-    assert parsed == ["corpus.jsonl"] * 4
-
-
-def test_record_cache_serves_a_written_file_without_parsing(tmp_path, parsed):
-    scores = [ScoredSample("a", s_p=-3.5, s_f=-2.25)]
-    weights = {"a": 0.5}
-    with record_cache():
-        write_scores(scores, tmp_path / "scores.jsonl")
-        write_weights(weights, tmp_path / "weights.jsonl")
-        got = read_weights(tmp_path / "weights.jsonl")
-        got["b"] = 1.0
-        assert read_scores(tmp_path / "scores.jsonl") == scores
-        assert read_weights(tmp_path / "weights.jsonl") == weights  # a fresh dict
-    assert parsed == []
-
-
-def test_record_cache_writers_store_only_what_reads_back_equal_in_type(tmp_path, parsed):
-    with record_cache():
-        # a repeated id: read_corpus must still reject the file
-        write_corpus([Document(id="a", text="x"), Document(id="a", text="y")], tmp_path / "c.jsonl")
-        with pytest.raises(RecordError, match="'a'"):
-            read_corpus(tmp_path / "c.jsonl")
-        # numpy floats are written as numbers and read back as floats
-        write_scores([ScoredSample("a", s_p=np.float64(-1.5), s_f=-2.0)], tmp_path / "s.jsonl")
-        write_weights({"a": np.float64(0.5)}, tmp_path / "w.jsonl")
-        example = ECExample(id="e", source="s", target="t", weight=np.float64(0.5))
-        write_ec_dataset([example], tmp_path / "e.jsonl")
-        assert type(read_scores(tmp_path / "s.jsonl")[0].s_p) is float
-        assert type(read_weights(tmp_path / "w.jsonl")["a"]) is float
-        assert type(read_ec_dataset(tmp_path / "e.jsonl")[0].weight) is float
-        # ids that are not strings: a fresh parse rejects them, so neither may be served
-        write_weights({5: 1.0}, tmp_path / "w5.jsonl")
-        with pytest.raises(RecordError, match="w5.jsonl.*line 1"):
-            read_weights(tmp_path / "w5.jsonl")
-        with pytest.raises(RecordError, match="sample id must be a string"):
-            ScoredSample(5, s_p=-1.0, s_f=-1.0)
-        with pytest.raises(RecordError, match="must be strings"):
-            ModelOutputs("x", {5: ("a",)})
-        with pytest.raises(RecordError, match="must be strings"):
-            EvalMatrix(
-                model_ids=(1, 2), sample_ids=("s",), chi=np.zeros((2, 1)),
-                live_metrics=np.zeros((2, 1)), metric_names=("m",),
-            )
-    assert parsed == ["c.jsonl", "s.jsonl", "w.jsonl", "e.jsonl", "w5.jsonl"]
-
-
-def test_record_cache_keys_by_path(tmp_path):
-    outputs = ModelOutputs(model_id="m1", candidates={"s1": ("a", "b")})
-    with record_cache():
-        write_outputs(outputs, tmp_path / "m1.jsonl")
-        (tmp_path / "m2.jsonl").write_bytes((tmp_path / "m1.jsonl").read_bytes())
-        # the same bytes under another name: the model id is the file stem
-        assert read_outputs(tmp_path / "m1.jsonl").model_id == "m1"
-        assert read_outputs(tmp_path / "m2.jsonl").model_id == "m2"
