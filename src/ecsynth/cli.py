@@ -370,9 +370,8 @@ class Stage:
     # body(config, seed, **inputs, **extras) -> (outputs, counts): it gets each
     # input slot's records (see Slot) and, if it reads the "eval" section,
     # judge=, one judge for the whole run. `outputs` maps an output slot's
-    # name to its records, or to a tuple (records, the writer's further
-    # arguments). An optional output may be missing when the inputs cannot
-    # make it; the runner writes only the outputs that have a path.
+    # name to its records. An optional output may be missing when the inputs
+    # cannot make it; the runner writes only the outputs that have a path.
     body: Callable[..., tuple[dict, dict]]
     sections: tuple[str, ...]  # config sections ("cluster") or single fields ("mix.ratio") it reads
     inputs: tuple[Slot, ...]
@@ -419,9 +418,8 @@ def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings) -> tuple[dic
         "mean_size": stats.mean_size,
         "std_size": stats.std_size,
     }
-    # the model as read_clusters reads it back: a float objective, no history
-    read_back = dataclasses.replace(model, objective=float(model.objective), objective_history=())
-    return {"out": (read_back, embedded)}, counts
+    # the model as read_clusters reads it back: no history
+    return {"out": dataclasses.replace(model, objective_history=())}, counts
 
 
 def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus) -> tuple[dict, dict]:
@@ -828,8 +826,8 @@ class Held:
             self.digest(path)
         return value
 
-    def write(self, record: str, path: Path, value: object, *args: object) -> None:
-        _record_io()[record][1](value, path, *args)
+    def write(self, record: str, path: Path, value: object) -> None:
+        _record_io()[record][1](value, path)
         key = path.resolve()
         self.values[key] = (record, value)
         self.digests[key] = file_sha256(path)
@@ -877,7 +875,7 @@ def _run_stage(
             for name, item in value.items():
                 held.write(slot.record, path / name, item)
         else:
-            held.write(slot.record, path, *(value if isinstance(value, tuple) else (value,)))
+            held.write(slot.record, path, value)
     return counts
 
 

@@ -4,11 +4,14 @@ Embeddings are an external input in production; hash_embed provides a
 deterministic stand-in so the stage can run self-contained. Distances are
 squared Euclidean on L2-normalized vectors, which orders the same as cosine.
 
+kmeans computes every number the clusters file holds, the per-document
+squared distances included (`_point_d2(dot=True)`); `records.write_clusters`
+only formats the model.
+
 The stage works on one `records.Embeddings` matrix throughout: hash_embed
-fills it one block of documents at a time, kmeans reads it in row blocks, and
-`records.write_clusters` takes it for the per-document distances. Every other
-array the stage builds is a row block or one value per row, so its memory is
-about one N x D matrix plus blocks.
+fills it one block of documents at a time and kmeans reads it in row blocks.
+Every other array the stage builds is a row block or one value per row, so
+its memory is about one N x D matrix plus blocks.
 
 kmeans holds OpenBLAS to one thread (`util.one_blas_thread`) and gives its
 row blocks to one thread per core instead. Each BLAS call is then the same
@@ -138,13 +141,15 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
 
 def _point_d2(
     x: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
-    pool: ThreadPoolExecutor | None = None, parts: int = 1,
+    pool: ThreadPoolExecutor | None = None, parts: int = 1, dot: bool = False,
 ) -> np.ndarray:
     """Squared distance of each row to its assigned centroid, in O(block x D) memory per hand.
 
     By direct subtraction: exact zero for coincident points, unlike the
     expanded form `_distances` uses for the argmin. Each row's sum is the
     same in any block, so the result does not depend on the block size.
+    The objective sums an einsum per row; `dot` takes a stacked 1 x D by D x 1
+    matmul, float(d @ d), for the clusters file. They differ in the last bit.
     """
     n, dim = x.shape
     out = np.empty(n)
@@ -153,7 +158,10 @@ def _point_d2(
         # "clip" takes no temporary, which "raise" does; argmin's indices are in range
         np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
         np.subtract(x[block], diff, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=out[block])
+        if dot:
+            out[block] = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
+        else:
+            np.einsum("ij,ij->i", diff, diff, out=out[block])
 
     _blockwise(n, _block_rows(dim), dim, work, pool, parts)
     return out
@@ -263,15 +271,14 @@ def kmeans(
     with util.one_blas_thread() as pinned:
         parts = _worker_count(n, k) if pinned else 1
         with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
-            centroids, assign, prev_obj, history = _lloyd(x, k, seed, max_iters, tol, pool, parts)
-
-    sizes = np.bincount(assign, minlength=k).astype(np.int64)
-    assignments = dict(zip(embeddings.ids, assign.tolist()))
+            centroids, labels, objective, history = _lloyd(x, k, seed, max_iters, tol, pool, parts)
+            distances = _point_d2(x, centroids, labels, pool, parts, dot=True)
     return ClusterModel(
         centroids=centroids,
-        assignments=assignments,
-        sizes=sizes,
-        objective=prev_obj,
+        ids=embeddings.ids,
+        labels=labels,
+        distances=distances,
+        objective=objective,
         objective_history=tuple(history),
     )
 
@@ -330,16 +337,14 @@ def quota_sample(model: ClusterModel, docs_per_cluster: int, seed: int) -> list[
     """min(quota, size) doc ids per cluster, uniform without replacement.
 
     Ids are sorted within each cluster before drawing, so the result depends
-    only on (model, quota, seed) and not on assignment insertion order.
+    only on (model, quota, seed) and not on the order of the model's ids.
     """
     check_quota(docs_per_cluster)
-    by_cluster: dict[int, list[str]] = {}
-    for doc_id, c in model.assignments.items():
-        by_cluster.setdefault(c, []).append(doc_id)
+    members = np.split(np.argsort(model.labels, kind="stable"), np.cumsum(model.sizes)[:-1])
     rng = np.random.default_rng(seed)
     out: list[str] = []
-    for c in range(model.k):
-        ids = sorted(by_cluster.get(c, ()))
+    for rows in members:  # one array of row indices per cluster, in cluster order
+        ids = sorted(model.ids[i] for i in rows.tolist())
         if len(ids) <= docs_per_cluster:
             out.extend(ids)
         else:
@@ -371,7 +376,8 @@ def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bo
     """
     x = embeddings.matrix
     assign = _nearest(x, _sq_norms(x), model.centroids)
-    return all(model.assignments[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
+    labels = dict(zip(model.ids, model.labels.tolist()))
+    return all(labels[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
 
 
 def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:

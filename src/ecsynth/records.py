@@ -14,16 +14,16 @@ other module knows a record format.
 Embeddings are read and passed on as one `Embeddings`: a tuple of ids and
 one read-only N x D matrix, never one object per document. It adopts a
 read-only float64 array that owns its data, without a copy, and copies
-anything else.
+anything else. A `ClusterModel` is columns too: ids, labels and distances.
 
 Text fields are NFC-normalized when a record is constructed, so downstream
 equality checks are plain byte comparisons and read(write(x)) == x holds for
 every constructible record. Records are immutable and safe to share across
 threads.
 
-Every writer replaces its file atomically: it writes a sibling temp file and
-renames it over the path, so a write that fails leaves the old file (or no
-file) and no temp file behind.
+Every writer takes (value, path) and only formats the value. It replaces its
+file atomically: it writes a sibling temp file and renames it over the path,
+so a write that fails leaves the old file (or no file) and no temp file behind.
 
 `write_corpus` and `write_scores` raise a RecordError on a repeated id,
 which their readers reject, rather than write a file that no read accepts.
@@ -120,8 +120,8 @@ class ECExample:
             raise RecordError(f"example {self.id!r}: target is empty")
         if self.provenance not in PROVENANCES:
             raise RecordError(f"example {self.id!r}: unknown provenance {self.provenance!r}")
-        if self.weight is not None and not (self.weight > 0):
-            raise RecordError(f"example {self.id!r}: weight must be > 0, got {self.weight}")
+        if self.weight is not None:
+            _weight(self.weight, f"example {self.id!r}: weight")
 
     def with_weight(self, weight: float) -> ECExample:
         return replace(self, weight=float(weight))
@@ -242,17 +242,22 @@ class Embeddings:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Fitted k-means state: every doc is assigned to its nearest centroid."""
+    """Fitted k-means state as columns: doc `ids[i]` is nearest centroid `labels[i]`, at `distances[i]`."""
 
     centroids: np.ndarray          # (k, D)
-    assignments: dict[str, int]    # doc_id -> cluster index
-    sizes: np.ndarray              # (k,) int64
+    ids: tuple[str, ...]           # (N,) document ids, in the embeddings' order
+    labels: np.ndarray             # (N,) int64 cluster index of each document
+    distances: np.ndarray          # (N,) float64 squared distance to its centroid, as written
     objective: float               # sum of squared distances
     objective_history: tuple[float, ...] = ()  # objective after each assignment pass
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:  # (k,) documents per cluster
+        return np.bincount(self.labels, minlength=self.k)
 
 
 @dataclass(frozen=True)
@@ -289,13 +294,14 @@ def by_id(ids: Sequence[str], table: Mapping[str, T], what: str) -> list[T]:
 
 
 def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:  # strict UTF-8, line by line, so an invalid byte names its line
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
                 raise RecordError(f"{path}: malformed record on line {lineno}: {e}") from e
             if not isinstance(obj, dict):
                 raise RecordError(f"{path}: malformed record on line {lineno}: not an object")
@@ -304,16 +310,16 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def _read_records(
     path: str | Path, what: str, build: Callable[[dict], T],
-    key: Callable[[T], str] | None = None,
+    key: Callable[[T], str] | None = None, rows: Iterator[tuple[int, dict]] | None = None,
 ) -> list[T]:
-    """One record per line, in file order.
+    """One record per line of the file, in order; `rows` are its lines after a header, if given.
 
     A line `build` rejects, or (when `key` is given) a key that is not a
     string or repeats, is a RecordError naming the file and the line.
     """
     out: list[T] = []
     seen: set[str] = set()
-    for lineno, obj in _read_lines(path):
+    for lineno, obj in _read_lines(path) if rows is None else rows:
         try:
             rec = build(obj)
             k = None if key is None else key(rec)
@@ -378,12 +384,34 @@ def _strings(value: object) -> bool:
     return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
+def _number(value: object, what: str) -> float:
+    """`value` as a float, if it is a finite number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
+        raise RecordError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _weight(value: object, what: str = "weight") -> float:
+    """The one rule for a sample weight, wherever one is read: a finite number > 0."""
+    if _number(value, what) <= 0:
+        raise RecordError(f"{what} must be > 0, got {value!r}")
+    return float(value)
+
+
+def _optional(obj: dict, key: str, default: T) -> T:
+    """obj[key], or `default` when the key is missing; a RecordError if it is not of the default's type."""
+    value = obj.get(key, default)
+    if type(value) is not type(default):
+        raise RecordError(f"{key} must be a {type(default).__name__}, got {value!r}")
+    return value
+
+
 def read_corpus(path: str | Path) -> list[Document]:
     """Read a corpus file; ids are verified unique, file order is preserved."""
     return _read_records(
         path,
         "document",
-        lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", "")),
+        lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=_optional(obj, "source_tag", "")),
         key=lambda doc: doc.id,
     )
 
@@ -410,10 +438,10 @@ def _example_from_obj(obj: dict) -> ECExample:
         source=obj["source"],
         target=obj["target"],
         provenance=obj.get("provenance", "synthetic"),
-        weight=obj.get("weight"),
+        weight=_weight(obj["weight"]) if "weight" in obj else None,
         error_annotations=tuple(
             ErrorAnnotation(category=a["category"], description=a.get("description", ""))
-            for a in obj.get("error_annotations", ())
+            for a in _optional(obj, "error_annotations", [])
         ),
     )
 
@@ -431,7 +459,7 @@ def read_scores(path: str | Path) -> list[ScoredSample]:
     return _read_records(
         path,
         "sample",
-        lambda obj: ScoredSample(obj["sample_id"], s_p=float(obj["s_p"]), s_f=float(obj["s_f"])),
+        lambda obj: ScoredSample(obj["sample_id"], _number(obj["s_p"], "s_p"), _number(obj["s_f"], "s_f")),
         key=lambda s: s.sample_id,
     )
 
@@ -442,14 +470,10 @@ def write_scores(scores: Sequence[ScoredSample], path: str | Path) -> None:
 
 
 def read_weights(path: str | Path) -> dict[str, float]:
-    return dict(
-        _read_records(
-            path,
-            "sample",
-            lambda obj: (obj["sample_id"], float(obj["weight"])),
-            key=lambda r: r[0],
-        )
-    )
+    def row(obj: dict) -> tuple[str, float]:
+        return obj["sample_id"], _weight(obj["weight"])
+
+    return dict(_read_records(path, "sample", row, key=lambda r: r[0]))
 
 
 def write_weights(weights: dict[str, float], path: str | Path) -> None:
@@ -460,7 +484,7 @@ def read_eval_matrix(path: str | Path) -> EvalMatrix:
     """Read header + K chi rows + K live-metric rows; rejects chi entries outside {0,1}."""
     rows = list(_read_lines(path))
     if not rows:
-        raise RecordError(f"{path}: empty eval-matrix file")
+        raise RecordError(f"{path}: empty eval-matrix file: no header on line 1")
     header_line, header = rows[0]
     lists = []
     for key in ("model_ids", "sample_ids", "metric_names"):
@@ -473,7 +497,8 @@ def read_eval_matrix(path: str | Path) -> EvalMatrix:
     model_ids, sample_ids, metric_names = lists
     k = len(model_ids)
     if len(rows) != 1 + 2 * k:
-        raise RecordError(f"{path}: expected {1 + 2 * k} lines for {k} models, got {len(rows)}")
+        msg = f"names {k} models, which take {1 + 2 * k} lines; the file has {len(rows)}"
+        raise RecordError(f"{path}: the header on line {header_line} {msg}")
 
     def values(line: tuple[int, dict], model_id: str, key: str, width: int) -> np.ndarray:
         """The `width` numbers of one model's `key` row."""
@@ -526,71 +551,43 @@ def read_clusters(path: str | Path) -> ClusterModel:
         if type(header["k"]) is not int or header["k"] != k:
             raise ValueError(f"k is {header['k']!r} for {k} centroids")
         sizes = np.array(header["sizes"], dtype=np.int64)
-        objective = float(header["objective"])
+        objective = _number(header["objective"], "objective")
         if sizes.shape != (k,):
             raise ValueError(f"{sizes.size} sizes for {k} centroids")
     except (KeyError, TypeError, ValueError) as e:
         raise RecordError(f"{path}: invalid clusters header on line {header_line}: {e}") from e
-    assignments: dict[str, int] = {}
-    counts = [0] * k
-    for lineno, obj in rows:
-        try:
-            doc_id, cluster = obj["doc_id"], obj["cluster"]
-            if not isinstance(doc_id, str):
-                raise ValueError(f"doc id must be a string, got {doc_id!r}")
-            if type(cluster) is not int:
-                raise ValueError(f"cluster must be an integer, got {cluster!r}")
-            if not 0 <= cluster < k:
-                raise ValueError(f"cluster {cluster} is outside [0, {k})")
-            if doc_id in assignments:
-                raise ValueError(f"duplicate doc id {doc_id!r}")
-            distance = obj["distance"]
-            if type(distance) not in (int, float) or not 0 <= distance < math.inf:
-                raise ValueError(f"distance must be a finite number >= 0, got {distance!r}")
-        except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid assignment on line {lineno}: {e}") from e
-        assignments[doc_id] = cluster
-        counts[cluster] += 1
-    if counts != sizes.tolist():
+
+    def assignment(obj: dict) -> tuple[str, int, float]:
+        cluster, distance = obj["cluster"], obj["distance"]
+        if type(cluster) is not int or not 0 <= cluster < k:
+            raise ValueError(f"cluster must be an integer in [0, {k}), got {cluster!r}")
+        if type(distance) not in (int, float) or not 0 <= distance < math.inf:
+            raise ValueError(f"distance must be a finite number >= 0, got {distance!r}")
+        return obj["doc_id"], cluster, distance
+
+    lines = _read_records(path, "assignment", assignment, key=lambda line: line[0], rows=rows)
+    ids, labels, distances = zip(*lines) if lines else ((), (), ())
+    labels, distances = np.array(labels, dtype=np.int64), np.array(distances, dtype=np.float64)
+    model = ClusterModel(centroids, ids, labels, distances, objective)
+    if model.sizes.tolist() != sizes.tolist():
         raise RecordError(
             f"{path}: clusters header on line {header_line} gives sizes {sizes.tolist()}, "
-            f"but the assignment lines count {counts}"
+            f"but the assignment lines count {model.sizes.tolist()}"
         )
-    return ClusterModel(centroids=centroids, assignments=assignments, sizes=sizes, objective=objective)
+    return model
 
 
-# Byte budget of one row block of differences in `write_clusters`.
-_DIFF_BLOCK_BYTES = 4 << 20
-
-
-def write_clusters(model: ClusterModel, path: str | Path, embeddings: Embeddings) -> None:
-    """Write the clusters file: the header, then one line per embedded document in order.
-
-    Each line carries the document's squared distance to its centroid. The
-    model must assign exactly the embedded documents.
-    """
-    ids, x = embeddings.ids, embeddings.matrix
-    if len(model.assignments) != len(ids):
-        raise ValueError(f"write_clusters: {len(model.assignments)} assignments for {len(ids)} documents")
-    assign = np.array(by_id(ids, model.assignments, "cluster assignments"), dtype=np.int64)
+def write_clusters(model: ClusterModel, path: str | Path) -> None:
+    """Write the clusters file: the header, then one {doc_id, cluster, distance} line per document."""
     header = {
         "k": model.k,
         "objective": model.objective,
         "sizes": [int(s) for s in model.sizes],
         "centroids": [[float(v) for v in c] for c in model.centroids],
     }
-    # Each distance is one row's dot product (a stacked 1 x D by D x 1 matmul):
-    # bitwise equal to float(d @ d) in any block size, which einsum is not.
-    dist = np.empty(len(ids))
-    rows = max(1, _DIFF_BLOCK_BYTES // (8 * x.shape[1]))
-    for lo in range(0, len(ids), rows):
-        block = slice(lo, lo + rows)
-        diff = model.centroids[assign[block]]
-        np.subtract(x[block], diff, out=diff)
-        dist[block] = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
     lines = (
         {"doc_id": i, "cluster": c, "distance": d}
-        for i, c, d in zip(ids, assign.tolist(), dist.tolist())
+        for i, c, d in zip(model.ids, model.labels.tolist(), model.distances.tolist())
     )
     _write_records(path, itertools.chain([header], lines))
 
@@ -614,7 +611,7 @@ def read_embeddings(path: str | Path) -> Embeddings:
 
     docs = _read_records(path, "doc", build, key=lambda doc: doc[0])
     if not docs:
-        raise RecordError(f"{path}: no embeddings")
+        raise RecordError(f"{path}: no embeddings: no record from line 1 on")
     try:
         return Embeddings(ids=tuple(i for i, _ in docs), matrix=[v for _, v in docs])
     except ValueError as e:

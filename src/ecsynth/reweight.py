@@ -235,19 +235,18 @@ def _eval_sets(
     alphas: Sequence[_Alpha] | None,
     sets: Sequence[_SetData],
     params: ReweightParams,
-) -> tuple[float, np.ndarray, list[_Alpha], list[_Alpha]]:
+) -> tuple[float, np.ndarray, list[_Alpha]]:
     """Value and gradients of the objective summed over sets; `params` gives c_min, c_max, lambda.
 
     `alphas` gives each set's regression; None solves it in closed form from
     the same weighted metrics (variable projection). Returns the value, the
-    theta gradient, per set the alpha gradient (none for a solved alpha, where
-    it vanishes) and per set the alpha used.
+    theta gradient and per set the alpha gradient (none for a solved alpha,
+    where it vanishes).
     """
     c_min, c_max, lam = params.c_min, params.c_max, params.lam
     value = 0.0
     grad_theta = np.zeros(3)
     grad_alpha = []
-    used = []
     for i, st in enumerate(sets):
         n = st.chi.shape[1]
         w, sig = _weights(theta, c_min, c_max, st.s_f, st.s_p)
@@ -263,8 +262,7 @@ def _eval_sets(
         grad_theta += np.array([g_z @ st.s_f, g_z @ st.s_p, g_z.sum()])
         if alphas is not None:
             grad_alpha.append((2.0 * (resid * s[:, None]).sum(axis=0), 2.0 * resid.sum(axis=0)))
-        used.append((alpha_1, alpha_0))
-    return value, grad_theta, grad_alpha, used
+    return value, grad_theta, grad_alpha
 
 
 class _NonFiniteObjective(RuntimeError):
@@ -275,7 +273,7 @@ def _finite_eval(
     theta: np.ndarray, sets: Sequence[_SetData], params: ReweightParams
 ) -> tuple[float, np.ndarray]:
     """Value and theta gradient of the objective with each alpha in closed form."""
-    value, grad_theta, _, _ = _eval_sets(theta, None, sets, params)
+    value, grad_theta, _ = _eval_sets(theta, None, sets, params)
     if not np.isfinite(value):
         raise _NonFiniteObjective
     return value, grad_theta
@@ -294,7 +292,7 @@ def objective(
         raise ValueError(f"got {len(alpha_list)} regressions for {len(sets)} metric sets")
     if any(a.alpha_1.shape[0] != st.v.shape[1] for st, a in zip(sets, alpha_list)):
         raise ValueError("regression dimension does not match metric dimension")
-    value, grad_theta, grad_alpha, _ = _eval_sets(
+    value, grad_theta, grad_alpha = _eval_sets(
         params.theta, [(a.alpha_1, a.alpha_0) for a in alpha_list], sets, params
     )
     return ObjectiveEval(value=value, grad_theta=grad_theta, grad_alpha=tuple(grad_alpha))

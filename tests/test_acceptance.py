@@ -297,18 +297,14 @@ def test_criterion_09_clustering():
     assert degenerate.objective == 0.0
 
     sizes = [int(rng.integers(2, 40)) for _ in range(50)]
-    assignments = {}
-    idx = 0
-    for c, size in enumerate(sizes):
-        for _ in range(size):
-            assignments[f"p{idx:05d}"] = c
-            idx += 1
+    labels = np.repeat(np.arange(50, dtype=np.int64), sizes)
     from ecsynth.cluster import ClusterModel
 
     synth_model = ClusterModel(
         centroids=np.zeros((50, 2)),
-        assignments=assignments,
-        sizes=np.array(sizes, dtype=np.int64),
+        ids=tuple(f"p{idx:05d}" for idx in range(len(labels))),
+        labels=labels,
+        distances=np.zeros(len(labels)),
         objective=0.0,
     )
     ids = quota_sample(synth_model, docs_per_cluster=10, seed=5)

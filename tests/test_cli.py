@@ -721,6 +721,39 @@ def test_evaluate_subcommand(tmp_path):
     assert "Top-1" in text and "70.00" in text and "100.00" in text
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-3", "0", "true", '"1"'])
+def test_evaluate_rejects_a_weight_that_is_not_a_finite_number_above_0(tmp_path, capsys, bad):
+    dataset = [ECExample(id=f"s{i}", source=f"src {i}", target=f"Target {i}.") for i in range(3)]
+    ds_path = tmp_path / "dataset.jsonl"
+    records.write_ec_dataset(dataset, ds_path)
+    out_path = tmp_path / "model.jsonl"
+    records.write_outputs(
+        records.ModelOutputs(model_id="model", candidates={ex.id: (ex.target,) for ex in dataset}),
+        out_path,
+    )
+    weights = tmp_path / "weights.jsonl"
+    weights.write_text(
+        '{"sample_id": "s0", "weight": 1.0}\n'
+        f'{{"sample_id": "s1", "weight": {bad}}}\n'
+        '{"sample_id": "s2", "weight": 1.0}\n',
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--outputs", str(out_path), "--dataset", str(ds_path), "--judge", "exact"]
+    rc = main(argv + ["--weights", str(weights), "--report-json", str(report)])
+    assert rc == 1
+    assert re.search(r"weights\.jsonl.*line 2", capsys.readouterr().err)
+    assert not report.exists()
+
+
+def test_every_writer_takes_value_and_path():
+    writers = [write for _, write in cli_mod._record_io().values() if write is not None]
+    assert writers
+    for write in writers:
+        params = list(inspect.signature(write).parameters)
+        assert len(params) == 2 and params[1] == "path", (write.__name__, params)
+
+
 def test_a_run_loads_no_scipy(tmp_path):
     # numpy is the only runtime dependency; a fresh interpreter, since the tests import scipy
     src = str(Path(cli_mod.__file__).resolve().parents[1])

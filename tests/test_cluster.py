@@ -22,6 +22,7 @@ from ecsynth.records import (
     Document,
     Embeddings,
     RecordError,
+    read_clusters,
     read_embeddings,
     write_clusters,
     write_embeddings,
@@ -37,7 +38,7 @@ def test_kmeans_one_point_per_cluster():
     x = rng.normal(size=(12, 4))
     model = kmeans(_docs(x), k=12, seed=0, max_iters=100, tol=1e-8)
     assert model.objective == 0.0
-    assert sorted(model.assignments.values()) == list(range(12))
+    assert sorted(model.labels.tolist()) == list(range(12))
 
 
 def test_kmeans_two_blobs():
@@ -46,14 +47,15 @@ def test_kmeans_two_blobs():
     blob_b = rng.normal(loc=(5.0, 0.0), scale=0.3, size=(40, 2))
     docs = _docs(np.vstack([blob_a, blob_b]))
     model = kmeans(docs, k=2, seed=3, max_iters=100, tol=1e-8)
-    labels = [model.assignments[i] for i in docs.ids]
+    labels = dict(zip(model.ids, model.labels.tolist()))
+    labels = [labels[i] for i in docs.ids]
     assert len(set(labels[:40])) == 1
     assert len(set(labels[40:])) == 1
     assert labels[0] != labels[40]
     # brute-force nearest-centroid oracle
     for doc_id, vector in zip(docs.ids, docs.matrix):
         dists = [float(np.sum((vector - c) ** 2)) for c in model.centroids]
-        assert model.assignments[doc_id] == int(np.argmin(dists))
+        assert model.labels[model.ids.index(doc_id)] == int(np.argmin(dists))
 
 
 def test_kmeans_deterministic():
@@ -62,7 +64,8 @@ def test_kmeans_deterministic():
     a = kmeans(docs, k=7, seed=42, max_iters=100, tol=1e-8)
     b = kmeans(docs, k=7, seed=42, max_iters=100, tol=1e-8)
     np.testing.assert_array_equal(a.centroids, b.centroids)
-    assert a.assignments == b.assignments
+    assert a.ids == b.ids
+    np.testing.assert_array_equal(a.labels, b.labels)
     assert a.objective == b.objective
     assert a.objective_history == b.objective_history
 
@@ -97,7 +100,8 @@ def test_kmeans_repairs_seeding_and_empty_clusters_on_duplicate_points(monkeypat
     assert verify_nearest_assignment(model, docs)
     again = kmeans(docs, k=12, seed=0, max_iters=50, tol=1e-8)
     np.testing.assert_array_equal(again.centroids, model.centroids)
-    assert again.assignments == model.assignments
+    assert again.ids == model.ids
+    np.testing.assert_array_equal(again.labels, model.labels)
     assert again.objective_history == model.objective_history
 
 
@@ -110,7 +114,8 @@ def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     # 300-row blocks: 1,000 points span three full blocks and a partial one
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 5 * 300)
     blocked = kmeans(docs, k=5, seed=1, max_iters=20, tol=1e-8)
-    assert blocked.assignments == whole.assignments
+    assert blocked.ids == whole.ids
+    np.testing.assert_array_equal(blocked.labels, whole.labels)
     np.testing.assert_array_equal(blocked.sizes, whole.sizes)
     assert blocked.objective_history == whole.objective_history
     assert verify_nearest_assignment(blocked, docs)
@@ -286,23 +291,35 @@ def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
     embeddings = hash_embed(docs, dim=64, seed=5)
     model = kmeans(embeddings, k=500, seed=5, max_iters=3, tol=1e-8)
     path = tmp_path / "clusters.jsonl"
-    write_clusters(model, path, embeddings)
+    write_clusters(model, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "59e2e8cc6392e4555f6d1825ec36bb5d1319cd352df2cbf8607d4c8eddd95d7f"
 
 
+def test_kmeans_distances_are_each_rows_dot_product_and_read_back_bit_for_bit(tmp_path):
+    emb = hash_embed(make_demo_corpus(300, 2), dim=16, seed=2)
+    model = kmeans(emb, k=7, seed=2, max_iters=10, tol=1e-8)
+    assert model.ids is emb.ids
+    for row, c, d in zip(emb.matrix, model.labels, model.distances):
+        diff = row - model.centroids[c]
+        assert d == float(diff @ diff)
+    path = tmp_path / "clusters.jsonl"
+    write_clusters(model, path)
+    back = read_clusters(path)
+    assert back.ids == model.ids and back.objective == model.objective
+    for name in ("centroids", "labels", "distances", "sizes"):
+        got, want = getattr(back, name), getattr(model, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def _synthetic_model(sizes: list[int]) -> ClusterModel:
     k = len(sizes)
-    assignments = {}
-    i = 0
-    for c, size in enumerate(sizes):
-        for _ in range(size):
-            assignments[f"d{i:05d}"] = c
-            i += 1
+    labels = np.repeat(np.arange(k, dtype=np.int64), sizes)
     return ClusterModel(
         centroids=np.zeros((k, 2)),
-        assignments=assignments,
-        sizes=np.array(sizes, dtype=np.int64),
+        ids=tuple(f"d{i:05d}" for i in range(len(labels))),
+        labels=labels,
+        distances=np.zeros(len(labels)),
         objective=0.0,
     )
 
@@ -328,7 +345,8 @@ def test_quota_sample_20k_clusters_yields_200k_ids():
 def test_quota_sample_small_cluster_all_returned():
     model = _synthetic_model([3, 20])
     ids = quota_sample(model, docs_per_cluster=10, seed=0)
-    cluster0 = [i for i in ids if model.assignments[i] == 0]
+    labels = dict(zip(model.ids, model.labels.tolist()))
+    cluster0 = [i for i in ids if labels[i] == 0]
     assert sorted(cluster0) == ["d00000", "d00001", "d00002"]
 
 
@@ -336,7 +354,8 @@ def test_quota_sample_one_per_cluster_distinct():
     model = _synthetic_model([5, 5, 5])
     ids = quota_sample(model, docs_per_cluster=1, seed=9)
     assert len(ids) == 3
-    assert len({model.assignments[i] for i in ids}) == 3
+    labels = dict(zip(model.ids, model.labels.tolist()))
+    assert len({labels[i] for i in ids}) == 3
 
 
 def test_quota_sample_deterministic():
@@ -587,7 +606,7 @@ def _kmeans_on_cores(
     _CountingPool.made = []
     model = kmeans(emb, k=40, seed=5, max_iters=5, tol=1e-8)
     path = tmp_path / f"clusters-{cores}.jsonl"
-    write_clusters(model, path, emb)
+    write_clusters(model, path)
     return model, path.read_bytes()
 
 

@@ -300,6 +300,33 @@ def test_scored_sample_rejects_nonfinite():
         ScoredSample("a", s_p=float("nan"), s_f=0.0)
 
 
+@pytest.mark.parametrize("reader", [read_corpus, read_ec_dataset, read_scores, read_clusters, read_eval_matrix])
+@pytest.mark.parametrize("raw", [b"\xff\xfe", b"\xed\xa0\x80"])  # invalid bytes; an encoded lone surrogate
+def test_invalid_utf8_names_file_and_line(tmp_path, reader, raw):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'\n{"id": "' + raw + b'", "text": "second"}\n')
+    with pytest.raises(RecordError, match=r"records\.jsonl: malformed record on line 2: 'utf-8' codec can't decode"):
+        reader(path)
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-1", "-3", "0", "true", "null", '"1.5"'])
+def test_read_weights_rejects_a_weight_that_is_not_a_finite_number_above_0(tmp_path, weight):
+    path = tmp_path / "weights.jsonl"
+    path.write_text(f'{{"sample_id": "a", "weight": 1.0}}\n{{"sample_id": "b", "weight": {weight}}}\n')
+    with pytest.raises(RecordError, match=r"weights\.jsonl.*line 2"):
+        read_weights(path)
+    ec = tmp_path / "ec.jsonl"
+    ec.write_text(f'{{"id": "b", "source": "s", "target": "t", "weight": {weight}}}\n')
+    with pytest.raises(RecordError, match=r"ec\.jsonl.*line 1"):
+        read_ec_dataset(ec)
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("nan"), True, -1.0, "1.5"])
+def test_ec_example_rejects_a_weight_that_is_not_a_finite_number_above_0(weight):
+    with pytest.raises(RecordError, match="weight"):
+        ECExample(id="e", source="s", target="t", weight=weight)
+
+
 def test_weights_round_trip(tmp_path):
     weights = {"a": 1.005, "b": 0.25}
     path = tmp_path / "weights.jsonl"
