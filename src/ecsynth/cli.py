@@ -229,10 +229,10 @@ def _type_name(tp: Any) -> str:
 def _typed(tp: Any, value: object) -> object:
     """`value` checked against the field annotation `tp`; TypeError if it does not fit.
 
-    A bool is never accepted as a number, nor NaN or an infinity as a float.
-    An int is accepted where a float is declared and kept as it is, so a
-    config's hash does not change with loading. A fixed-length tuple field
-    takes a list of that length.
+    A bool is never accepted as a number, nor NaN, an infinity or an int
+    beyond float64 as a float. An int is accepted where a float is declared
+    and kept as it is, so a config's hash does not change with loading. A
+    fixed-length tuple field takes a list of that length.
     """
     origin = get_origin(tp)
     if origin is Literal:
@@ -244,7 +244,7 @@ def _typed(tp: Any, value: object) -> object:
         if isinstance(value, (list, tuple)) and len(value) == len(args):
             return tuple(_typed(a, v) for a, v in zip(args, value))
     elif isinstance(value, (int, float) if tp is float else tp) and not isinstance(value, bool):
-        if isinstance(value, float) and not math.isfinite(value):
+        if tp is float and not abs(value) <= sys.float_info.max:
             raise TypeError(f"expected a finite number, got {value!r}")
         return value
     raise TypeError(f"expected {_type_name(tp)}, got {value!r}")
@@ -859,17 +859,18 @@ def _run_stage(
 
     The only code that reads or writes a stage's files: it reads the input
     slots through `held`, calls the body, and writes through `held` what the
-    body returns for each output slot that has a path.
+    body returns for each output slot that has a path. It checks every such
+    slot before the first write, so a stage that cannot make one writes none.
     """
     base = paths[stage.outputs[0].name]
     inputs = {slot.name: _input(slot, paths[slot.name], held, base) for slot in stage.inputs}
     outputs, counts = stage.body(config, seed, **inputs, **extras)
-    for slot in stage.outputs:
-        path, value = paths[slot.name], outputs.get(slot.name)
-        if path is None:
-            continue
-        if value is None:
+    wanted = [slot for slot in stage.outputs if paths[slot.name] is not None]
+    for slot in wanted:
+        if outputs.get(slot.name) is None:
             raise ConfigError(f"{stage.name}: {_flag(slot)} needs an input that was not given")
+    for slot in wanted:
+        path, value = paths[slot.name], outputs[slot.name]
         if slot.kind == "dir":
             path.mkdir(parents=True, exist_ok=True)
             for name, item in value.items():

@@ -12,21 +12,23 @@ Reports, manifests and run logs are one JSON document or plain text. No
 other module knows a record format.
 
 Embeddings are read and passed on as one `Embeddings`: a tuple of ids and
-one read-only N x D matrix, never one object per document. It adopts a
-read-only float64 array that owns its data, without a copy, and copies
-anything else. A `ClusterModel` is columns too: ids, labels and distances.
+one read-only N x D matrix, never one object per document. A `ClusterModel`
+is columns too: ids, labels and distances.
 
-Text fields are NFC-normalized when a record is constructed, so downstream
-equality checks are plain byte comparisons and read(write(x)) == x holds for
-every constructible record. Records are immutable and safe to share across
-threads.
+A reader rejects a malformed line with a RecordError that names the file and
+the line. A number in a file is a JSON int or float, not a bool, that is
+finite as a float64. `_number` and `_numbers` hold that rule, and no reader
+lets numpy convert a parsed value, which would read "1" and true as 1.0.
+
+A record's constructor applies its reader's rules and NFC-normalizes its text
+fields, and `write_corpus` and `write_scores` refuse the repeated id their
+readers reject. So read(write(x)) == x holds for every record a writer takes,
+and equality checks are plain byte comparisons. Records are immutable and
+safe to share across threads.
 
 Every writer takes (value, path) and only formats the value. It replaces its
 file atomically: it writes a sibling temp file and renames it over the path,
 so a write that fails leaves the old file (or no file) and no temp file behind.
-
-`write_corpus` and `write_scores` raise a RecordError on a repeated id,
-which their readers reject, rather than write a file that no read accepts.
 
 A reader parses its file on every call. Only `cli`'s stage runner reads and
 writes stage files; within one pipeline run it reads each file once and
@@ -35,10 +37,12 @@ hands the records on from stage to stage.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -46,6 +50,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .util import nfc
+
+_MATRIX_NAMES = ("model_ids", "sample_ids", "metric_names")  # an eval-matrix header's keys, in order
 
 PROVENANCES = frozenset({"original", "synthetic", "synthetic_filtered"})
 
@@ -82,6 +88,8 @@ class Document:
         object.__setattr__(self, "text", nfc(self.text))
         if not self.text.strip():
             raise RecordError(f"document {self.id!r}: text is empty")
+        if not isinstance(self.source_tag, str):
+            raise RecordError(f"source_tag must be a str, got {self.source_tag!r}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +146,8 @@ class ScoredSample:
     def __post_init__(self) -> None:
         if not isinstance(self.sample_id, str):
             raise RecordError(f"sample id must be a string, got {self.sample_id!r}")
-        if not np.isfinite(self.s_p) or not np.isfinite(self.s_f):
-            raise RecordError(f"sample {self.sample_id!r}: scores must be finite")
+        object.__setattr__(self, "s_p", _number(self.s_p, "s_p"))
+        object.__setattr__(self, "s_f", _number(self.s_f, "s_f"))
 
 
 @dataclass(frozen=True)
@@ -164,19 +172,12 @@ class EvalMatrix:
         live = np.asarray(self.live_metrics, dtype=np.float64).copy()
         if not all(isinstance(v, str) for v in model_ids + sample_ids + metric_names):
             raise RecordError("model ids, sample ids and metric names must be strings")
-        if len(set(model_ids)) != len(model_ids):
-            raise RecordError("duplicate model ids")
-        if len(set(sample_ids)) != len(sample_ids):
-            raise RecordError("duplicate sample ids")
-        if len(metric_names) < 1:
-            raise RecordError("at least one metric is required")
+        _matrix_names(model_ids, sample_ids, metric_names)
         if chi.shape != (len(model_ids), len(sample_ids)):
             raise RecordError(f"chi shape {chi.shape} does not match ids")
         if live.shape != (len(model_ids), len(metric_names)):
             raise RecordError(f"live_metrics shape {live.shape} does not match ids")
-        if not np.isin(chi, (0.0, 1.0)).all():
-            bad = chi[~np.isin(chi, (0.0, 1.0))][0]
-            raise RecordError(f"chi entries must be 0 or 1, found {bad}")
+        _binary(chi)
         if not np.isfinite(live).all():
             raise RecordError("live metrics must be finite")
         chi.setflags(write=False)
@@ -371,7 +372,7 @@ def write_text(text: str, path: str | Path) -> None:
 
 
 def _distinct(ids: Iterable[str], what: str) -> None:
-    """A writer's check of the ids its reader requires to be distinct."""
+    """A RecordError on the first id that repeats."""
     seen: set[str] = set()
     for i in ids:
         if i in seen:
@@ -379,16 +380,44 @@ def _distinct(ids: Iterable[str], what: str) -> None:
         seen.add(i)
 
 
-def _strings(value: object) -> bool:
-    """Whether a parsed JSON value is a list of strings."""
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _matrix_names(model_ids: Sequence[str], sample_ids: Sequence[str], metric_names: Sequence[str]) -> None:
+    """An eval matrix's rules on its names: distinct model and sample ids, and a metric."""
+    _distinct(model_ids, "model")
+    _distinct(sample_ids, "sample")
+    if not metric_names:
+        raise RecordError("at least one metric is required")
+
+
+def _binary(chi: np.ndarray) -> np.ndarray:
+    """`chi`, if its entries are all 0 or 1."""
+    if ((chi != 0) & (chi != 1)).any():
+        raise RecordError(f"chi entries must be 0 or 1, found {chi[(chi != 0) & (chi != 1)][0]}")
+    return chi
+
+
+def _strings(value: object, what: str) -> tuple[str, ...]:
+    """`value` as a tuple, if it is a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise RecordError(f"{what} must be a list of strings, got {value!r:.80}")
+    return tuple(value)
 
 
 def _number(value: object, what: str) -> float:
-    """`value` as a float, if it is a finite number; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -math.inf < value < math.inf:
-        raise RecordError(f"{what} must be a finite number, got {value!r}")
+    """`value` as a float, if it is a finite float64 number; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise RecordError(f"{what} must be a finite number, got {value!r:.80}")
     return float(value)
+
+
+def _numbers(value: object, what: str, width: int) -> np.ndarray:
+    """`value` as float64, if it is a list of `width` numbers that `_number` accepts."""
+    if not isinstance(value, list) or len(value) != width:
+        raise RecordError(f"{what} must be a list of {width} numbers, got {value!r:.80}")
+    if set(map(type, value)) <= {int, float}:  # the common case, without a call per entry
+        with contextlib.suppress(OverflowError):  # an int beyond float64: `_number` names it
+            if math.isfinite(sum(value)):  # then so is each entry; a sum that overflows goes on
+                return np.fromiter(value, np.float64, width)
+    return np.fromiter((_number(v, f"{what}[{i}]") for i, v in enumerate(value)), np.float64, width)
 
 
 def _weight(value: object, what: str = "weight") -> float:
@@ -411,7 +440,7 @@ def read_corpus(path: str | Path) -> list[Document]:
     return _read_records(
         path,
         "document",
-        lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=_optional(obj, "source_tag", "")),
+        lambda obj: Document(id=obj["id"], text=obj["text"], source_tag=obj.get("source_tag", "")),
         key=lambda doc: doc.id,
     )
 
@@ -459,7 +488,7 @@ def read_scores(path: str | Path) -> list[ScoredSample]:
     return _read_records(
         path,
         "sample",
-        lambda obj: ScoredSample(obj["sample_id"], _number(obj["s_p"], "s_p"), _number(obj["s_f"], "s_f")),
+        lambda obj: ScoredSample(obj["sample_id"], obj["s_p"], obj["s_f"]),
         key=lambda s: s.sample_id,
     )
 
@@ -481,58 +510,36 @@ def write_weights(weights: dict[str, float], path: str | Path) -> None:
 
 
 def read_eval_matrix(path: str | Path) -> EvalMatrix:
-    """Read header + K chi rows + K live-metric rows; rejects chi entries outside {0,1}."""
-    rows = list(_read_lines(path))
-    if not rows:
-        raise RecordError(f"{path}: empty eval-matrix file: no header on line 1")
-    header_line, header = rows[0]
-    lists = []
-    for key in ("model_ids", "sample_ids", "metric_names"):
-        if not _strings(header.get(key)):
-            raise RecordError(
-                f"{path}: invalid header on line {header_line}: "
-                f"{key} must be a list of strings, got {header.get(key)!r}"
-            )
-        lists.append(tuple(header[key]))
-    model_ids, sample_ids, metric_names = lists
-    k = len(model_ids)
-    if len(rows) != 1 + 2 * k:
-        msg = f"names {k} models, which take {1 + 2 * k} lines; the file has {len(rows)}"
-        raise RecordError(f"{path}: the header on line {header_line} {msg}")
-
-    def values(line: tuple[int, dict], model_id: str, key: str, width: int) -> np.ndarray:
-        """The `width` numbers of one model's `key` row."""
-        lineno, obj = line
-        if obj.get("model_id") != model_id or key not in obj:
-            raise RecordError(f"{path}: line {lineno}: expected {key} row for {model_id!r}")
-        try:
-            row = np.array(obj[key], dtype=np.float64)
-            if row.shape != (width,):
-                raise ValueError(f"expected {width} numbers, got {obj[key]!r}")
-        except (TypeError, ValueError) as e:
-            raise RecordError(f"{path}: line {lineno}: invalid {key} row: {e}") from e
-        return row
-
-    chi = [values(line, m, "chi", len(sample_ids)) for line, m in zip(rows[1:], model_ids)]
-    live = [values(line, m, "live", len(metric_names)) for line, m in zip(rows[1 + k:], model_ids)]
+    """Read header + K chi rows + K live-metric rows, each row its model's in header order."""
+    lines = _read_lines(path)
+    header_line, header = next(lines, (1, {}))  # an empty file fails as a header without keys
     try:
-        return EvalMatrix(
-            model_ids=model_ids,
-            sample_ids=sample_ids,
-            chi=np.array(chi),
-            live_metrics=np.array(live),
-            metric_names=metric_names,
-        )
-    except RecordError as e:
-        raise RecordError(f"{path}: {e}") from e
+        model_ids, sample_ids, metric_names = (_strings(header[key], key) for key in _MATRIX_NAMES)
+        _matrix_names(model_ids, sample_ids, metric_names)
+    except (KeyError, RecordError) as e:
+        raise RecordError(f"{path}: invalid eval-matrix header on line {header_line}: {e}") from e
+    k, widths = len(model_ids), {"chi": len(sample_ids), "live": len(metric_names)}
+    expected = zip(model_ids * 2, ["chi"] * k + ["live"] * k)  # (model id, key) of each row
+
+    def row(obj: dict) -> np.ndarray:
+        model_id, key = next(expected, (None, None))
+        if key is None:
+            raise RecordError(f"the header's {k} models take {2 * k} rows; this line is one more")
+        if obj.get("model_id") != model_id or key not in obj:
+            raise RecordError(f"expected the {key} row of {model_id!r}")
+        values = _numbers(obj[key], key, widths[key])
+        return _binary(values) if key == "chi" else values
+
+    rows = _read_records(path, "eval-matrix row", row, rows=lines)
+    if len(rows) != 2 * k:
+        msg = f"names {k} models, which take {1 + 2 * k} lines; the file has {1 + len(rows)}"
+        raise RecordError(f"{path}: the header on line {header_line} {msg}")
+    chi, live = np.reshape(rows[:k], (k, widths["chi"])), np.reshape(rows[k:], (k, widths["live"]))
+    return EvalMatrix(model_ids, sample_ids, chi, live, metric_names)
 
 
 def write_eval_matrix(matrix: EvalMatrix, path: str | Path) -> None:
-    header = {
-        "model_ids": list(matrix.model_ids),
-        "sample_ids": list(matrix.sample_ids),
-        "metric_names": list(matrix.metric_names),
-    }
+    header = {key: list(getattr(matrix, key)) for key in _MATRIX_NAMES}
     ids = matrix.model_ids
     chi = ({"model_id": m, "chi": [int(x) for x in row]} for m, row in zip(ids, matrix.chi))
     live = (
@@ -546,32 +553,31 @@ def read_clusters(path: str | Path) -> ClusterModel:
     rows = _read_lines(path)
     header_line, header = next(rows, (1, {}))  # an empty file fails as a header without keys
     try:
-        centroids = np.array(header["centroids"], dtype=np.float64)
-        k = len(centroids)
-        if type(header["k"]) is not int or header["k"] != k:
-            raise ValueError(f"k is {header['k']!r} for {k} centroids")
-        sizes = np.array(header["sizes"], dtype=np.int64)
+        k, centroids = header["k"], header["centroids"]
+        if type(k) is not int or not isinstance(centroids, list) or len(centroids) != k:
+            raise ValueError(f"k is {k!r} for the centroids {centroids!r:.80}")
+        width = len(centroids[0]) if k and isinstance(centroids[0], list) else 0  # the first one's
+        centroids = np.reshape([_numbers(c, "centroid", width) for c in centroids], (k, width))
+        sizes = _numbers(header["sizes"], "sizes", k)
         objective = _number(header["objective"], "objective")
-        if sizes.shape != (k,):
-            raise ValueError(f"{sizes.size} sizes for {k} centroids")
     except (KeyError, TypeError, ValueError) as e:
         raise RecordError(f"{path}: invalid clusters header on line {header_line}: {e}") from e
 
     def assignment(obj: dict) -> tuple[str, int, float]:
-        cluster, distance = obj["cluster"], obj["distance"]
+        cluster, distance = obj["cluster"], _number(obj["distance"], "distance")
         if type(cluster) is not int or not 0 <= cluster < k:
             raise ValueError(f"cluster must be an integer in [0, {k}), got {cluster!r}")
-        if type(distance) not in (int, float) or not 0 <= distance < math.inf:
-            raise ValueError(f"distance must be a finite number >= 0, got {distance!r}")
+        if distance < 0:
+            raise ValueError(f"distance must be >= 0, got {distance!r}")
         return obj["doc_id"], cluster, distance
 
     lines = _read_records(path, "assignment", assignment, key=lambda line: line[0], rows=rows)
     ids, labels, distances = zip(*lines) if lines else ((), (), ())
-    labels, distances = np.array(labels, dtype=np.int64), np.array(distances, dtype=np.float64)
+    labels, distances = np.fromiter(labels, np.int64), np.fromiter(distances, np.float64)
     model = ClusterModel(centroids, ids, labels, distances, objective)
     if model.sizes.tolist() != sizes.tolist():
         raise RecordError(
-            f"{path}: clusters header on line {header_line} gives sizes {sizes.tolist()}, "
+            f"{path}: clusters header on line {header_line} gives sizes {header['sizes']}, "
             f"but the assignment lines count {model.sizes.tolist()}"
         )
     return model
@@ -595,27 +601,20 @@ def write_clusters(model: ClusterModel, path: str | Path) -> None:
 def read_embeddings(path: str | Path) -> Embeddings:
     """Read an embeddings file, one {doc_id, vector} line per document, as one matrix.
 
-    Ids must be unique and every vector must have the first one's length.
+    Ids must be unique and every vector must have the first one's length, at least 1.
     """
     width: list[int] = []  # the first vector's length
 
     def build(obj: dict) -> tuple[str, np.ndarray]:
-        vector = np.array(obj["vector"], dtype=np.float64)
-        if vector.ndim != 1 or vector.size < 1:
-            raise ValueError("vector must be 1-D and non-empty")
+        vector = obj["vector"]
         if not width:
-            width.append(vector.size)
-        elif vector.size != width[0]:
-            raise ValueError(f"vector has {vector.size} entries, the first has {width[0]}")
-        return obj["doc_id"], vector
+            width.append(len(vector) if isinstance(vector, list) and vector else 1)
+        return obj["doc_id"], _numbers(vector, "vector", width[0])
 
     docs = _read_records(path, "doc", build, key=lambda doc: doc[0])
     if not docs:
         raise RecordError(f"{path}: no embeddings: no record from line 1 on")
-    try:
-        return Embeddings(ids=tuple(i for i, _ in docs), matrix=[v for _, v in docs])
-    except ValueError as e:
-        raise RecordError(f"{path}: {e}") from e
+    return Embeddings(ids=tuple(i for i, _ in docs), matrix=[v for _, v in docs])
 
 
 def write_embeddings(embeddings: Embeddings, path: str | Path) -> None:
@@ -626,10 +625,10 @@ def write_embeddings(embeddings: Embeddings, path: str | Path) -> None:
 def read_outputs(path: str | Path) -> ModelOutputs:
     """One model's outputs ({sample_id, candidates[]} per line); the model id is the file stem."""
     def row(obj: dict) -> tuple[str, tuple[str, ...]]:
-        sid, cands = obj["sample_id"], obj["candidates"]
-        if not cands or not _strings(cands):
-            raise RecordError(f"candidates must be a non-empty list of strings, got {cands!r}")
-        return sid, tuple(cands)
+        cands = _strings(obj["candidates"], "candidates")
+        if not cands:
+            raise RecordError("candidates must not be empty")
+        return obj["sample_id"], cands
 
     rows = _read_records(path, "sample", row, key=lambda r: r[0])
     return ModelOutputs(model_id=Path(path).stem, candidates=dict(rows))
@@ -650,8 +649,8 @@ def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
         char, neighbors = obj["char"], obj["neighbors"]
         if not (isinstance(char, str) and len(char) == 1):
             raise RecordError(f"char must be a one-character string, got {char!r}")
-        if not (_strings(neighbors) and all(len(n) == 1 for n in neighbors)):
-            raise RecordError(f"neighbors must be a list of one-character strings, got {neighbors!r}")
+        if not all(len(n) == 1 for n in _strings(neighbors, "neighbors")):
+            raise RecordError(f"neighbors must be one-character strings, got {neighbors!r}")
         return char, frozenset(neighbors)
 
     return dict(_read_records(path, "layout entry", entry, key=lambda e: e[0]))

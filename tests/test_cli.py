@@ -156,6 +156,10 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
         ("reweight.grad_tol", math.nan, "reweight.grad_tol: expected a finite number"),
         ("simbench.noise_sigma", math.inf, "simbench.noise_sigma: expected a finite number"),
         ("scoring.delta", math.inf, "scoring.delta: expected a finite number"),
+        pytest.param(
+            "simbench.noise_sigma", 10**400, "simbench.noise_sigma: expected a finite number",
+            id="simbench.noise_sigma-10**400",
+        ),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):
@@ -401,6 +405,56 @@ def test_stage_failure_exit_code(tmp_path):
     assert rc == 2
 
 
+# (argv, the demo config's edits or the config file's text, exit code, message);
+# "{config}" and "{tmp}" in argv are the config file and the test's directory
+_EXIT_CASES = {
+    "http grammar client without an endpoint": (
+        ["run", "--config", "{config}"], {"grammar": {"client": "http"}}, 1,
+        "grammar.client http requires grammar.endpoint",
+    ),
+    "http judge without an endpoint": (
+        ["run", "--config", "{config}"], {"eval": {"judge": "http"}}, 1,
+        "eval.judge http requires eval.judge_endpoint",
+    ),
+    "a section that is not an object": (
+        ["run", "--config", "{config}"], {"cluster": [50]}, 1, "section 'cluster' must be an object",
+    ),
+    "a config that is not valid JSON": (["run", "--config", "{config}"], "{seed: 1", 1, "not valid JSON"),
+    "a config that is not a JSON object": (
+        ["run", "--config", "{config}"], "[1234]", 1, "config must be a JSON object",
+    ),
+    "imported scores and no domain corpus": (
+        ["run", "--config", "{config}", "--stages", "cluster"],
+        {"scoring": {"import_scores": "scores.jsonl"}, "paths": {"domain_corpus": ""}}, 0,
+        "pipeline complete",
+    ),
+    "stats without a flag": (["stats"], None, 1, "stats requires --dataset and/or --clusters"),
+    "cluster without corpus or embeddings": (
+        ["cluster", "--out", "{tmp}/clusters.jsonl"], None, 1, "cluster requires --embeddings or --corpus",
+    ),
+    "evaluate in a fresh workdir": (
+        ["run", "--config", "{config}", "--stages", "evaluate"], {}, 2, "no files match",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EXIT_CASES))
+def test_cli_exit_code_and_message(tmp_path, capsys, case):
+    argv, config, code, message = _EXIT_CASES[case]
+    materialize(tmp_path)
+    path = tmp_path / "config.json"
+    if isinstance(config, str):
+        path.write_text(config, encoding="utf-8")
+    elif config is not None:
+        cfg = json.loads(json.dumps(DEMO_CONFIG))
+        for section, values in config.items():
+            cfg[section] = {**cfg[section], **values} if isinstance(values, dict) else values
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([a.format(config=path, tmp=tmp_path) for a in argv]) == code
+    out, err = capsys.readouterr()
+    assert message in (out if code == 0 else err)
+
+
 def test_cluster_and_sample_subcommands(demo_dir, tmp_path):
     clusters = tmp_path / "clusters.jsonl"
     rc = main(
@@ -488,6 +542,39 @@ def test_fit_reweight_weighted_names_dataset_ids_without_weights(tmp_path, capsy
     assert rc == 1
     err = capsys.readouterr().err
     assert "missing" in err and "not-scored" in err
+
+
+def test_stage_that_cannot_make_a_requested_output_writes_none(tmp_path, capsys):
+    bench = tmp_path / "bench"
+    assert main(["planted", "--n", "60", "--k", "4", "--seed", "2", "--out-prefix", str(bench / "b")]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    # --weighted needs --dataset, which is not given; --report alone could be made
+    rc = main(
+        ["fit-reweight", "--eval-matrix", str(bench / "b_matrix0.jsonl"),
+         "--scores", str(bench / "b_scores.jsonl"), "--restarts", "2",
+         "--report", str(out / "r.json"), "--weighted", str(out / "w.jsonl")]
+    )
+    assert rc == 1
+    assert "--weighted needs an input that was not given" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_layout_file_of_the_built_in_qwerty_reproduces_the_default_typos(tmp_path):
+    layout = tmp_path / "qwerty.jsonl"
+    records._write_records(
+        layout, ({"char": c, "neighbors": sorted(n)} for c, n in sorted(typo.QWERTY.adjacency.items()))
+    )
+    cfg = json.loads(json.dumps(DEMO_CONFIG))
+    cfg["typo"]["layout"] = layout.name
+    materialize(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    stages = ["cluster", "sample", "inject-grammar", "inject-typos"]
+    workdir = run_pipeline(load_config(tmp_path / "config.json"), config_dir=tmp_path, stages=stages)
+    golden = json.loads((Path(__file__).parent / "goldens" / "golden_hashes.json").read_text(encoding="utf-8"))
+    assert file_sha256(workdir / "ec_synth.jsonl") == golden["ec_synth.jsonl"]
+    log = json.loads((workdir / "runlog" / "inject-typos.json").read_text(encoding="utf-8"))
+    assert log["inputs"]["qwerty.jsonl"] == file_sha256(layout)
 
 
 def test_score_subcommand_refuses_a_repeated_sample_id(demo_dir, tmp_path, capsys):

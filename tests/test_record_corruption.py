@@ -63,11 +63,40 @@ def _kind(value: object) -> str:
 
 
 def _retypes(value: object) -> dict[str, object]:
-    """Values of every JSON type but `value`'s, and NaN and Infinity where a number belongs."""
+    """Values of every JSON type but `value`'s; where a number belongs, also NaN, Infinity and 10**400."""
     out = {kind: v for kind, v in _RETYPED.items() if kind != _kind(value)}
     if _kind(value) == "number":
-        out.update(NaN=math.nan, Infinity=math.inf)
+        out.update({"NaN": math.nan, "Infinity": math.inf, "an int beyond float64": 10**400})
     return out
+
+
+def _number_entries(value: object, at: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], object]]:
+    """(index path, entry) of the first and the last entry of each list of numbers in `value`.
+
+    In a list of lists (the clusters centroids) these are the entries of its first and last list.
+    """
+    if isinstance(value, list) and value:
+        ends = sorted({0, len(value) - 1})
+        if all(_kind(v) == "number" for v in value):
+            yield from ((at + (i,), value[i]) for i in ends)
+        else:
+            for i in ends:
+                yield from _number_entries(value[i], at + (i,))
+
+
+def _entry_retypes(entry: object) -> dict[str, object]:
+    """What an entry of a list of numbers is retyped to: no number, no finite one, or 1.5 for an integer."""
+    out = {"string": "1", "bool": True, "null": None, "NaN": math.nan, "Infinity": math.inf}
+    if type(entry) is int:
+        out["1.5"] = 1.5
+    return out
+
+
+def _replaced(value: object, at: tuple[int, ...], new: object) -> object:
+    """A copy of `value` with the entry at index path `at` replaced by `new`."""
+    if not at:
+        return new
+    return [_replaced(v, at[1:], new) if i == at[0] else v for i, v in enumerate(value)]
 
 
 def _line(obj: dict) -> bytes:
@@ -93,6 +122,11 @@ def _mutations(reader: str, text: bytes) -> Iterator[tuple[str, bytes, bool]]:
             yield f"the {where} line without {key}", damaged(dropped), key in OPTIONAL_KEYS.get(reader, ())
             for kind, new in _retypes(value).items():
                 yield f"the {where} line's {key} as {kind}", damaged({**obj, key: new}), False
+            for at, entry in _number_entries(value):
+                name = key + "".join(f"[{i}]" for i in at)
+                for kind, new in _entry_retypes(entry).items():
+                    retyped = {**obj, key: _replaced(value, at, new)}
+                    yield f"the {where} line's {name} as {kind}", damaged(retyped), False
 
 
 @pytest.fixture(scope="module")

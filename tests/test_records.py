@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecsynth import records
 from ecsynth.records import (
     Document,
     ECExample,
@@ -68,15 +69,34 @@ def test_read_corpus_malformed_line_cites_line_number(tmp_path):
         read_corpus(path)
 
 
-def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "corpus.jsonl"
     write_corpus([Document(id="a", text="first"), Document(id="b", text="second")], path)
     before = path.read_bytes()
-    unserializable = Document(id="b", text="second", source_tag=object())
+    dump = records._dump
+
+    def fail_on_the_second_record(obj: dict) -> str:
+        if obj["id"] == "b":
+            raise TypeError("cannot encode")
+        return dump(obj)
+
+    monkeypatch.setattr(records, "_dump", fail_on_the_second_record)
     with pytest.raises(TypeError):
-        write_corpus([Document(id="a", text="new"), unserializable], path)
+        write_corpus([Document(id="a", text="new"), Document(id="b", text="second")], path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Document("a", "t", source_tag=5), lambda: ScoredSample("a", True, 1.0)],
+    ids=["a source_tag that is not a str", "a bool score"],
+)
+def test_constructor_rejects_what_its_reader_rejects(build):
+    with pytest.raises(RecordError):
+        build()
+    # a numpy float is a float, as a score
+    assert ScoredSample("a", np.float64(-1.5), -2.0).s_p == -1.5
 
 
 def test_document_rejects_blank_text():
@@ -231,6 +251,15 @@ def test_eval_matrix_rejects_nonbinary_chi(tmp_path):
         (4, '{"model_id": "m0", "live": null}'),
         (5, '{"model_id": "m1", "live": [0.4, "x"]}'),
         (5, '{"model_id": "m0", "live": [0.4, 0.2]}'),
+        # entries that are not numbers, not finite, or for chi not 0 or 1
+        (2, '{"model_id": "m0", "chi": [0, 2, 1]}'),
+        (2, '{"model_id": "m0", "chi": ["1", 0, 1]}'),
+        (4, '{"model_id": "m0", "live": [true, 0.1]}'),
+        (5, '{"model_id": "m1", "live": [NaN, 0.2]}'),
+        pytest.param(5, '{"model_id": "m1", "live": [1' + "0" * 400 + ', 0.2]}', id="5-live 10**400"),
+        # a header with a repeated model id, or without a metric
+        (1, '{"model_ids": ["m0", "m0"], "sample_ids": ["s0", "s1", "s2"], "metric_names": ["ctr", "accept"]}'),
+        (1, '{"model_ids": ["m0", "m1"], "sample_ids": ["s0", "s1", "s2"], "metric_names": []}'),
     ],
 )
 def test_read_eval_matrix_malformed_names_file_and_line(tmp_path, line, text):
@@ -309,7 +338,11 @@ def test_invalid_utf8_names_file_and_line(tmp_path, reader, raw):
         reader(path)
 
 
-@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity", "-1", "-3", "0", "true", "null", '"1.5"'])
+@pytest.mark.parametrize(
+    "weight",
+    ["NaN", "Infinity", "-Infinity", "-1", "-3", "0", "true", "null", '"1.5"',
+     pytest.param("1" + "0" * 400, id="10**400")],
+)
 def test_read_weights_rejects_a_weight_that_is_not_a_finite_number_above_0(tmp_path, weight):
     path = tmp_path / "weights.jsonl"
     path.write_text(f'{{"sample_id": "a", "weight": 1.0}}\n{{"sample_id": "b", "weight": {weight}}}\n')
@@ -380,6 +413,10 @@ _A0 = _assign("a", 0)
         (_K1 + _assign("a", 0, -0.5), 2),
         (_K1 + _assign("a", 0, float("nan")), 2),
         (_K1 + _assign("a", 0, float("inf")), 2),
+        # centroids and sizes that are not finite numbers, or a size that is not a count
+        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[NaN, 1.0]]}\n' + _A0, 1),
+        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [["1.0", 1.0]]}\n' + _A0, 1),
+        ('{"k": 1, "objective": 0.0, "sizes": [1.7], "centroids": [[1.0]]}\n' + _A0, 1),
     ],
 )
 def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
@@ -404,6 +441,8 @@ def test_read_clusters_malformed_names_file_and_line(tmp_path, text, line):
         (read_weights, '{"sample_id": null, "weight": 1.0}\n'),
         (read_weights, '{"sample_id": 3, "weight": 1.0}\n'),
         (read_embeddings, '{"doc_id": 3, "vector": [1.0]}\n'),
+        (read_embeddings, '{"doc_id": "a", "vector": ["1", true]}\n'),
+        (read_embeddings, '{"doc_id": "a", "vector": [NaN, 1.0]}\n'),
         (read_layout, '{"char": 3, "neighbors": []}\n'),
     ],
 )
