@@ -230,9 +230,10 @@ def _typed(tp: Any, value: object) -> object:
     """`value` checked against the field annotation `tp`; TypeError if it does not fit.
 
     A bool is never accepted as a number, nor NaN, an infinity or an int
-    beyond float64 as a float. An int is accepted where a float is declared
-    and kept as it is, so a config's hash does not change with loading. A
-    fixed-length tuple field takes a list of that length.
+    beyond float64 as a float, nor an int beyond int64 as an int. An int is
+    accepted where a float is declared and kept as it is, so a config's hash
+    does not change with loading. A fixed-length tuple field takes a list of
+    that length.
     """
     origin = get_origin(tp)
     if origin is Literal:
@@ -246,6 +247,8 @@ def _typed(tp: Any, value: object) -> object:
     elif isinstance(value, (int, float) if tp is float else tp) and not isinstance(value, bool):
         if tp is float and not abs(value) <= sys.float_info.max:
             raise TypeError(f"expected a finite number, got {value!r}")
+        if tp is int and not -(2**63) <= value < 2**63:
+            raise TypeError(f"expected an int64, got {value!r}")
         return value
     raise TypeError(f"expected {_type_name(tp)}, got {value!r}")
 

@@ -16,7 +16,9 @@ its memory is about one N x D matrix plus blocks.
 kmeans holds OpenBLAS to one thread (`util.one_blas_thread`) and gives its
 row blocks to one thread per core instead. Each BLAS call is then the same
 one-thread call whichever thread makes it, and every sum that fixes a float
-order runs in the calling thread over the whole array, so the result does
+order runs serially in the calling thread: the seeding total and the
+objective over the whole array, and the centroid sums (`_centroid_sums`)
+one row block after another, each cell in row order. So the result does
 not depend on the core count or on OPENBLAS_NUM_THREADS.
 """
 
@@ -318,8 +320,7 @@ def _lloyd(
 
         new_centroids = np.empty_like(centroids)
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, x)
+        sums = _centroid_sums(x, assign, k)
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty][:, None]
         if not nonempty.all():
@@ -331,6 +332,22 @@ def _lloyd(
                 repair_d2[far] = -1.0
         centroids = new_centroids
     return centroids, assign, prev_obj, history
+
+
+def _centroid_sums(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """The sum of each cluster's rows of x, shape (k, D), in O(block x D) memory.
+
+    Bitwise equal to `np.add.at(sums, assign, x)` on zeros: `np.add.at` on
+    the flattened sums, one index per cell, adds each cell's rows in row
+    order as the 2-D call does, but takes numpy's fast path for a 1-D index.
+    """
+    n, dim = x.shape
+    sums = np.zeros((k, dim))
+    flat, cols, rows = sums.ravel(), np.arange(dim), _block_rows(dim)
+    for lo in range(0, n, rows):
+        cells = assign[lo : lo + rows, None] * dim + cols
+        np.add.at(flat, cells.ravel(), x[lo : lo + rows].ravel())
+    return sums
 
 
 def quota_sample(model: ClusterModel, docs_per_cluster: int, seed: int) -> list[str]:
@@ -380,6 +397,23 @@ def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bo
     return all(labels[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
 
 
+class _GramCodes(dict):
+    """gram -> its code in `hash_embed`: 2 * slot, plus 1 when its sign is +1.
+
+    A gram's code is hashed at its first lookup and kept.
+    """
+
+    def __init__(self, key: bytes, dim: int):
+        super().__init__()
+        self.key, self.dim = key, dim
+
+    def __missing__(self, gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=self.key).digest()
+        h = int.from_bytes(digest, "big")
+        code = self[gram] = 2 * ((h >> 1) % self.dim) + (h & 1)
+        return code
+
+
 def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
     """Deterministic signed feature hashing of word uni+bigrams, L2-normalized.
 
@@ -395,8 +429,7 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
     n = len(docs)
     matrix = np.empty((n, dim))
     rows = _block_rows(dim)
-    # gram -> its code: 2 * slot, plus 1 when its sign is +1
-    memo: dict[str, int] = {}
+    code_of = _GramCodes(key, dim).__getitem__
     for lo in range(0, n, rows):
         block = docs[lo : lo + rows]
         codes: list[int] = []
@@ -404,12 +437,7 @@ def hash_embed(docs: Sequence[Document], dim: int, seed: int) -> Embeddings:
         for row, doc in enumerate(block):
             words = doc.text.lower().split()
             grams = words + [f"{a} {b}" for a, b in zip(words, words[1:])]
-            for gram in grams:
-                if gram not in memo:
-                    digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest()
-                    h = int.from_bytes(digest, "big")
-                    memo[gram] = 2 * ((h >> 1) % dim) + (h & 1)
-            codes.extend(map(memo.__getitem__, grams))
+            codes.extend(map(code_of, grams))
             counts[row] = len(grams)
         code = np.array(codes, dtype=np.int64)
         cells = np.repeat(np.arange(len(block), dtype=np.int64) * dim, counts) + (code >> 1)

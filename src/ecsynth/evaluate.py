@@ -107,10 +107,12 @@ def verdicts(
         raise ValueError("k must be >= 1")
     ids = [ex.id for ex in dataset]
     ranked = by_id(ids, outputs.candidates, f"model {outputs.model_id!r}: outputs")
+    judge_one = judge.judge
+    flat = [judge_one(c, ex.target) for ex, cands in zip(dataset, ranked) for c in cands[:k]]
+    # each sample's verdicts fill its row from rank 0, in row-major order
+    ranks = np.fromiter((min(len(cands), k) for cands in ranked), np.int64, len(ranked))
     v = np.zeros((len(dataset), k), dtype=bool)
-    for i, (ex, candidates) in enumerate(zip(dataset, ranked)):
-        for r, candidate in enumerate(candidates[:k]):
-            v[i, r] = judge.judge(candidate, ex.target)
+    v[np.arange(k) < ranks[:, None]] = flat
     return v
 
 

@@ -20,16 +20,17 @@ render/parse/filter path without any external service.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from .records import Document, ECExample, ErrorAnnotation
-from .util import MAX_RETRIES, RETRY_BACKOFF, TIMEOUT, TRANSIENT_ERRORS, derive_seed, nfc, post_text
+from .util import (
+    MAX_RETRIES, RETRY_BACKOFF, TIMEOUT, TRANSIENT_ERRORS, Draws, derive_seed, nfc, post_text,
+)
 
 # the sentence slot is fenced so clients (and the mock) can recover it exactly
 _SLOT_OPEN = "<<<"
@@ -115,24 +116,26 @@ def _unescape(text: str) -> str:
     return text.replace(_ESCAPED_STARS, "**")
 
 
+# the filled template before and after its {text} slot, the one part that varies
+_PROMPT_HEAD, _PROMPT_TAIL = PROMPT_TEMPLATE.format(
+    catalog="\n".join(f"{i + 1}. {name}" for i, name in enumerate(ERROR_CATALOG)),
+    slot_open=_SLOT_OPEN,
+    text="{text}",
+    slot_close=_SLOT_CLOSE,
+).split("{text}")
+_SLOT_RE = re.compile(re.escape(_SLOT_OPEN) + r"\n(.*?)\n" + re.escape(_SLOT_CLOSE), re.DOTALL)
+
+
 def render_prompt(clean_text: str) -> str:
     """Fill the injection prompt template with one clean example."""
     if not clean_text.strip():
         raise ValueError("render_prompt: empty text")
-    catalog = "\n".join(f"{i + 1}. {name}" for i, name in enumerate(ERROR_CATALOG))
-    return PROMPT_TEMPLATE.format(
-        catalog=catalog,
-        slot_open=_SLOT_OPEN,
-        text=_escape(nfc(clean_text)),
-        slot_close=_SLOT_CLOSE,
-    )
+    return _PROMPT_HEAD + _escape(nfc(clean_text)) + _PROMPT_TAIL
 
 
 def extract_slot(prompt: str) -> str:
     """Recover the clean text from a rendered prompt (used by the mock client)."""
-    m = re.search(
-        re.escape(_SLOT_OPEN) + r"\n(.*?)\n" + re.escape(_SLOT_CLOSE), prompt, re.DOTALL
-    )
+    m = _SLOT_RE.search(prompt)
     if m is None:
         raise InjectionError("prompt does not carry a fenced sentence slot")
     return _unescape(m.group(1))
@@ -165,34 +168,32 @@ _MARKER_RE = re.compile(r"^\*\*(?P<label>[^*\n]+)\*\*\s*:\s*", re.MULTILINE)
 _ERROR_LABEL_RE = re.compile(r"^error\s*\d+\s*:\s*(?P<name>.+)$", re.IGNORECASE)
 
 
+@functools.lru_cache(maxsize=1024)
+def _annotation(name: str) -> ErrorAnnotation:
+    """The annotation of an error named `name`; records are immutable, so parses share it."""
+    return ErrorAnnotation(category=categorize_error_label(name), description=name)
+
+
 def parse_response(raw: str) -> InjectionResponse:
     """Split a completion into its marker sections.
 
     Raises ParseError naming the missing section; a response listing zero
     errors is also rejected.
     """
-    sections: list[tuple[str, str]] = []
-    matches = list(_MARKER_RE.finditer(raw))
-    for i, m in enumerate(matches):
-        end = matches[i + 1].start() if i + 1 < len(matches) else len(raw)
-        sections.append((m.group("label").strip(), raw[m.end() : end].strip()))
-
+    # [text before the first marker, label 1, section 1, label 2, section 2, ...]
+    parts = _MARKER_RE.split(raw)
     ungrammatical: str | None = None
     corrected: str | None = None
     errors: list[ErrorAnnotation] = []
-    for label, content in sections:
+    for label, content in zip(parts[1::2], parts[2::2]):
+        label = label.strip()
         low = label.lower()
         if low.startswith("ungrammatical sentence"):
-            ungrammatical = content
+            ungrammatical = content.strip()
         elif low.startswith("corrected sentence"):
-            corrected = content
-        else:
-            m = _ERROR_LABEL_RE.match(label)
-            if m:
-                name = m.group("name").strip()
-                errors.append(
-                    ErrorAnnotation(category=categorize_error_label(name), description=name)
-                )
+            corrected = content.strip()
+        elif m := _ERROR_LABEL_RE.match(label):
+            errors.append(_annotation(m.group("name").strip()))
     if ungrammatical is None or not ungrammatical:
         raise ParseError("ungrammatical")
     if corrected is None or not corrected:
@@ -332,13 +333,14 @@ class MockInjector:
         toks = [_strip_punct(w) for w in clean.split()]
         if len(toks) < 2:
             raise SkipExample(f"need at least 2 words, got {len(toks)}")
-        rng = np.random.default_rng(derive_seed(self.seed, clean) if seed is None else seed)
+        # the draws of default_rng(seed).integers, .choice(replace=False) and .random
+        rng = Draws(derive_seed(self.seed, clean) if seed is None else seed)
 
         rules = [apply for applies, apply in _MOCK_RULES if applies(toks)]
         if not rules:
             raise SkipExample("no corruption rule applies")
-        n_errors = min(int(rng.integers(1, 4)), len(rules))
-        picks = rng.choice(len(rules), size=n_errors, replace=False)
+        n_errors = min(rng.integers(1, 4), len(rules))
+        picks = rng.choice(len(rules), n_errors)
         annotations = [note for i in sorted(picks) if (note := rules[i](toks))]
         ungrammatical = " ".join(core + punct for core, punct in toks)
 

@@ -273,7 +273,7 @@ class ModelOutputs:
             raise RecordError(f"model {self.model_id!r}: model and sample ids must be strings")
         normalized = {}
         for sid, cands in self.candidates.items():
-            cands = tuple(nfc(c) for c in cands)
+            cands = tuple(map(nfc, cands))
             if not cands:
                 raise ValueError(f"model {self.model_id!r}: empty candidate list for {sid!r}")
             normalized[sid] = cands
@@ -309,6 +309,11 @@ def _read_lines(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+def _why(e: Exception) -> str:
+    """What a reader says of a line it rejects: a KeyError's text is only the key."""
+    return f"missing key {e.args[0]!r}" if isinstance(e, KeyError) else str(e)
+
+
 def _read_records(
     path: str | Path, what: str, build: Callable[[dict], T],
     key: Callable[[T], str] | None = None, rows: Iterator[tuple[int, dict]] | None = None,
@@ -328,7 +333,7 @@ def _read_records(
                 raise RecordError(f"id must be a string, got {k!r}")
             duplicate = key is not None and k in seen
         except (KeyError, TypeError, ValueError) as e:
-            raise RecordError(f"{path}: invalid {what} on line {lineno}: {e}") from e
+            raise RecordError(f"{path}: invalid {what} on line {lineno}: {_why(e)}") from e
         if duplicate:
             raise RecordError(f"{path}: duplicate {what} id {k!r} on line {lineno}")
         if key is not None:
@@ -355,7 +360,19 @@ def _write(path: str | Path, chunks: Iterable[str]) -> None:
         raise
 
 
-_dump = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+# The one C encoder of `json.dumps(obj, ensure_ascii=False, separators=(",", ":"))`.
+# `JSONEncoder.encode` makes one such encoder per call; this one is made once.
+# It keeps no state between calls: without a circular-reference check, it has
+# no markers to share.
+_encoder = json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring,
+    None, ":", ",", False, False, True,
+)
+
+
+def _dump(obj: dict) -> str:
+    """One record's line, without its newline: `json.dumps` with no spaces and no escaped non-ASCII."""
+    return "".join(_encoder(obj, 0))
 
 
 def _write_records(path: str | Path, objs: Iterable[dict]) -> None:
@@ -517,7 +534,7 @@ def read_eval_matrix(path: str | Path) -> EvalMatrix:
         model_ids, sample_ids, metric_names = (_strings(header[key], key) for key in _MATRIX_NAMES)
         _matrix_names(model_ids, sample_ids, metric_names)
     except (KeyError, RecordError) as e:
-        raise RecordError(f"{path}: invalid eval-matrix header on line {header_line}: {e}") from e
+        raise RecordError(f"{path}: invalid eval-matrix header on line {header_line}: {_why(e)}") from e
     k, widths = len(model_ids), {"chi": len(sample_ids), "live": len(metric_names)}
     expected = zip(model_ids * 2, ["chi"] * k + ["live"] * k)  # (model id, key) of each row
 
@@ -525,7 +542,7 @@ def read_eval_matrix(path: str | Path) -> EvalMatrix:
         model_id, key = next(expected, (None, None))
         if key is None:
             raise RecordError(f"the header's {k} models take {2 * k} rows; this line is one more")
-        if obj.get("model_id") != model_id or key not in obj:
+        if obj["model_id"] != model_id:
             raise RecordError(f"expected the {key} row of {model_id!r}")
         values = _numbers(obj[key], key, widths[key])
         return _binary(values) if key == "chi" else values
@@ -561,7 +578,7 @@ def read_clusters(path: str | Path) -> ClusterModel:
         sizes = _numbers(header["sizes"], "sizes", k)
         objective = _number(header["objective"], "objective")
     except (KeyError, TypeError, ValueError) as e:
-        raise RecordError(f"{path}: invalid clusters header on line {header_line}: {e}") from e
+        raise RecordError(f"{path}: invalid clusters header on line {header_line}: {_why(e)}") from e
 
     def assignment(obj: dict) -> tuple[str, int, float]:
         cluster, distance = obj["cluster"], _number(obj["distance"], "distance")

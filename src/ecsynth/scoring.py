@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 from .records import Document, ECExample, ScoredSample
 
@@ -65,13 +65,28 @@ class NGramScorer:
         return math.log((count + self.delta) / (total + self.delta * self.n_outcomes))
 
     def score(self, sentence: str) -> float:
-        toks = _tokens(sentence)
+        """The mean of `log_prob` over the sentence's words and its end marker.
+
+        Each term is the `log` of the quotient `log_prob` takes, and the terms
+        are summed in word order, so the score is bitwise the mean of
+        `log_prob`; only the lookups are hoisted out of the loop.
+        """
+        vocab, counts, totals, delta = self.vocab, self.counts, self.context_totals, self.delta
+        norm = delta * self.n_outcomes
+        toks = [t if t in vocab or t == BOS else UNK for t in _tokens(sentence)]
         padded = [BOS] * (self.order - 1) + toks + [EOS]
-        start = self.order - 1
         total = 0.0
-        for i in range(start, len(padded)):
-            total += self.log_prob(padded[i - self.order + 1 : i], padded[i])
-        return total / (len(padded) - start)
+        for gram in _ngrams(padded, self.order):
+            ctx = gram[:-1]
+            ctx_counts = counts.get(ctx)
+            count = ctx_counts.get(gram[-1], 0) if ctx_counts is not None else 0
+            total += math.log((count + delta) / (totals.get(ctx, 0) + norm))
+        return total / (len(padded) - self.order + 1)
+
+
+def _ngrams(padded: list[str], order: int) -> Iterator[tuple[str, ...]]:
+    """Each run of `order` consecutive tokens, as a tuple, in order."""
+    return zip(*[padded[j:] for j in range(order)])
 
 
 def check_ngram_args(order: int, delta: float) -> None:
@@ -89,19 +104,21 @@ def train_ngram(corpus: Sequence[Document], order: int, delta: float) -> NGramSc
     check_ngram_args(order, delta)
 
     vocab: set[str] = {EOS}
-    counts: dict[tuple[str, ...], Counter] = {}
-    totals: dict[tuple[str, ...], int] = {}
+    grams: Counter[tuple[str, ...]] = Counter()
     for doc in corpus:
         toks = _tokens(doc.text)
         vocab.update(toks)
-        padded = [BOS] * (order - 1) + toks + [EOS]
-        for i in range(order - 1, len(padded)):
-            ctx = tuple(padded[i - order + 1 : i])
-            ctx_counts = counts.get(ctx)
-            if ctx_counts is None:
-                ctx_counts = counts[ctx] = Counter()
-            ctx_counts[padded[i]] += 1
-            totals[ctx] = totals.get(ctx, 0) + 1
+        grams.update(_ngrams([BOS] * (order - 1) + toks + [EOS], order))
+    # split the n-gram counts by context; each table keeps first-seen order
+    counts: dict[tuple[str, ...], Counter] = {}
+    totals: dict[tuple[str, ...], int] = {}
+    for gram, n in grams.items():
+        ctx = gram[:-1]
+        ctx_counts = counts.get(ctx)
+        if ctx_counts is None:
+            ctx_counts = counts[ctx] = Counter()
+        ctx_counts[gram[-1]] = n
+        totals[ctx] = totals.get(ctx, 0) + n
     return NGramScorer(
         order=order, delta=delta, vocab=frozenset(vocab), counts=counts, context_totals=totals
     )

@@ -253,19 +253,22 @@ def simulate_deployments(
     rng = np.random.default_rng(spec.seed)
     p1 = _planted_rates(rng, spec.n_models, w)
 
+    # each sample's two wrong candidates, the same for every model
+    wrongs = [
+        (ex.source if ex.source != ex.target else "uh " + ex.target, "uh " + ex.source)
+        for ex in dataset
+    ]
     outputs = []
-    for j in range(spec.n_models):
+    for j, rates in enumerate(p1.tolist()):
         candidates: dict[str, tuple[str, ...]] = {}
-        for i, ex in enumerate(dataset):
-            wrong_a = ex.source if ex.source != ex.target else "uh " + ex.target
-            wrong_b = "uh " + ex.source
+        for ex, (wrong_a, wrong_b), p in zip(dataset, wrongs, rates):
             u = rng.random()
-            if u < p1[j, i]:
+            if u < p:
                 top = ex.target
                 if rng.random() < _CASING_SLIP:
                     top = _near_miss(ex.target)
                 cands = (top, wrong_a, wrong_b)
-            elif u < p1[j, i] + spec.top3_rescue:
+            elif u < p + spec.top3_rescue:
                 if rng.random() < 0.5:
                     cands = (wrong_a, ex.target, wrong_b)
                 else:

@@ -15,11 +15,9 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import records
 from .records import ECExample
-from .util import derive_seed
+from .util import Draws, derive_seed
 
 # rows staggered as on a phone keyboard; diagonal neighbors included
 _QWERTY_ROWS = ("qwertyuiop", "asdfghjkl", "zxcvbnm")
@@ -117,32 +115,39 @@ def corrupt(
     """
     if not text:
         raise ValueError("corrupt: empty text")
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    # one uniform draw per position; its bisection picks the event, or None
+    # the draws of default_rng(seed).random and .integers; one chunk holds a
+    # draw per position and a few for spatial picks
+    rng = Draws(cfg.seed if seed is None else seed, chunk=len(text) + 4)
+    # one uniform draw per position; its bisection picks the event, or None at `rate` and above
     cumulative = list(accumulate((cfg.p_transpose, cfg.p_omit, cfg.p_repeat, cfg.p_spatial)))
-    out: list[str] = []
+    rate = cumulative[-1]
+    out: list[str] = []  # the text up to `kept`, with its events applied
     events: list[TypoEvent] = []
-    i = 0
+    kept = i = 0
     while i < len(text) and len(events) < cfg.max_errors_per_example:
-        ch = text[i]
-        kind = _KINDS[bisect_right(cumulative, rng.random())]
-        if kind == "transpose" and i + 1 < len(text):
-            out += text[i + 1], ch
-        elif kind == "omit":
-            pass
-        elif kind == "repeat":
-            out += ch, ch
-        elif kind == "spatial" and (near := keyboard.neighbors(ch)):
-            pick = near[int(rng.integers(len(near)))]
-            out.append(pick.upper() if ch.isupper() else pick)
-        else:
-            # no event, or the drawn kind does not apply at this position
-            out.append(ch)
+        u = rng.random()
+        if u >= rate:
             i += 1
             continue
+        ch, kind = text[i], _KINDS[bisect_right(cumulative, u)]
+        if kind == "transpose" and i + 1 < len(text):
+            typed = text[i + 1] + ch
+        elif kind == "omit":
+            typed = ""
+        elif kind == "repeat":
+            typed = ch + ch
+        elif kind == "spatial" and (near := keyboard.neighbors(ch)):
+            pick = near[rng.integers(0, len(near))]
+            typed = pick.upper() if ch.isupper() else pick
+        else:
+            # the drawn kind does not apply at this position
+            i += 1
+            continue
+        out += text[kept:i], typed
         events.append(TypoEvent(position=i, kind=kind))
         i += 2 if kind == "transpose" else 1
-    return "".join(out) + text[i:], events
+        kept = i
+    return "".join(out) + text[kept:], events
 
 
 def corrupt_dataset(

@@ -1,5 +1,5 @@
-"""Deterministic hashing, seeding, and normalization helpers, the one HTTP POST,
-and the one BLAS thread pin.
+"""Deterministic hashing, seeding, and normalization helpers, numpy's draws
+without its per-call overhead, the one HTTP POST, and the one BLAS thread pin.
 
 Python's builtin hash() is salted per process, so every derived seed in the
 pipeline goes through blake2b instead. All text comparison in the toolkit is
@@ -20,6 +20,8 @@ import urllib.request
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterator
+
+import numpy as np
 
 
 def nfc(text: str) -> str:
@@ -43,6 +45,88 @@ def derive_seed(root_seed: int, *scope: object) -> int:
     of input ordering and of how work is scheduled.
     """
     return stable_hash(root_seed, *scope) % (2**32)
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+class Draws:
+    """The draws of `np.random.default_rng(seed)`, made in Python from its raw PCG64 outputs.
+
+    A Generator call costs microseconds of argument handling, more than the
+    draw itself. This reads the bit generator's 64-bit outputs `chunk` at a
+    time (`random_raw`) and makes each draw from them as numpy's C code does,
+    so a sequence of calls returns what the same calls on
+    `np.random.default_rng(seed)` return:
+    - `random()` is `next_double`: the top 53 bits of one output, times 2**-53.
+    - a bounded integer is Lemire's method on `next_uint32`, which takes the
+      low half of a new output and keeps the high half for the next 32-bit
+      draw. `integers` and `choice` take their draws so.
+    Reading ahead in chunks leaves the bit generator past the draws made, so a
+    caller uses only this object's draws, never the bit generator's.
+    """
+
+    def __init__(self, seed: int, chunk: int = 8):
+        self._bits = np.random.PCG64(seed)  # what default_rng(seed) wraps
+        self._chunk = chunk
+        self._raw: list[int] = []
+        self._at = 0  # next unused output in _raw
+        self._high: int | None = None  # the kept half of the last `next_uint32`
+
+    def _next64(self) -> int:
+        if self._at == len(self._raw):
+            self._raw, self._at = self._bits.random_raw(self._chunk).tolist(), 0
+        self._at += 1
+        return self._raw[self._at - 1]
+
+    def _next32(self) -> int:
+        if self._high is not None:
+            out, self._high = self._high, None
+            return out
+        out = self._next64()
+        self._high = out >> 32
+        return out & _MASK32
+
+    def _bounded(self, rng: int) -> int:
+        """A uniform int in [0, rng]: numpy's `random_bounded_uint64(0, rng)` without masking."""
+        if rng == 0:
+            return 0
+        if not 0 < rng < _MASK32:
+            raise ValueError(f"Draws: a bounded draw takes a range in [0, 2**32 - 1), got {rng}")
+        excl = rng + 1
+        m = self._next32() * excl
+        if m & _MASK32 < excl:
+            threshold = (_MASK32 - rng) % excl
+            while m & _MASK32 < threshold:
+                m = self._next32() * excl
+        return m >> 32
+
+    def random(self) -> float:
+        """`Generator.random()`."""
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+    def integers(self, low: int, high: int) -> int:
+        """`Generator.integers(low, high)`, for high - low <= 2**32 - 1."""
+        return low + self._bounded(high - low - 1)
+
+    def choice(self, n: int, size: int) -> list[int]:
+        """`Generator.choice(n, size, replace=False)` for n <= 10,000, in its order.
+
+        That is Floyd's sampling, then a shuffle of the picks; above 10,000
+        numpy shuffles a tail of range(n) instead when size > n // 50.
+        """
+        if not 0 <= size <= n <= 10_000:
+            raise ValueError(f"Draws.choice: needs 0 <= size <= n <= 10000, got n={n}, size={size}")
+        picks: list[int] = []
+        taken: set[int] = set()
+        for j in range(n - size, n):
+            pick = self._bounded(j)
+            picks.append(j if pick in taken else pick)
+            taken.add(picks[-1])
+        for i in range(size - 1, 0, -1):
+            j = self._bounded(i)
+            picks[i], picks[j] = picks[j], picks[i]
+        return picks
 
 
 def config_hash(obj: object) -> str:

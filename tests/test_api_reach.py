@@ -24,6 +24,7 @@ ORACLES = {
     "write_embeddings",  # writes the files the `read_embeddings` tests parse
     "objective",  # the fit's objective and gradient; criterion 2 checks it by finite differences
     "holdout_cv",  # leave-one-model-out CV alone; criterion 4 runs its recovery protocol on it
+    "log_prob",  # one smoothed n-gram probability; `score` is checked bit for bit as their mean
 }
 
 

@@ -160,6 +160,17 @@ def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
             "simbench.noise_sigma", 10**400, "simbench.noise_sigma: expected a finite number",
             id="simbench.noise_sigma-10**400",
         ),
+        # main runs only once load_config has rejected the value, so no stage
+        # ever starts with one of these (a pool of 10**400 threads, say)
+        *(
+            pytest.param(key, value, f"{key}: expected an int64", id=f"{key}-{name}")
+            for key in ("reweight.restarts", "sample.per_cluster", "grammar.concurrency", "cluster.k")
+            for value, name in ((10**400, "10**400"), (2**63, "2**63"))
+        ),
+        pytest.param(
+            "grammar.max_retries", -(2**63) - 1, "grammar.max_retries: expected an int64",
+            id="grammar.max_retries--2**63-1",
+        ),
     ],
 )
 def test_out_of_range_config_value_exits_1_before_any_work(tmp_path, key, value, match):

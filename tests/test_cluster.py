@@ -296,6 +296,19 @@ def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
     assert digest == "59e2e8cc6392e4555f6d1825ec36bb5d1319cd352df2cbf8607d4c8eddd95d7f"
 
 
+def test_blocked_centroid_sums_are_np_add_at_bit_for_bit():
+    # two full row blocks of 64 columns and part of a third; cluster 6 gets no row
+    n = 2 * cluster._block_rows(64) + 3617
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((n, 64)) * rng.uniform(1e-3, 1e3, (n, 1))
+    assign = rng.integers(0, 6, n)
+    want = np.zeros((7, 64))
+    np.add.at(want, assign, x)
+    got = cluster._centroid_sums(x, assign, 7)
+    assert n > 8192 and n % cluster._block_rows(64) != 0
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kmeans_distances_are_each_rows_dot_product_and_read_back_bit_for_bit(tmp_path):
     emb = hash_embed(make_demo_corpus(300, 2), dim=16, seed=2)
     model = kmeans(emb, k=7, seed=2, max_iters=10, tol=1e-8)

@@ -5,7 +5,8 @@ run and damaged copies of it: the last line cut in half, the first or the
 last line repeated, the file emptied, each key of the first and the last
 line dropped or retyped, and a line of invalid UTF-8 added. A damaged file
 must raise a RecordError that names the file and a line, or be accepted as
-README's "File formats" documents; any other outcome fails.
+README's "File formats" documents; any other outcome fails. The error for a
+dropped key must also say that the key is missing.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ OPTIONAL_KEYS = {
     "read_ec_dataset": {"weight", "provenance", "error_annotations"},
 }
 REPEAT_OK = {"read_ec_dataset"}
+# an empty file of these kinds is a header without its first key
+EMPTY_HEADER_KEY = {"read_eval_matrix": "model_ids", "read_clusters": "k"}
 
 # one value of each JSON type a key can be retyped to
 _RETYPED = {"null": None, "bool": True, "number": 1, "string": "1", "list": [], "object": {}}
@@ -103,15 +106,16 @@ def _line(obj: dict) -> bytes:
     return (json.dumps(obj, ensure_ascii=False) + "\n").encode("utf-8")
 
 
-def _mutations(reader: str, text: bytes) -> Iterator[tuple[str, bytes, bool]]:
-    """(case, damaged file, whether README documents it as accepted)."""
+def _mutations(reader: str, text: bytes) -> Iterator[tuple[str, bytes, bool, str]]:
+    """(case, damaged file, whether README documents it as accepted, what its error must say)."""
     lines = text.splitlines(keepends=True)
     last = lines[-1]
-    yield "the last line cut in half", b"".join(lines[:-1]) + last[: len(last) // 2], False
-    yield "the first line repeated", lines[0] + text, reader in REPEAT_OK
-    yield "the last line repeated", text + last, reader in REPEAT_OK
-    yield "the file emptied", b"", reader in EMPTY_OK
-    yield "a line of invalid UTF-8", lines[0] + b'{"id": "\xff\xfe"}\n' + b"".join(lines[1:]), False
+    yield "the last line cut in half", b"".join(lines[:-1]) + last[: len(last) // 2], False, ""
+    yield "the first line repeated", lines[0] + text, reader in REPEAT_OK, ""
+    yield "the last line repeated", text + last, reader in REPEAT_OK, ""
+    first = EMPTY_HEADER_KEY.get(reader)
+    yield "the file emptied", b"", reader in EMPTY_OK, f"missing key {first!r}" if first else ""
+    yield "a line of invalid UTF-8", lines[0] + b'{"id": "\xff\xfe"}\n' + b"".join(lines[1:]), False, ""
     for where, i in (("first", 0), ("last", len(lines) - 1)):
         obj = json.loads(lines[i])
         for key, value in obj.items():
@@ -119,14 +123,15 @@ def _mutations(reader: str, text: bytes) -> Iterator[tuple[str, bytes, bool]]:
                 return b"".join(lines[:i]) + _line(new) + b"".join(lines[i + 1 :])
 
             dropped = {k: v for k, v in obj.items() if k != key}
-            yield f"the {where} line without {key}", damaged(dropped), key in OPTIONAL_KEYS.get(reader, ())
+            accepted = key in OPTIONAL_KEYS.get(reader, ())
+            yield f"the {where} line without {key}", damaged(dropped), accepted, f"missing key {key!r}"
             for kind, new in _retypes(value).items():
-                yield f"the {where} line's {key} as {kind}", damaged({**obj, key: new}), False
+                yield f"the {where} line's {key} as {kind}", damaged({**obj, key: new}), False, ""
             for at, entry in _number_entries(value):
                 name = key + "".join(f"[{i}]" for i in at)
                 for kind, new in _entry_retypes(entry).items():
                     retyped = {**obj, key: _replaced(value, at, new)}
-                    yield f"the {where} line's {name} as {kind}", damaged(retyped), False
+                    yield f"the {where} line's {name} as {kind}", damaged(retyped), False, ""
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +158,7 @@ def test_damaged_file_is_a_record_error_naming_file_and_line(demo_run, tmp_path,
     read(source)
     path = tmp_path / source.name
     failures = []
-    for case, damaged, accepted in _mutations(reader, source.read_bytes()):
+    for case, damaged, accepted, said in _mutations(reader, source.read_bytes()):
         path.write_bytes(damaged)
         try:
             read(path)
@@ -162,6 +167,8 @@ def test_damaged_file_is_a_record_error_naming_file_and_line(demo_run, tmp_path,
                 failures.append(f"{case}: rejected, but README accepts it: {e}")
             elif not re.search(rf"{re.escape(str(path))}.*line \d+", str(e)):
                 failures.append(f"{case}: the error does not name the file and a line: {e}")
+            elif said not in str(e):
+                failures.append(f"{case}: the error does not say {said!r}: {e}")
         except Exception as e:  # noqa: BLE001 - any other exception is the defect this test looks for
             failures.append(f"{case}: {type(e).__name__}: {e}")
         else:

@@ -87,6 +87,19 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monke
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_records_are_written_as_json_dumps_writes_them(tmp_path):
+    objs = [
+        {"id": "naïve café 中文 😀", "text": "a **bold** claim *\\* here", "quoted": 'say "hi" \\ back'},
+        {"controls": "\x00\x01\t\n\r\x1f\x7f \u2028\u2029", "empty": "", "nested": {"a": [{"b": "ü"}]}},
+        {"floats": [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16, -2.5e-308]},
+        {"ints": [2**64 + 1, -(2**70), 0, -1], "flags": [True, False, None], "none": [], "obj": {}},
+    ]
+    path = tmp_path / "records.jsonl"
+    records._write_records(path, objs)
+    want = "".join(json.dumps(o, ensure_ascii=False, separators=(",", ":")) + "\n" for o in objs)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: Document("a", "t", source_tag=5), lambda: ScoredSample("a", True, 1.0)],

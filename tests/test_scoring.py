@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -123,3 +124,41 @@ def test_heuristic_weight_truth_table():
 def test_score_includes_end_event_for_whitespace_only_tokens():
     scorer = train_ngram([Document(id="d", text="a b")], order=2, delta=0.5)
     assert np.isfinite(scorer.score("a"))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_score_is_the_mean_of_log_prob_bit_for_bit(order):
+    scorer = train_ngram(make_demo_corpus(300, 4), order=order, delta=0.2)
+    for sentence in ("the cat sat on the mat", "<s> unseen WORDS </s> here", "one"):
+        padded = ["<s>"] * (order - 1) + sentence.lower().split() + ["</s>"]
+        total = 0.0
+        for i in range(order - 1, len(padded)):
+            total += scorer.log_prob(padded[i - order + 1 : i], padded[i])
+        assert scorer.score(sentence) == total / (len(padded) - order + 1)
+
+
+@pytest.fixture(scope="module")
+def corpus_20k():
+    return make_demo_corpus(20000, 3)
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        (1, "20843401406cc5f5ba6bd6ea033fa3a618bdfa51ddcf635858ad22b622c532f8"),
+        (3, "46a83b1dcd515ba9add6e5669e0c0418496e5d622f8afcf82813df0b63c3165d"),
+        (5, "58fddf4f2bc66a8bb293b61b13932290a1ec2b7db11458bae4c17697c117fcc5"),
+    ],
+)
+def test_scores_over_a_20k_corpus_are_pinned(corpus_20k, order, digest):
+    # the digests were taken from the implementation that counted and scored
+    # one position at a time; each half of the corpus trains one model, so
+    # every score mixes seen and unseen n-grams
+    half = len(corpus_20k) // 2
+    public = train_ngram(corpus_20k[:half], order, 0.1)
+    domain = train_ngram(corpus_20k[half:], order, 0.5)
+    examples = [ECExample(id=d.id, source=d.text, target=d.text) for d in corpus_20k]
+    h = hashlib.sha256()
+    for s in score_dataset(examples, public, domain):
+        h.update(f"{s.sample_id}\t{s.s_p!r}\t{s.s_f!r}\n".encode())
+    assert h.hexdigest() == digest

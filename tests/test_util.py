@@ -3,6 +3,7 @@ from __future__ import annotations
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from ecsynth import util
@@ -105,3 +106,41 @@ def test_one_blas_thread_without_a_setter_holds_nothing(monkeypatch):
     monkeypatch.setattr(util, "_openblas_setters", lambda: ())
     with util.one_blas_thread() as pinned:
         assert pinned is False
+
+
+def test_draws_are_default_rngs_draws():
+    # the calls interleave 64-bit draws (random) with 32-bit ones (integers,
+    # choice), which share the kept half of an output
+    plan = np.random.default_rng(17)
+    for seed in range(400):
+        rng, draws = np.random.default_rng(seed), util.Draws(seed, chunk=int(plan.integers(1, 9)))
+        for _ in range(10):
+            op = plan.integers(3)
+            if op == 0:
+                assert draws.random() == rng.random()
+            elif op == 1:
+                low = int(plan.integers(-5, 5))
+                high = low + int(plan.integers(1, 12))
+                assert draws.integers(low, high) == rng.integers(low, high)
+            else:
+                n = int(plan.integers(1, 9))
+                size = int(plan.integers(0, n + 1))
+                assert draws.choice(n, size) == rng.choice(n, size=size, replace=False).tolist()
+
+
+def test_draws_at_the_edges_of_their_ranges():
+    for seed in range(20):
+        rng, draws = np.random.default_rng(seed), util.Draws(seed)
+        # 3 * 2**30 + 7 rejects about a quarter of its 32-bit draws
+        for high in (2**32 - 1, 3 * 2**30 + 7, 2**31 + 1, 10_000, 1):
+            assert draws.integers(0, high) == rng.integers(0, high)
+        assert draws.choice(10_000, 50) == rng.choice(10_000, size=50, replace=False).tolist()
+        assert draws.choice(300, 300) == rng.choice(300, size=300, replace=False).tolist()
+        assert draws.random() == rng.random()
+    draws = util.Draws(0)
+    with pytest.raises(ValueError):
+        draws.integers(0, 2**32)
+    with pytest.raises(ValueError):
+        draws.choice(10_001, 1)
+    with pytest.raises(ValueError):
+        draws.choice(3, 4)
