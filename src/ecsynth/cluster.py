@@ -4,9 +4,11 @@ Embeddings are an external input in production; hash_embed provides a
 deterministic stand-in so the stage can run self-contained. Distances are
 squared Euclidean on L2-normalized vectors, which orders the same as cosine.
 
-kmeans computes every number the clusters file holds, the per-document
-squared distances included (`_point_d2(dot=True)`); `records.write_clusters`
-only formats the model.
+kmeans computes every number the clusters file holds; `records.write_clusters`
+only formats the model. Each assignment pass (`_nearest`) gives every row
+its nearest centroid and its squared distance to it, taken by direct
+subtraction. The file's distances are the last pass's, and its objective is
+their sum.
 
 The stage works on one `records.Embeddings` matrix throughout: hash_embed
 fills it one block of documents at a time and kmeans reads it in row blocks.
@@ -45,10 +47,11 @@ class ClusterStats:
 
 
 # Byte budget of one row block's temporaries: the (rows x k) distance matrix
-# in `_nearest`, the (rows x D) squares in `_sq_norms`, differences in
-# `_point_d2` and hashed counts in `hash_embed`. The demo's
-# 2,000 x 50 assignment fits in one block, so its artifacts equal an
-# unblocked run's: a blocked GEMM can differ from a whole one by 1 ULP.
+# and then the (rows x D) differences in `_nearest`, which share one buffer of
+# max(k, D) columns, the (rows x D) squares in `_sq_norms` and hashed counts
+# in `hash_embed`. The demo's 2,000 x max(50, 64) assignment fits in one
+# block, so its artifacts equal an unblocked run's: a blocked GEMM can differ
+# from a whole one by 1 ULP.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -107,23 +110,35 @@ def _blockwise(
 def _nearest(
     x: np.ndarray, xx: np.ndarray, centroids: np.ndarray,
     pool: ThreadPoolExecutor | None = None, parts: int = 1,
-) -> np.ndarray:
-    """Index of each row's nearest centroid, in O(block x k) memory per hand rather than O(N x k).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(index of each row's nearest centroid, its squared distance to it), in one pass of row blocks.
 
-    argmin breaks ties toward the lowest index. BLAS runs on one thread, so a
-    block's GEMM gives the same bits on any thread and under any
-    OPENBLAS_NUM_THREADS.
+    The argmin is over the expanded form `_distances`, and breaks ties toward
+    the lowest index. The distance is by direct subtraction, an einsum of the
+    row's difference with itself: exact zero for coincident points, and the
+    same in any block. BLAS runs on one thread, so a block's GEMM gives the
+    same bits on any thread and under any OPENBLAS_NUM_THREADS. Memory is
+    O(block x max(k, D)) per hand rather than O(N x k).
     """
-    n, k = x.shape[0], centroids.shape[0]
+    (n, dim), k = x.shape, centroids.shape[0]
     cc = np.sum(centroids * centroids, axis=1)
     assign = np.empty(n, dtype=np.int64)
+    d2 = np.empty(n)
 
     def work(block: slice, buf: np.ndarray) -> None:
-        assign[block] = np.argmin(_distances(x[block], xx[block], centroids, cc, out=buf), axis=1)
+        flat, rows = buf.ravel(), buf.shape[0]
+        d = _distances(x[block], xx[block], centroids, cc, out=flat[: rows * k].reshape(rows, k))
+        np.argmin(d, axis=1, out=assign[block])
+        diff = flat[: rows * dim].reshape(rows, dim)
+        # "clip" takes no temporary, which "raise" does; argmin's indices are in range
+        np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
+        np.subtract(x[block], diff, out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=d2[block])
 
+    width = max(k, dim)
     with util.one_blas_thread():
-        _blockwise(n, _block_rows(k), k, work, pool, parts)
-    return assign
+        _blockwise(n, _block_rows(width), width, work, pool, parts)
+    return assign, d2
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -138,34 +153,6 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     for lo in range(0, n, rows):
         block = x[lo : lo + rows]
         np.sum(block * block, axis=1, out=out[lo : lo + rows])
-    return out
-
-
-def _point_d2(
-    x: np.ndarray, centroids: np.ndarray, assign: np.ndarray,
-    pool: ThreadPoolExecutor | None = None, parts: int = 1, dot: bool = False,
-) -> np.ndarray:
-    """Squared distance of each row to its assigned centroid, in O(block x D) memory per hand.
-
-    By direct subtraction: exact zero for coincident points, unlike the
-    expanded form `_distances` uses for the argmin. Each row's sum is the
-    same in any block, so the result does not depend on the block size.
-    The objective sums an einsum per row; `dot` takes a stacked 1 x D by D x 1
-    matmul, float(d @ d), for the clusters file. They differ in the last bit.
-    """
-    n, dim = x.shape
-    out = np.empty(n)
-
-    def work(block: slice, diff: np.ndarray) -> None:
-        # "clip" takes no temporary, which "raise" does; argmin's indices are in range
-        np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
-        np.subtract(x[block], diff, out=diff)
-        if dot:
-            out[block] = np.matmul(diff[:, None, :], diff[:, :, None]).ravel()
-        else:
-            np.einsum("ij,ij->i", diff, diff, out=out[block])
-
-    _blockwise(n, _block_rows(dim), dim, work, pool, parts)
     return out
 
 
@@ -271,10 +258,11 @@ def kmeans(
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
     with util.one_blas_thread() as pinned:
-        parts = _worker_count(n, k) if pinned else 1
+        parts = _worker_count(n, max(k, x.shape[1])) if pinned else 1
         with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
-            centroids, labels, objective, history = _lloyd(x, k, seed, max_iters, tol, pool, parts)
-            distances = _point_d2(x, centroids, labels, pool, parts, dot=True)
+            centroids, labels, distances, objective, history = _lloyd(
+                x, k, seed, max_iters, tol, pool, parts
+            )
     return ClusterModel(
         centroids=centroids,
         ids=embeddings.ids,
@@ -285,30 +273,33 @@ def kmeans(
     )
 
 
-def _worker_count(n: int, k: int) -> int:
-    """kmeans' threads: one per core it may run on, and at most one per `_nearest` block."""
-    return min(len(os.sched_getaffinity(0)), -(-n // _block_rows(k)))
+def _worker_count(n: int, width: int) -> int:
+    """kmeans' threads: one per core it may run on, and at most one per `_nearest` block.
+
+    width is that block's buffer width, max(k, D).
+    """
+    return min(len(os.sched_getaffinity(0)), -(-n // _block_rows(width)))
 
 
 def _lloyd(
     x: np.ndarray, k: int, seed: int, max_iters: int, tol: float,
     pool: ThreadPoolExecutor | None, parts: int,
-) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
-    """Seeding and Lloyd iterations: (centroids, assignment, objective, objective history).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list[float]]:
+    """Seeding and Lloyd iterations: (centroids, assignment, distances, objective, objective history).
+
+    The assignment and distances are the last pass's, and the objective is
+    the distances' sum.
 
     Row blocks go to `parts` threads of `pool`, or run here when it is None.
     """
-    n = x.shape[0]
     xx = _sq_norms(x)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, xx, k, rng, pool, parts)
 
     prev_obj = np.inf
     history: list[float] = []
-    assign = np.zeros(n, dtype=np.int64)
-    for it in range(max_iters):
-        assign = _nearest(x, xx, centroids, pool, parts)
-        point_d2 = _point_d2(x, centroids, assign, pool, parts)
+    for it in range(max_iters):  # max_iters >= 1, so the loop sets assign and point_d2
+        assign, point_d2 = _nearest(x, xx, centroids, pool, parts)
         obj = float(point_d2.sum())
         if obj > prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise AssertionError(f"kmeans objective increased: {prev_obj} -> {obj} at iter {it}")
@@ -331,7 +322,7 @@ def _lloyd(
                 new_centroids[c] = x[far]
                 repair_d2[far] = -1.0
         centroids = new_centroids
-    return centroids, assign, prev_obj, history
+    return centroids, assign, point_d2, prev_obj, history
 
 
 def _centroid_sums(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
@@ -392,7 +383,7 @@ def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bo
     `_nearest` holds BLAS to one thread here as in kmeans, so the check sees the fit's bits.
     """
     x = embeddings.matrix
-    assign = _nearest(x, _sq_norms(x), model.centroids)
+    assign, _ = _nearest(x, _sq_norms(x), model.centroids)
     labels = dict(zip(model.ids, model.labels.tolist()))
     return all(labels[i] == c for i, c in zip(embeddings.ids, assign.tolist()))
 

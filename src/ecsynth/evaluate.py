@@ -5,7 +5,7 @@ clean target; `verdicts` alone calls it, once per (sample, rank), and every
 metric reduces its (N, k) array. Good ratio at k takes the best of the first
 k ranked candidates per sample and averages the 0/1 outcomes; the weighted
 variants scale each sample's outcome by its reweighting score and normalize
-by N, the same form the live-metric regression consumes.
+by N through `reweight.offline_metric`, the function the fit itself uses.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import Mapping, Protocol, Sequence
 import numpy as np
 
 from .records import ECExample, ModelOutputs, by_id
+from .reweight import offline_metric
 from .util import nfc, post_text
 
 
@@ -120,11 +121,6 @@ def _weight_vector(dataset: Sequence[ECExample], weights: Mapping[str, float]) -
     return np.array(by_id([ex.id for ex in dataset], weights, "weights"))
 
 
-def _weighted_mean(w: np.ndarray, chi: np.ndarray) -> float:
-    """(1/N) * sum_i w_i * chi_i of one model's (N,) verdict row."""
-    return float((w * chi).sum() / len(chi))
-
-
 def export_chi_row(
     outputs: ModelOutputs, dataset: Sequence[ECExample], judge: Judge, k: int
 ) -> np.ndarray:
@@ -155,7 +151,7 @@ def weighted_metric(
 ) -> float:
     """(1/N) * sum_i w_i * chi_i; weights must cover every sample."""
     w = _weight_vector(dataset, weights)
-    return _weighted_mean(w, export_chi_row(outputs, dataset, judge, k))
+    return float(offline_metric(export_chi_row(outputs, dataset, judge, k), w))
 
 
 # -- report: Top-1 / Top-1 (w) / Top-3 / Top-3 (w) grid --
@@ -191,7 +187,7 @@ def eval_report(
             cells = []
             for k in ks:
                 chi = v[:, :k].any(axis=1).astype(np.float64)
-                cells += [float(chi.mean()), _weighted_mean(w, chi)]
+                cells += [float(chi.mean()), float(offline_metric(chi, w))]
             per_run.append(cells)
         arr = np.array(per_run)
         stats = zip(arr.mean(axis=0), arr.std(axis=0))

@@ -571,9 +571,11 @@ def read_clusters(path: str | Path) -> ClusterModel:
     header_line, header = next(rows, (1, {}))  # an empty file fails as a header without keys
     try:
         k, centroids = header["k"], header["centroids"]
-        if type(k) is not int or not isinstance(centroids, list) or len(centroids) != k:
+        if type(k) is not int or k < 1 or not isinstance(centroids, list) or len(centroids) != k:
             raise ValueError(f"k is {k!r} for the centroids {centroids!r:.80}")
-        width = len(centroids[0]) if k and isinstance(centroids[0], list) else 0  # the first one's
+        width = len(centroids[0]) if isinstance(centroids[0], list) else 0  # the first one's
+        if width < 1:
+            raise ValueError(f"a centroid must be a list of at least 1 number, got {centroids[0]!r:.80}")
         centroids = np.reshape([_numbers(c, "centroid", width) for c in centroids], (k, width))
         sizes = _numbers(header["sizes"], "sizes", k)
         objective = _number(header["objective"], "objective")

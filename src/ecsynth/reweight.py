@@ -23,8 +23,9 @@ above the uniform baseline.
 
 One weight function, `_weights`, serves the fit, the bias calibration and
 both planted simulators in `simbench`; the weighted offline metric
-(`offline_metric`), the residual, the objective sum and the held-out error
-are likewise each defined once.
+(`offline_metric`, which the eval report's weighted columns use too), the
+residual, the objective sum and the held-out error (`_holdout_residual`) are
+likewise each defined once.
 """
 
 from __future__ import annotations
@@ -840,11 +841,8 @@ def _cv_summary(st: _SetData, folds: Sequence[_Solution], params: ReweightParams
     """Each fold's held-out squared error at its best theta, with alpha refit on the kept models."""
     residuals = []
     for j, sol in enumerate(folds):
-        keep = [i for i in range(st.chi.shape[0]) if i != j]
         w = weights_array(params.with_theta(_best(sol)), st.s_f, st.s_p)
-        s_j = float(offline_metric(st.chi[j], w))
-        a = _closed_form_alpha(offline_metric(st.chi[keep], w), st.v[keep])
-        residuals.append(_holdout_error(a, s_j, st.v[j]))
+        residuals.append(_holdout_residual(offline_metric(st.chi, w), st.v, j))
     return _summary(residuals)
 
 
@@ -857,17 +855,20 @@ def _validation_residuals(
     residuals: list[float] = []
     for matrix in _as_matrices(val_data):
         w = weights_array(fitted, *aligned_scores(matrix.sample_ids, scores))
-        s_all = offline_metric(matrix.chi, w)
-        for j in range(matrix.n_models):
-            keep = [i for i in range(matrix.n_models) if i != j]
-            a = _closed_form_alpha(s_all[keep], matrix.live_metrics[keep])
-            residuals.append(_holdout_error(a, s_all[j], matrix.live_metrics[j]))
+        s = offline_metric(matrix.chi, w)
+        residuals += [_holdout_residual(s, matrix.live_metrics, j) for j in range(matrix.n_models)]
     return _summary(residuals)
 
 
-def _holdout_error(a: RegressionParams, s_j: float, v_j: np.ndarray) -> float:
-    """Squared error of the regression's prediction for a held-out model."""
-    err = a.alpha_1 * s_j + a.alpha_0 - v_j
+def _holdout_residual(s: np.ndarray, v: np.ndarray, j: int) -> float:
+    """Squared error of the prediction for held-out model j, with the regression refit on the others.
+
+    s (K,) is every model's `offline_metric(chi, w)` and v (K, d) their live
+    metrics. The CV folds and the validation set both score through here.
+    """
+    keep = np.arange(len(s)) != j
+    alpha_1, alpha_0, _ = _closed_form(s[keep], v[keep])
+    err = alpha_1 * s[j] + alpha_0 - v[j]
     return float(err @ err)
 
 

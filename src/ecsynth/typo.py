@@ -67,10 +67,9 @@ class KeyboardModel:
 QWERTY = KeyboardModel(layout_name="qwerty", adjacency=_qwerty_adjacency())
 
 
-def load_keyboard(path: str | Path, layout_name: str | None = None) -> KeyboardModel:
-    """The keyboard of a layout file (see `records.read_layout`)."""
-    name = layout_name if layout_name is not None else str(path)
-    return KeyboardModel(layout_name=name, adjacency=records.read_layout(path))
+def load_keyboard(path: str | Path) -> KeyboardModel:
+    """The keyboard of a layout file (see `records.read_layout`), named by its path."""
+    return KeyboardModel(layout_name=str(path), adjacency=records.read_layout(path))
 
 
 @dataclass(frozen=True)

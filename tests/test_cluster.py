@@ -183,15 +183,16 @@ def test_sq_norms_blocks_equal_the_expression(n):
 @pytest.mark.parametrize(
     "n, k, dim, block_rows", [(7, 3, 4, 2), (1000, 50, 64, 300), (257, 1, 16, 257)]
 )
-def test_point_d2_blocks_equal_the_expression(monkeypatch, n, k, dim, block_rows):
+def test_nearest_distances_in_blocks_equal_the_expression(monkeypatch, n, k, dim, block_rows):
+    # k <= dim in each case, so a block holds block_rows rows
     rng = np.random.default_rng(n)
     x = rng.normal(size=(n, dim))
     c = rng.normal(size=(k, dim))
-    assign = rng.integers(k, size=n)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * dim * block_rows)
+    assign, d2 = cluster._nearest(x, cluster._sq_norms(x), c)
     diff = x - c[assign]
     expected = np.einsum("ij,ij->i", diff, diff)
-    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * dim * block_rows)
-    assert cluster._point_d2(x, c, assign).tobytes() == expected.tobytes()
+    assert d2.tobytes() == expected.tobytes()
 
 
 def test_kmeans_input_validation(tmp_path):
@@ -284,16 +285,16 @@ def test_kmeans_rejects_distances_that_overflow():
 
 
 def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
-    # 6,000 docs at k=500 assign in six row blocks; the hash was taken from
-    # the per-document implementation (one vector object per document,
-    # rng.choice seeding, a per-row d @ d distance)
+    # 6,000 docs at k=500 assign in six row blocks. The labels and centroids
+    # are those of the per-document implementation (one vector object per
+    # document, rng.choice seeding); the distances are each row's einsum
     docs = make_demo_corpus(6000, 5)
     embeddings = hash_embed(docs, dim=64, seed=5)
     model = kmeans(embeddings, k=500, seed=5, max_iters=3, tol=1e-8)
     path = tmp_path / "clusters.jsonl"
     write_clusters(model, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "59e2e8cc6392e4555f6d1825ec36bb5d1319cd352df2cbf8607d4c8eddd95d7f"
+    assert digest == "629c8c5236a81ce89c6f7ea0afb449a3c5e8753365f99a8ebc05ad8987d71143"
 
 
 def test_blocked_centroid_sums_are_np_add_at_bit_for_bit():
@@ -309,13 +310,14 @@ def test_blocked_centroid_sums_are_np_add_at_bit_for_bit():
     assert got.tobytes() == want.tobytes()
 
 
-def test_kmeans_distances_are_each_rows_dot_product_and_read_back_bit_for_bit(tmp_path):
+def test_kmeans_distances_are_each_rows_einsum_sum_to_the_objective_and_read_back(tmp_path):
     emb = hash_embed(make_demo_corpus(300, 2), dim=16, seed=2)
     model = kmeans(emb, k=7, seed=2, max_iters=10, tol=1e-8)
     assert model.ids is emb.ids
     for row, c, d in zip(emb.matrix, model.labels, model.distances):
-        diff = row - model.centroids[c]
-        assert d == float(diff @ diff)
+        diff = (row - model.centroids[c])[None, :]
+        assert d == np.einsum("ij,ij->i", diff, diff)[0]
+    assert model.objective == float(model.distances.sum())
     path = tmp_path / "clusters.jsonl"
     write_clusters(model, path)
     back = read_clusters(path)
@@ -525,7 +527,7 @@ cluster._distances = spy
 x = cluster.hash_embed(make_demo_corpus(20_000, 3), dim=64, seed=1).matrix
 centroids = x[np.random.default_rng(0).choice(len(x), 500, replace=False)]
 before = active()
-assign = cluster._nearest(x, cluster._sq_norms(x), centroids)
+assign, _ = cluster._nearest(x, cluster._sq_norms(x), centroids)
 json.dump({"before": before, "during": during, "assign": assign.tolist()}, sys.stdout)
 """
 
@@ -569,7 +571,7 @@ def test_seeding_gemv_blocks_equal_one_call(n):
 
 def _three_block_input(monkeypatch) -> Embeddings:
     """3,000 docs, k=40, D=16, with blocks small enough that each per-core path has at least 3."""
-    # `_nearest` takes 6 blocks of 500 rows, and `_point_d2` and seeding 3 of at most 1,250
+    # `_nearest` takes 6 blocks of 500 rows, and seeding 3 of at most 1,250
     monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 40 * 500)
     return hash_embed(make_demo_corpus(3000, 5), dim=16, seed=5)
 
@@ -589,10 +591,10 @@ def test_per_core_paths_equal_the_serial_path(monkeypatch, workers):
             got = cluster._kmeans_pp_init(x, xx, 40, rng, pool, workers)
             assert got.tobytes() == seeds.tobytes()
             assert rng.bit_generator.state == serial_rng.bit_generator.state
-            assign = cluster._nearest(x, xx, seeds)
-            assert cluster._nearest(x, xx, seeds, pool, workers).tobytes() == assign.tobytes()
-            d2 = cluster._point_d2(x, seeds, assign).tobytes()
-            assert cluster._point_d2(x, seeds, assign, pool, workers).tobytes() == d2
+            assign, d2 = cluster._nearest(x, xx, seeds)
+            got_assign, got_d2 = cluster._nearest(x, xx, seeds, pool, workers)
+            assert got_assign.tobytes() == assign.tobytes()
+            assert got_d2.tobytes() == d2.tobytes()
     finally:
         sys.setswitchinterval(interval)
 

@@ -418,6 +418,9 @@ _A0 = _assign("a", 0)
         ('{"k": "x", "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
         ('{"k": 7, "objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
         ('{"objective": 0.0, "sizes": [1], "centroids": [[1.0]]}\n' + _A0, 1),
+        # no cluster, and centroids without a coordinate
+        ('{"k": 0, "objective": 0.0, "sizes": [], "centroids": []}\n', 1),
+        ('{"k": 1, "objective": 0.0, "sizes": [1], "centroids": [[]]}\n' + _A0, 1),
         # a distance that is missing, not a number, negative or not finite
         (_K1 + '{"doc_id": "a", "cluster": 0}\n', 2),
         (_K1 + _assign("a", 0, "0.5"), 2),

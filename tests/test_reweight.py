@@ -487,6 +487,26 @@ def test_holdout_cv_requires_three_models():
         holdout_cv(bench.matrices[0], bench.scores)
 
 
+def test_cv_and_validation_summaries_agree_bit_for_bit_at_one_theta():
+    # With every fold's best theta the same, a CV fold and a validation
+    # holdout make the same refit, so they must give the same bits. A metric
+    # from a model's own row, or from the kept rows only, can differ from the
+    # whole matrix's in the last bit; on these inputs it does.
+    matrix, scores = _random_instance(np.random.default_rng(31), n_models=6, n_samples=2000, n_metrics=3)
+    (st,) = reweight._problem(matrix, scores)
+    theta = np.array([0.8, -0.5, 0.3])
+    # row 1 has the lower objective, so it is each fold's best
+    fold = reweight._Solution(
+        x=np.array([theta + 1.0, theta]), fun=np.array([2.0, 1.0]), nit=1, nfev=1,
+        iterations=np.ones(2, dtype=np.int64), converged=np.ones(2, dtype=bool),
+    )
+    params = ReweightParams()
+    cv = reweight._cv_summary(st, [fold] * matrix.n_models, params)
+    val = reweight._validation_residuals(params.with_theta(theta), matrix, scores)
+    assert np.array(cv.per_holdout).tobytes() == np.array(val.per_holdout).tobytes()
+    assert (cv.mean, cv.std) == (val.mean, val.std)
+
+
 def test_holdout_cv_constant_metrics_zero_residual():
     rng = np.random.default_rng(17)
     chi = (rng.random((4, 30)) < 0.5).astype(float)

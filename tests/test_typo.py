@@ -208,7 +208,8 @@ def test_load_keyboard(tmp_path):
         '{"char": "a", "neighbors": ["b"]}\n{"char": "b", "neighbors": ["a"]}\n',
         encoding="utf-8",
     )
-    kb = load_keyboard(path, layout_name="tiny")
+    kb = load_keyboard(path)
+    assert kb.layout_name == str(path)
     assert kb.neighbors("a") == ("b",)
     assert kb.neighbors("z") == ()
 
