@@ -4,15 +4,16 @@ Each of the 11 stages is declared once in `STAGES`: the config sections it
 reads, its named input and output file slots with their record kinds, and one
 body function from input records to output records plus the counts its
 run-log record stores. One runner, `_run_stage`, reads and writes every
-stage file: it reads the input slots, calls the body and writes what it
-returns. `ecsynth run` executes stages in dependency order from one strict,
-type-checked JSON config, resolving the slots to configured paths and workdir
-artifacts. It hands each file's records on to later stages without a parse,
-and logs each stage's seed, config hash, input/output hashes and counts, so a
-rerun with the same config produces byte-identical artifacts. `ecsynth
-<stage>` runs the same runner on the files its `--<slot>` flags name; its
-other flags are generated from the section dataclasses, so their defaults and
-types are the config's.
+stage file, the keyboard layout included: it reads the input slots, calls
+the body and writes what it returns. `ecsynth run` executes stages in
+dependency order from one strict, type-checked JSON config, resolving the
+slots to configured paths and workdir artifacts. It reads every configured
+input before the first stage writes, hands each file's records on to later
+stages without a parse, and logs each stage's seed, config hash,
+input/output hashes and counts, so a rerun with the same config produces
+byte-identical artifacts. `ecsynth <stage>` runs the same runner on the
+files its `--<slot>` flags name; its other flags are generated from the
+section dataclasses, so their defaults and types are the config's.
 
 Exit codes: 0 success, 1 validation error, 2 stage failure.
 """
@@ -197,8 +198,8 @@ class EvalSection:
     def __post_init__(self) -> None:
         if self.judge == "http" and not self.judge_endpoint:
             raise ConfigError("eval.judge http requires eval.judge_endpoint")
-        if self.judge == "http" and not eval_mod.has_placeholders(self.judge_prompt):
-            raise ConfigError("eval.judge_prompt needs {candidate} and {target} placeholders")
+        if self.judge == "http":
+            eval_mod.check_prompt_template(self.judge_prompt)
 
 
 @dataclass(frozen=True)
@@ -270,10 +271,8 @@ def _section_types() -> dict[str, type]:
 
 
 def _config_keys(cls: type) -> dict[str, dataclasses.Field]:
-    """Config key -> field: each field by its name and by its metadata "key"."""
-    keys = {f.name: f for f in dataclasses.fields(cls)}
-    keys.update({f.metadata["key"]: f for f in dataclasses.fields(cls) if "key" in f.metadata})
-    return keys
+    """Config key -> field: a field's key is its metadata "key", or else its name."""
+    return {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
 
 
 def _load_section(name: str, cls: type, obj: object):
@@ -345,8 +344,7 @@ class Slot:
 
     `record` is the kind of records in the file. The runner reads an input
     slot and passes the body its records, or None for an optional slot without
-    a file; a slot without a record kind is passed as its path. The runner
-    writes what the body returns for an output slot.
+    a file. The runner writes what the body returns for an output slot.
     """
 
     name: str
@@ -457,7 +455,7 @@ def _inject_grammar(cfg: PipelineConfig, seed: int, *, corpus) -> tuple[dict, di
 
 
 def _inject_typos(cfg: PipelineConfig, seed: int, *, dataset, layout) -> tuple[dict, dict]:
-    keyboard = typo_mod.load_keyboard(layout) if layout else typo_mod.QWERTY
+    keyboard = typo_mod.QWERTY if layout is None else layout
     corrupted = typo_mod.corrupt_dataset(dataset, cfg.typo.build(seed), keyboard)
     return {"out": corrupted}, {"examples": len(corrupted)}
 
@@ -683,8 +681,7 @@ STAGES = (
         "inject-typos", "simulated mobile typing errors", _inject_typos, ("typo",),
         inputs=(
             Slot("dataset", "ec_grammar.jsonl", record="ec_dataset"),
-            # typo.load_keyboard reads the layout file itself
-            Slot("layout", config="typo.layout", optional=True),
+            Slot("layout", config="typo.layout", record="layout", optional=True),
         ),
         outputs=(Slot("out", "ec_synth.jsonl", record="ec_dataset"),),
     ),
@@ -797,6 +794,7 @@ def _record_io() -> dict[str, tuple[Callable | None, Callable | None]]:
         "clusters": (records.read_clusters, records.write_clusters),
         "outputs": (records.read_outputs, records.write_outputs),
         "embeddings": (records.read_embeddings, None),
+        "layout": (records.read_layout, None),
         "json": (None, records.write_json),
         "text": (None, records.write_text),
     }
@@ -847,8 +845,6 @@ def _input(slot: Slot, path: Any, held: Held, base: Path | None) -> object:
         if not path.exists():
             raise FileNotFoundError(f"{slot.name} file not found: {path}")
         return os.path.relpath(path, base.parent)
-    if not slot.record:
-        return path
     if slot.kind == "files":
         return [held.read(slot.record, p) for p in path]
     return held.read(slot.record, path)
@@ -913,8 +909,16 @@ class RunContext:
             return found
         return self.workdir / slot.artifact
 
+    def read_configured(self, stage: Stage) -> None:
+        """Read each configured input file of the stage into `held`, where its run finds it."""
+        for slot in stage.inputs:
+            path = self.resolve(slot) if slot.config and slot.kind != "ref" else None
+            if path is not None:
+                self.held.read(slot.record, path)
+
     def run(self, stage: Stage) -> None:
         """Run one stage on its configured files and artifacts, and log it."""
+        self.workdir.mkdir(parents=True, exist_ok=True)
         paths = {slot.name: self.resolve(slot) for slot in stage.slots}
         for slot in stage.outputs:
             if slot.kind == "dir" and paths[slot.name].exists():
@@ -956,29 +960,29 @@ def run_pipeline(
 ) -> Path:
     """Execute the requested stages in dependency order; returns the workdir.
 
-    The run reads each configured input once and hands each stage's records
-    to the stages after it: a stage parses only the files that no earlier
-    stage of this call read or wrote. Every stage of the run so sees one
-    snapshot of each input, however the file changes on disk meanwhile.
+    The run reads every configured input of those stages before the first
+    one runs, so a bad one fails, as the first stage to read it, before the
+    workdir changes. It hands each stage's records to the stages after it: a
+    stage parses only the files that no earlier stage of this call read or
+    wrote. Every stage of the run so sees one snapshot of each input.
     """
     unknown = sorted(set(stages or ()) - set(STAGE_ORDER))
     if unknown:
         raise ConfigError(f"unknown stages: {unknown}")
     config_dir = Path(config_dir)
     workdir = config_dir / config.paths.workdir
-    workdir.mkdir(parents=True, exist_ok=True)
     cfg_hash = config_hash(dataclasses.asdict(config))
     ctx = RunContext(
         config=config, config_dir=config_dir, workdir=workdir, cfg_hash=cfg_hash,
         judge=_judge(config.eval),
     )
-    for stage in STAGES:
-        if stages is not None and stage.name not in stages:
-            continue
-        try:
-            ctx.run(stage)
-        except Exception as e:
-            raise StageError(stage.name, e) from e
+    selected = [stage for stage in STAGES if stages is None or stage.name in stages]
+    for step in (ctx.read_configured, ctx.run):
+        for stage in selected:
+            try:
+                step(stage)
+            except Exception as e:
+                raise StageError(stage.name, e) from e
     return workdir
 
 

@@ -47,9 +47,15 @@ class NormalizedJudge:
         return int(self._norm(candidate) == self._norm(target))
 
 
-def has_placeholders(prompt_template: str) -> bool:
-    """Whether an HTTP judge prompt template has its {candidate} and {target} slots."""
-    return "{candidate}" in prompt_template and "{target}" in prompt_template
+def check_prompt_template(prompt_template: str) -> None:
+    """A ValueError unless an HTTP judge prompt template formats with both its slots and no other."""
+    slots = {"candidate": "\0candidate\0", "target": "\0target\0"}
+    try:
+        prompt = prompt_template.format(**slots)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"prompt template does not format with {{candidate}} and {{target}}: {e!r}") from e
+    if not all(value in prompt for value in slots.values()):
+        raise ValueError("prompt template needs {candidate} and {target} placeholders")
 
 
 class MemoJudge:
@@ -74,15 +80,13 @@ class MemoJudge:
 class ExternalJudge:
     """HTTP judge: POST {"prompt": ...} -> {"text": "yes"/"no"}, one POST per call.
 
-    The prompt template must contain {candidate} and {target} placeholders,
-    and the reply's first word must be yes or no. Requests use
-    `util.post_text`'s timeout and retries. It keeps no verdicts: a run
+    The prompt template must pass `check_prompt_template`, and the reply's
+    first word must be yes or no. Requests use `util.post_text`'s timeout and retries. It keeps no verdicts: a run
     memoizes them in the `MemoJudge` that wraps its judge, whatever its kind.
     """
 
     def __init__(self, endpoint: str, prompt_template: str, token: str = ""):
-        if not has_placeholders(prompt_template):
-            raise ValueError("prompt_template needs {candidate} and {target} placeholders")
+        check_prompt_template(prompt_template)
         self.endpoint = endpoint
         self.prompt_template = prompt_template
         self.token = token

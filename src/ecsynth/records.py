@@ -13,7 +13,9 @@ other module knows a record format.
 
 Embeddings are read and passed on as one `Embeddings`: a tuple of ids and
 one read-only N x D matrix, never one object per document. A `ClusterModel`
-is columns too: ids, labels and distances.
+is columns too: ids, labels and distances. A keyboard layout is read as one
+`KeyboardModel`, named by its path, whose constructor holds the rules of the
+whole file: the adjacency is symmetric and no key neighbors itself.
 
 A reader rejects a malformed line with a RecordError that names the file and
 the line. A number in a file is a JSON int or float, not a bool, that is
@@ -278,6 +280,28 @@ class ModelOutputs:
                 raise ValueError(f"model {self.model_id!r}: empty candidate list for {sid!r}")
             normalized[sid] = cands
         object.__setattr__(self, "candidates", normalized)
+
+
+@dataclass(frozen=True)
+class KeyboardModel:
+    """Symmetric key adjacency for one layout; no key neighbors itself."""
+
+    layout_name: str
+    adjacency: dict[str, frozenset[str]]
+
+    def __post_init__(self) -> None:
+        for ch, near in self.adjacency.items():
+            if ch in near:
+                raise RecordError(f"layout {self.layout_name!r}: {ch!r} adjacent to itself")
+            for other in near:
+                if ch not in self.adjacency.get(other, frozenset()):
+                    raise RecordError(
+                        f"layout {self.layout_name!r}: adjacency not symmetric for {ch!r}/{other!r}"
+                    )
+
+    def neighbors(self, ch: str) -> tuple[str, ...]:
+        """Sorted neighbors of the lowercased key; empty if the key is unknown."""
+        return tuple(sorted(self.adjacency.get(ch.lower(), frozenset())))
 
 
 T = TypeVar("T")
@@ -658,10 +682,11 @@ def write_outputs(outputs: ModelOutputs, path: str | Path) -> None:
     _write_records(path, ({"sample_id": sid, "candidates": list(c)} for sid, c in rows))
 
 
-def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
+def read_layout(path: str | Path) -> KeyboardModel:
     """Keyboard layout file: one JSON record {char, neighbors[]} per line.
 
-    `char` and each neighbor are one-character strings.
+    `char` and each neighbor are one-character strings, and no char repeats.
+    The model is named by the path, so `KeyboardModel`'s rules name the file.
     """
 
     def entry(obj: dict) -> tuple[str, frozenset[str]]:
@@ -672,4 +697,5 @@ def read_layout(path: str | Path) -> dict[str, frozenset[str]]:
             raise RecordError(f"neighbors must be one-character strings, got {neighbors!r}")
         return char, frozenset(neighbors)
 
-    return dict(_read_records(path, "layout entry", entry, key=lambda e: e[0]))
+    entries = _read_records(path, "layout entry", entry, key=lambda e: e[0])
+    return KeyboardModel(layout_name=str(path), adjacency=dict(entries))

@@ -266,20 +266,6 @@ def _eval_sets(
     return value, grad_theta, grad_alpha
 
 
-class _NonFiniteObjective(RuntimeError):
-    pass
-
-
-def _finite_eval(
-    theta: np.ndarray, sets: Sequence[_SetData], params: ReweightParams
-) -> tuple[float, np.ndarray]:
-    """Value and theta gradient of the objective with each alpha in closed form."""
-    value, grad_theta, _ = _eval_sets(theta, None, sets, params)
-    if not np.isfinite(value):
-        raise _NonFiniteObjective
-    return value, grad_theta
-
-
 def objective(
     params: ReweightParams,
     alphas: RegressionParams | Sequence[RegressionParams],
@@ -504,9 +490,9 @@ def _batch_eval(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Objective (M,) and theta gradient (M, 3) of rows (M,) of n_rows at theta (M, 3).
 
-    The batched `_finite_eval`: each row sums over its problem's sets, with
-    alpha in closed form over the model rows its mask keeps. Values agree
-    with `_finite_eval` to rounding, not bitwise.
+    The batched `_eval_sets` with alpha in closed form: each row sums over its
+    problem's sets, with alpha over the model rows its mask keeps. Values agree
+    with `_eval_sets` to rounding, not bitwise.
     """
     at = np.full(n_rows, -1)
     at[rows] = np.arange(len(rows))
@@ -776,11 +762,13 @@ def fit(
         _check_cv(matrices[0])
         problems += _folds(sets[0])
     main, *folds = _solve(sets, problems, params, options, [theta for _, theta in inits])
-    # each restart's objective on the unbatched float path; the best of these is objective_train
+    # each restart's objective on the unbatched float path, inf where it is not finite;
+    # the best of these is objective_train
     objectives = [
-        _finite_eval(theta, sets, params)[0] if np.isfinite(value) else math.inf
+        _eval_sets(theta, None, sets, params)[0] if np.isfinite(value) else math.inf
         for theta, value in zip(main.x, main.fun)
     ]
+    objectives = [f if math.isfinite(f) else math.inf for f in objectives]
     best = int(np.argmin(objectives))
     fitted = params.with_theta(main.x[best])
     w_by_set = [weights_array(fitted, st.s_f, st.s_p) for st in sets]

@@ -2,9 +2,10 @@
 
 Each character position draws at most one event from the configured
 per-position probabilities. Spatial errors replace a letter with a uniformly
-chosen neighbor on the keyboard layout, preserving case; characters missing
-from the layout are never spatially substituted. Only sources are ever
-corrupted; targets pass through untouched.
+chosen neighbor on the keyboard (`QWERTY`, or the `records.KeyboardModel`
+that `records.read_layout` reads), preserving case; characters missing from
+the layout are never spatially substituted. Only sources are ever corrupted;
+targets pass through untouched.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from pathlib import Path
 from typing import Sequence
 
-from . import records
-from .records import ECExample
+from .records import ECExample, KeyboardModel
 from .util import Draws, derive_seed
 
 # rows staggered as on a phone keyboard; diagonal neighbors included
@@ -42,34 +41,7 @@ def _qwerty_adjacency() -> dict[str, frozenset[str]]:
     return {ch: frozenset(near) for ch, near in adj.items()}
 
 
-@dataclass(frozen=True)
-class KeyboardModel:
-    """Symmetric key adjacency for one layout; no key neighbors itself."""
-
-    layout_name: str
-    adjacency: dict[str, frozenset[str]]
-
-    def __post_init__(self) -> None:
-        for ch, near in self.adjacency.items():
-            if ch in near:
-                raise ValueError(f"layout {self.layout_name!r}: {ch!r} adjacent to itself")
-            for other in near:
-                if ch not in self.adjacency.get(other, frozenset()):
-                    raise ValueError(
-                        f"layout {self.layout_name!r}: adjacency not symmetric for {ch!r}/{other!r}"
-                    )
-
-    def neighbors(self, ch: str) -> tuple[str, ...]:
-        """Sorted neighbors of the lowercased key; empty if the key is unknown."""
-        return tuple(sorted(self.adjacency.get(ch.lower(), frozenset())))
-
-
 QWERTY = KeyboardModel(layout_name="qwerty", adjacency=_qwerty_adjacency())
-
-
-def load_keyboard(path: str | Path) -> KeyboardModel:
-    """The keyboard of a layout file (see `records.read_layout`), named by its path."""
-    return KeyboardModel(layout_name=str(path), adjacency=records.read_layout(path))
 
 
 @dataclass(frozen=True)

@@ -63,12 +63,14 @@ def test_load_config_rejects_unknown_top_level_key(demo_dir, tmp_path):
 
 
 def test_load_config_rejects_unknown_section_key(tmp_path):
-    cfg = json.loads(json.dumps(DEMO_CONFIG))
-    cfg["cluster"]["n_clusters"] = 10
-    p = tmp_path / "config.json"
-    p.write_text(json.dumps(cfg), encoding="utf-8")
-    with pytest.raises(ConfigError, match="n_clusters"):
-        load_config(p)
+    # reweight.lambda's field is named lam, but only its config key loads
+    for section, key in (("cluster", "n_clusters"), ("reweight", "lam")):
+        cfg = json.loads(json.dumps(DEMO_CONFIG))
+        cfg[section][key] = 10
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        with pytest.raises(ConfigError, match=rf"unknown keys \['{key}'\]"):
+            load_config(p)
 
 
 def test_load_config_requires_seed_and_paths(tmp_path):
@@ -102,6 +104,11 @@ def test_invalid_config_exits_1_before_any_work(demo_dir, tmp_path):
         ("seed", 1.5),
         # an http judge whose prompt lacks the {candidate} and {target} placeholders
         ("eval", {"judge": "http", "judge_endpoint": "http://127.0.0.1:9/judge"}),
+        # one whose prompt has a placeholder besides them
+        ("eval", {
+            "judge": "http", "judge_endpoint": "http://127.0.0.1:9/judge",
+            "judge_prompt": "Is {candidate} the same as {target}? Answer {yes} or {no}.",
+        }),
     ],
 )
 def test_mistyped_config_value_exits_1_before_any_work(tmp_path, key, value):
@@ -414,6 +421,69 @@ def test_stage_failure_exit_code(tmp_path):
     p.write_text(json.dumps(cfg), encoding="utf-8")
     rc = main(["run", "--config", str(p)])
     assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def configured_demo(tmp_path_factory) -> Path:
+    """A demo directory after a clean run of a config that sets every configured input.
+
+    The layout is the built-in QWERTY's, and the imported scores are a default run's.
+    """
+    out = tmp_path_factory.mktemp("configured")
+    materialize(out)
+    workdir = run_pipeline(load_config(out / "config.json"), config_dir=out)
+    (out / "imported.jsonl").write_bytes((workdir / "scores.jsonl").read_bytes())
+    records._write_records(
+        out / "qwerty.jsonl",
+        ({"char": c, "neighbors": sorted(n)} for c, n in sorted(typo.QWERTY.adjacency.items())),
+    )
+    cfg = json.loads(json.dumps(DEMO_CONFIG))
+    cfg["typo"]["layout"], cfg["scoring"]["import_scores"] = "qwerty.jsonl", "imported.jsonl"
+    (out / "config.json").write_text(json.dumps(cfg), encoding="utf-8")
+    run_pipeline(load_config(out / "config.json"), config_dir=out)
+    return out
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# each configured input, and the first stage that reads it
+@pytest.mark.parametrize(
+    "key, stage",
+    [
+        ("paths.corpus", "cluster"),
+        ("paths.domain_corpus", "score"),
+        ("paths.original_dataset", "mix"),
+        ("typo.layout", "inject-typos"),
+        ("scoring.import_scores", "score"),
+    ],
+)
+def test_a_bad_configured_input_fails_before_the_workdir_changes(
+    configured_demo, tmp_path, capsys, key, stage
+):
+    cfg = json.loads((configured_demo / "config.json").read_text(encoding="utf-8"))
+    for section in ("paths", "typo", "scoring"):
+        for name, value in cfg[section].items():
+            if isinstance(value, str) and value.endswith(".jsonl"):
+                cfg[section][name] = str(configured_demo / value)
+    section, name = key.split(".")
+    good = Path(cfg[section][name])
+    bad = tmp_path / good.name
+    bad.write_bytes(good.read_bytes() + b'{"id": "bad"\n')
+    cfg[section][name] = str(bad)
+    line = len(good.read_bytes().splitlines()) + 1
+    said = f"stage {stage!r} failed: {bad}: malformed record on line {line}"
+    workdir = configured_demo / "artifacts"
+    before = _tree_bytes(workdir)
+    for where in ("artifacts", str(workdir)):  # a fresh workdir, then the clean run's
+        cfg["paths"]["workdir"] = where
+        p = tmp_path / "config.json"
+        p.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["run", "--config", str(p)]) == 2
+        assert said in capsys.readouterr().err
+    assert not (tmp_path / "artifacts").exists()
+    assert _tree_bytes(workdir) == before
 
 
 # (argv, the demo config's edits or the config file's text, exit code, message);

@@ -562,7 +562,8 @@ def _lbfgsb_best(sets, params, options, inits) -> float:
     lbfgsb = pytest.importorskip("scipy.optimize").minimize
     return min(
         lbfgsb(
-            reweight._finite_eval, theta0, args=(sets, params), jac=True, method="L-BFGS-B",
+            lambda theta: reweight._eval_sets(theta, None, sets, params)[:2], theta0, jac=True,
+            method="L-BFGS-B",
             options={"maxiter": options.max_iters, "maxcor": 10, "gtol": options.grad_tol, "ftol": 1e-18},
         ).fun
         for theta0 in inits
@@ -598,7 +599,7 @@ def test_fit_and_folds_reach_lbfgsb_best_on_the_demo(tmp_path):
     for problem, sol in zip([None] + folds, solved):
         keep = slice(None) if problem is None else problem[0] > 0
         sets = [reweight._SetData(chi=st.chi[keep], v=st.v[keep], s_f=st.s_f, s_p=st.s_p)]
-        ours = reweight._finite_eval(reweight._best(sol), sets, params)[0]
+        ours = reweight._eval_sets(reweight._best(sol), None, sets, params)[0]
         assert ours <= _lbfgsb_best(sets, params, options, inits) * (1 + 1e-9)
 
 

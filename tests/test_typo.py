@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from ecsynth import demo
-from ecsynth.records import ECExample, RecordError
+from ecsynth.records import ECExample, KeyboardModel, RecordError, read_layout
 from ecsynth.typo import (
     QWERTY,
-    KeyboardModel,
     TypoConfig,
     corrupt,
     corrupt_dataset,
-    load_keyboard,
 )
 
 
@@ -196,10 +194,25 @@ def test_qwerty_adjacency_symmetric_no_self():
 
 
 def test_keyboard_model_validation():
-    with pytest.raises(ValueError, match="symmetric"):
+    with pytest.raises(RecordError, match="symmetric"):
         KeyboardModel(layout_name="bad", adjacency={"a": frozenset("b"), "b": frozenset()})
-    with pytest.raises(ValueError, match="itself"):
+    with pytest.raises(RecordError, match="itself"):
         KeyboardModel(layout_name="bad", adjacency={"a": frozenset("a")})
+
+
+@pytest.mark.parametrize(
+    "text, said",
+    [
+        ('{"char": "a", "neighbors": ["b"]}\n{"char": "b", "neighbors": []}\n', "not symmetric"),
+        ('{"char": "a", "neighbors": ["b"]}\n', "not symmetric"),
+        ('{"char": "c", "neighbors": ["c"]}\n', "'c' adjacent to itself"),
+    ],
+)
+def test_read_layout_rejects_a_file_against_the_models_rules(tmp_path, text, said):
+    path = tmp_path / "layout.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(RecordError, match=rf"layout\.jsonl.*{said}"):
+        read_layout(path)
 
 
 def test_load_keyboard(tmp_path):
@@ -208,7 +221,7 @@ def test_load_keyboard(tmp_path):
         '{"char": "a", "neighbors": ["b"]}\n{"char": "b", "neighbors": ["a"]}\n',
         encoding="utf-8",
     )
-    kb = load_keyboard(path)
+    kb = read_layout(path)
     assert kb.layout_name == str(path)
     assert kb.neighbors("a") == ("b",)
     assert kb.neighbors("z") == ()
@@ -233,7 +246,7 @@ def test_load_keyboard_malformed_names_file_and_line(tmp_path, entry):
     path = tmp_path / "layout.jsonl"
     path.write_text('{"char": "b", "neighbors": ["a"]}\n' + entry + "\n", encoding="utf-8")
     with pytest.raises(RecordError, match="layout.jsonl.*line 2"):
-        load_keyboard(path)
+        read_layout(path)
 
 
 def test_load_keyboard_repeated_char_names_file_and_line(tmp_path):
@@ -244,4 +257,4 @@ def test_load_keyboard_repeated_char_names_file_and_line(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(RecordError, match="layout.jsonl.*'a'.*line 3"):
-        load_keyboard(path)
+        read_layout(path)
