@@ -345,6 +345,9 @@ class Slot:
     `record` is the kind of records in the file. The runner reads an input
     slot and passes the body its records, or None for an optional slot without
     a file. The runner writes what the body returns for an output slot.
+
+    `unless` names another input slot of the stage. When that slot has a file,
+    this one is not read, and the body gets None for it.
     """
 
     name: str
@@ -358,6 +361,7 @@ class Slot:
     record: str = ""
     optional: bool = False
     flag: str = ""
+    unless: str = ""
 
 
 def _flag(slot: Slot) -> str:
@@ -418,9 +422,10 @@ def _cluster(cfg: PipelineConfig, seed: int, *, corpus, embeddings) -> tuple[dic
         "objective": model.objective,
         "mean_size": stats.mean_size,
         "std_size": stats.std_size,
+        **model.fit_counts,
     }
-    # the model as read_clusters reads it back: no history
-    return {"out": dataclasses.replace(model, objective_history=())}, counts
+    # the model as read_clusters reads it back: no history, no fit counts
+    return {"out": dataclasses.replace(model, objective_history=(), fit_counts={})}, counts
 
 
 def _sample(cfg: PipelineConfig, seed: int, *, clusters, corpus) -> tuple[dict, dict]:
@@ -689,8 +694,14 @@ STAGES = (
         "score", "dual average log-likelihood scores per target", _score, ("scoring",),
         inputs=(
             Slot("dataset", "ec_synth.jsonl", record="ec_dataset"),
-            Slot("public_corpus", config="paths.corpus", record="corpus", optional=True),
-            Slot("domain_corpus", config="paths.domain_corpus", record="corpus", optional=True),
+            Slot(
+                "public_corpus", config="paths.corpus", record="corpus", optional=True,
+                unless="import_scores",
+            ),
+            Slot(
+                "domain_corpus", config="paths.domain_corpus", record="corpus", optional=True,
+                unless="import_scores",
+            ),
             Slot(
                 "import_scores", config="scoring.import_scores", record="scores",
                 optional=True, flag="import",
@@ -850,6 +861,11 @@ def _input(slot: Slot, path: Any, held: Held, base: Path | None) -> object:
     return held.read(slot.record, path)
 
 
+def _unneeded(slot: Slot, paths: dict[str, Any]) -> bool:
+    """Whether the slot goes unread because its `unless` slot has a file."""
+    return bool(slot.unless) and paths.get(slot.unless) is not None
+
+
 def _run_stage(
     stage: Stage, config: PipelineConfig, seed: int, paths: dict[str, Any], held: Held,
     extras: dict,
@@ -862,7 +878,10 @@ def _run_stage(
     slot before the first write, so a stage that cannot make one writes none.
     """
     base = paths[stage.outputs[0].name]
-    inputs = {slot.name: _input(slot, paths[slot.name], held, base) for slot in stage.inputs}
+    inputs = {
+        slot.name: _input(slot, None if _unneeded(slot, paths) else paths[slot.name], held, base)
+        for slot in stage.inputs
+    }
     outputs, counts = stage.body(config, seed, **inputs, **extras)
     wanted = [slot for slot in stage.outputs if paths[slot.name] is not None]
     for slot in wanted:
@@ -910,10 +929,11 @@ class RunContext:
         return self.workdir / slot.artifact
 
     def read_configured(self, stage: Stage) -> None:
-        """Read each configured input file of the stage into `held`, where its run finds it."""
+        """Read each configured input file the stage reads into `held`, where its run finds it."""
+        paths = {s.name: self.resolve(s) for s in stage.inputs if s.config and s.kind != "ref"}
         for slot in stage.inputs:
-            path = self.resolve(slot) if slot.config and slot.kind != "ref" else None
-            if path is not None:
+            path = paths.get(slot.name)
+            if path is not None and not _unneeded(slot, paths):
                 self.held.read(slot.record, path)
 
     def run(self, stage: Stage) -> None:
@@ -932,7 +952,7 @@ class RunContext:
             "stage": stage.name,
             "seed": self.stage_seed(stage.name),
             "config_hash": self.cfg_hash,
-            "inputs": self._digests(stage.inputs, paths),
+            "inputs": self._digests([s for s in stage.inputs if not _unneeded(s, paths)], paths),
             "outputs": self._digests(stage.outputs, paths),
             "counts": counts,
         }

@@ -5,10 +5,21 @@ deterministic stand-in so the stage can run self-contained. Distances are
 squared Euclidean on L2-normalized vectors, which orders the same as cosine.
 
 kmeans computes every number the clusters file holds; `records.write_clusters`
-only formats the model. Each assignment pass (`_nearest`) gives every row
-its nearest centroid and its squared distance to it, taken by direct
-subtraction. The file's distances are the last pass's, and its objective is
-their sum.
+only formats the model. Every assignment follows one rule (`_assign`): a row
+goes to the centroid with the smallest direct-form distance, the einsum of
+its difference from the centroid with itself, and the lowest index wins on
+equality. A GEMM only proposes candidates; the rows whose runner-up lies
+within a stated bound of the GEMM's rounding error are settled by the direct
+form. So the labels, and the distances the file holds, do not depend on the
+GEMM's bits: not on the BLAS kernel the CPU picks, its thread count or the
+row blocks. The objective is the distances' sum.
+
+Lloyd's passes after the first are pruned exactly: a row whose centroid did
+not move can only go to a centroid that moved, so it meets those alone, and
+only clusters whose rows changed add up their sums again. Seeding is
+k-means‖ (`_kmeans_par_init`): a few rounds of candidates, each one
+assignment call, then a weighted k-means++ over the candidates. Every
+distance a draw depends on is the rule's.
 
 The stage works on one `records.Embeddings` matrix throughout: hash_embed
 fills it one block of documents at a time and kmeans reads it in row blocks.
@@ -16,12 +27,11 @@ Every other array the stage builds is a row block or one value per row, so
 its memory is about one N x D matrix plus blocks.
 
 kmeans holds OpenBLAS to one thread (`util.one_blas_thread`) and gives its
-row blocks to one thread per core instead. Each BLAS call is then the same
-one-thread call whichever thread makes it, and every sum that fixes a float
-order runs serially in the calling thread: the seeding total and the
-objective over the whole array, and the centroid sums (`_centroid_sums`)
-one row block after another, each cell in row order. So the result does
-not depend on the core count or on OPENBLAS_NUM_THREADS.
+row blocks to one thread per core instead, each with a buffer allocated by
+the calling thread. Every sum that fixes a float order runs serially in the
+calling thread: the seeding totals and the objective over the whole array,
+and the centroid sums (`_centroid_sums`) one row block after another, each
+cell in row order. So the result does not depend on the core count either.
 """
 
 from __future__ import annotations
@@ -46,34 +56,17 @@ class ClusterStats:
     histogram: tuple[tuple[float, float, int], ...]  # (lo, hi, count) buckets
 
 
-# Byte budget of one row block's temporaries: the (rows x k) distance matrix
-# and then the (rows x D) differences in `_nearest`, which share one buffer of
-# max(k, D) columns, the (rows x D) squares in `_sq_norms` and hashed counts
-# in `hash_embed`. The demo's 2,000 x max(50, 64) assignment fits in one
-# block, so its artifacts equal an unblocked run's: a blocked GEMM can differ
-# from a whole one by 1 ULP.
-_BLOCK_BYTES = 4 << 20
+# Byte budget of one row block's temporaries: an `_assign` block's buffer (see
+# `_assign_width`), the (rows x D) squares in `_sq_norms` and the hashed counts
+# in `hash_embed`. No number the stage computes depends on it. A smaller
+# budget lowers the heap the stage leaves behind, on which the later stages'
+# peaks sit; at 2 MB the per-block overhead starts to show at `corpus50k`.
+_BLOCK_BYTES = 3 << 20
 
-
-def _distances(
-    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, cc: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared Euclidean distances of the rows of x to the centroids, shape (rows, k).
-
-    xx and cc are the squared row norms of x and of the centroids. Canonical
-    distance for the whole module: fitting and any fixed-point verification
-    must use the same float path so ties break identically. It evaluates
-    max(xx - 2 * (x @ C.T) + cc, 0) in that order, in place in `out` (a new
-    array when None), so a caller can reuse one buffer across calls.
-    """
-    if out is None:
-        out = np.empty((x.shape[0], centroids.shape[0]))
-    np.matmul(x, centroids.T, out=out)
-    out *= 2.0
-    np.subtract(xx[:, None], out, out=out)
-    out += cc
-    return np.maximum(out, 0.0, out=out)
+# k-means‖ seeding: its rounds, and the candidates each round draws in
+# expectation, as a share of k
+_SEED_ROUNDS = 5
+_SEED_OVERSAMPLING = 0.5
 
 
 def _block_rows(width: int) -> int:
@@ -107,45 +100,206 @@ def _blockwise(
         f.result()
 
 
+def _margin_scale(dim: int) -> float:
+    """`_assign`'s near-tie margin for D-dimensional rows, per unit of ‖x‖² + max ‖c‖² + 1.
+
+    A computed dot product of D terms errs by at most γ_D Σ|a_i b_i|, with
+    γ_D ≈ D·u and u = 2⁻⁵³, in any summation order and with or without fused
+    multiply-adds (Higham, "Accuracy and Stability of Numerical Algorithms",
+    §3.1). So the kernel's ‖c‖² − 2x·c errs by at most 2(D + 1)u(‖x‖² + ‖c‖²),
+    a direct-form distance by at most 2(D + 2)u(‖x‖² + ‖c‖²), and a baseline's
+    distance minus ‖x‖² by at most 3(D + 2)u(‖x‖² + ‖c‖²). A centroid whose
+    direct form beats or ties the one the kernel ranks first is then within
+    10(D + 2)u(‖x‖² + max ‖c‖²) of it in the kernel. The margin, 128(D + 2)u,
+    is 12 times that; the + 1 covers values near underflow.
+    """
+    return (dim + 2) * 2.0**-46
+
+
+def _assign_width(m: int, dim: int, gather: bool) -> int:
+    """Columns of float64 in an `_assign` block buffer, for m candidate centroids.
+
+    The gathered rows (when the rows are a subset); the kernel values and
+    then the differences; the tied rows' values and then the rows that take
+    a new centroid; the near-tie mask at one byte a value; and ten values per
+    row.
+    """
+    return (dim if gather else 0) + 2 * max(m, dim) + -(-m // 8) + 10
+
+
+def _assign(
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, labels: np.ndarray, dist: np.ndarray,
+    pool: ThreadPoolExecutor | None = None, parts: int = 1,
+    cols: np.ndarray | None = None, rows: np.ndarray | None = None,
+) -> int:
+    """Move each of `rows` to the nearest of the centroids `cols` that beats its baseline, in place.
+
+    The assignment rule: a row goes to the centroid with the smallest
+    direct-form squared distance, the einsum of x − c with itself, and the
+    lowest index wins on equality. On entry labels[r] and dist[r] are row r's
+    baseline, a centroid outside `cols` and its direct-form distance (inf for
+    none); on return they are the rule's winner among the baseline and `cols`.
+    rows and cols hold ascending indices; None means all of them. xx holds the
+    squared row norms (`_sq_norms`). Returns the (row, centroid) pairs the
+    candidate kernel evaluated, len(rows) x len(cols).
+
+    The kernel, x @ (−2C)ᵀ + ‖c‖², only proposes. A row whose second-best
+    column and baseline both lie beyond `_margin_scale`'s bound of the best
+    takes that best one, and the direct form gives its distance. The near ties
+    are settled after the pass, each row among all its near candidates by the
+    direct form (`_settle`). So neither the GEMM's bits, nor the BLAS kernel,
+    its thread count or the block rows, can change a label or a distance.
+
+    Row blocks go to `parts` threads of `pool`, or run here when it is None,
+    each in a buffer `_blockwise` allocates.
+    """
+    n_rows = len(x) if rows is None else len(rows)
+    col_ids = np.arange(len(centroids)) if cols is None else cols
+    m, dim = len(col_ids), x.shape[1]
+    if n_rows == 0 or m == 0:
+        return 0
+    neg2 = centroids[col_ids]
+    neg2 *= -2.0
+    cc = np.einsum("ij,ij->i", neg2, neg2)
+    cc *= 0.25  # ‖c‖², as (−2c)² / 4 is exact
+    top = float(np.einsum("ij,ij->i", centroids, centroids).max()) + 1.0
+    scale = _margin_scale(dim)
+    gather = rows is not None
+    width = _assign_width(m, dim, gather)
+    step = _block_rows(width)
+    offsets = np.arange(min(step, n_rows)) * m  # each block row's first flat index in its values
+    ties: list[tuple[np.ndarray, np.ndarray] | None] = [None] * -(-n_rows // step)
+
+    def work(block: slice, buf: np.ndarray) -> None:
+        r, flat = buf.shape[0], buf.ravel()
+        span = r * max(m, dim)
+        o = r * dim if gather else 0
+        g = flat[o : o + r * m].reshape(r, m)
+        diff = flat[o : o + r * dim].reshape(r, dim)  # g's space, once g is read
+        o += span
+        spare = flat[o : o + r * m].reshape(r, m)
+        picked = flat[o : o + r * dim].reshape(r, dim)  # spare's space, once the ties are out
+        o += span
+        mask = flat[o : o + -(-r * m // 8)].view(np.bool_)[: r * m].reshape(r, m)
+        o += -(-r * m // 8)
+        vec = flat[o : o + 10 * r].reshape(10, r)
+        at, pos, second = vec[0].view(np.int64), vec[1].view(np.int64), vec[2].view(np.int64)
+        lo, hi, eb, thr, best = vec[3], vec[4], vec[5], vec[6], vec[7]
+        if gather:
+            ids = rows[block]
+            xb = flat[: r * dim].reshape(r, dim)
+            np.take(x, ids, axis=0, out=xb, mode="clip")
+            xr = np.take(xx, ids, out=vec[8], mode="clip")
+            base = np.take(dist, ids, out=vec[9], mode="clip")
+        else:
+            xb, xr, base = x[block], xx[block], dist[block]
+        np.matmul(xb, neg2.T, out=g)
+        g += cc
+        # the least value and the second least, each by argmin: a row-wise min takes longer
+        values = g.reshape(-1)
+        np.argmin(g, axis=1, out=at)
+        np.add(offsets[:r], at, out=pos)
+        np.take(values, pos, out=lo)
+        values[pos] = np.inf
+        np.argmin(g, axis=1, out=second)
+        second += offsets[:r]
+        np.take(values, second, out=hi)
+        values[pos] = lo
+        np.subtract(base, xr, out=eb)  # the baseline's kernel value: inf without one
+        np.minimum(lo, eb, out=best)
+        np.add(xr, top, out=thr)
+        thr *= scale
+        thr += best  # the near-tie threshold
+        near_base = eb <= thr
+        tied = (hi <= thr) | (near_base & (lo <= thr))
+        if tied.any():
+            some = np.flatnonzero(tied)
+            f = len(some)
+            np.compress(tied, g, axis=0, out=spare[:f])
+            near = np.less_equal(spare[:f], thr[some, None], out=mask[:f])
+            i, pc = np.nonzero(near)
+            tied_rows = ids[some[i]] if gather else some[i] + block.start
+            ties[block.start // step] = (tied_rows, col_ids[pc])
+        # the direct-form distance of each row that takes its least value outright
+        taken = np.flatnonzero(~(tied | near_base))
+        f = len(taken)
+        if f:
+            src = xb if f == r else np.take(xb, taken, axis=0, out=picked[:f], mode="clip")
+            winners = col_ids[at[taken]]
+            d = diff[:f]
+            np.take(centroids, winners, axis=0, out=d, mode="clip")
+            np.subtract(src, d, out=d)
+            np.einsum("ij,ij->i", d, d, out=lo[:f])
+            target = ids[taken] if gather else taken + block.start
+            labels[target], dist[target] = winners, lo[:f]
+
+    _blockwise(n_rows, step, width, work, pool, parts)
+    found = [t for t in ties if t is not None]
+    if found:
+        pr, pc = (np.concatenate(side) for side in zip(*found))
+        _settle(x, centroids, labels, dist, pr, pc)
+    return n_rows * m
+
+
+def _settle(
+    x: np.ndarray, centroids: np.ndarray, labels: np.ndarray, dist: np.ndarray,
+    pr: np.ndarray, pc: np.ndarray,
+) -> None:
+    """Settle near ties by the rule: each row of pr takes the least (direct-form distance, index).
+
+    The candidates are the row's pairs' centroids pc and its baseline.
+    """
+    d = _pair_distances(x, centroids, pr, pc)
+    # the pairs come sorted by row, then centroid: each row's least distance, first in order
+    starts = np.flatnonzero(np.concatenate(([True], pr[1:] != pr[:-1])))
+    least = np.minimum.reduceat(d, starts)
+    hits = np.flatnonzero(d == np.repeat(least, np.diff(np.append(starts, len(d)))))
+    first = hits[np.concatenate(([True], pr[hits[1:]] != pr[hits[:-1]]))]
+    pr, pc, d = pr[first], pc[first], d[first]
+    base = dist[pr]
+    wins = (d < base) | ((d == base) & (pc < labels[pr]))
+    labels[pr[wins]], dist[pr[wins]] = pc[wins], d[wins]
+
+
+def _pair_distances(
+    x: np.ndarray, centroids: np.ndarray, pr: np.ndarray, pc: np.ndarray
+) -> np.ndarray:
+    """The direct-form squared distance of each row pr[i] to centroid pc[i], in blocks of pairs."""
+    dim = x.shape[1]
+    out = np.empty(len(pr))
+    step = _block_rows(2 * dim)
+    rows_buf = np.empty((min(step, len(pr)), dim))
+    cents_buf = np.empty_like(rows_buf)
+    for lo in range(0, len(pr), step):
+        part = slice(lo, lo + step)
+        a, b = rows_buf[: len(pr[part])], cents_buf[: len(pr[part])]
+        np.take(x, pr[part], axis=0, out=a, mode="clip")
+        np.take(centroids, pc[part], axis=0, out=b, mode="clip")
+        np.subtract(a, b, out=a)
+        np.einsum("ij,ij->i", a, a, out=out[part])
+    return out
+
+
 def _nearest(
     x: np.ndarray, xx: np.ndarray, centroids: np.ndarray,
     pool: ThreadPoolExecutor | None = None, parts: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(index of each row's nearest centroid, its squared distance to it), in one pass of row blocks.
+    """(each row's centroid by the assignment rule, its direct-form distance), from no baseline.
 
-    The argmin is over the expanded form `_distances`, and breaks ties toward
-    the lowest index. The distance is by direct subtraction, an einsum of the
-    row's difference with itself: exact zero for coincident points, and the
-    same in any block. BLAS runs on one thread, so a block's GEMM gives the
-    same bits on any thread and under any OPENBLAS_NUM_THREADS. Memory is
-    O(block x max(k, D)) per hand rather than O(N x k).
+    One `_assign` pass of every row against every centroid, with BLAS held to
+    one thread.
     """
-    (n, dim), k = x.shape, centroids.shape[0]
-    cc = np.sum(centroids * centroids, axis=1)
-    assign = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n)
-
-    def work(block: slice, buf: np.ndarray) -> None:
-        flat, rows = buf.ravel(), buf.shape[0]
-        d = _distances(x[block], xx[block], centroids, cc, out=flat[: rows * k].reshape(rows, k))
-        np.argmin(d, axis=1, out=assign[block])
-        diff = flat[: rows * dim].reshape(rows, dim)
-        # "clip" takes no temporary, which "raise" does; argmin's indices are in range
-        np.take(centroids, assign[block], axis=0, out=diff, mode="clip")
-        np.subtract(x[block], diff, out=diff)
-        np.einsum("ij,ij->i", diff, diff, out=d2[block])
-
-    width = max(k, dim)
+    labels, dist = np.zeros(len(x), dtype=np.int64), np.full(len(x), np.inf)
     with util.one_blas_thread():
-        _blockwise(n, _block_rows(width), width, work, pool, parts)
-    return assign, d2
+        _assign(x, xx, centroids, labels, dist, pool, parts)
+    return labels, dist
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
     """Squared norm of each row of x, in O(block x D) memory.
 
     Bitwise equal to `np.sum(x * x, axis=1)`: each row's sum is the same in
-    any block. The one definition of the row norms `_distances` takes.
+    any block.
     """
     n = x.shape[0]
     rows = _block_rows(x.shape[1])
@@ -172,46 +326,75 @@ def _weighted_draw(
     return int(np.searchsorted(cdf, rng.random(), side="right"))
 
 
-def _kmeans_pp_init(
+def _seeding_total(values: np.ndarray) -> float:
+    """The sum of seeding weights, which must be finite; the entries are >= 0."""
+    total = float(values.sum())
+    if not np.isfinite(total):
+        raise ValueError(f"kmeans: seeding distances sum to {total}; the vectors are too large")
+    return total
+
+
+def _kmeans_par_init(
     x: np.ndarray, xx: np.ndarray, k: int, rng: np.random.Generator,
     pool: ThreadPoolExecutor | None = None, parts: int = 1,
-) -> np.ndarray:
-    """k-means++ seeds. Each pick's distances and minimum run in `_block_rows(D)`-row blocks.
+) -> tuple[np.ndarray, int]:
+    """k-means‖ seeds and the number of candidates they were picked from.
 
-    A GEMV gives each row the same bits in any block, so the blocks change no
-    distance; the sum and the draw run here, over the whole array.
+    k-means‖ is Bahmani et al., "Scalable K-Means++" (VLDB 2012). The first
+    candidate is a uniform draw. Each round then draws every row with
+    probability min(1, ℓ·d / Σd), where ℓ = k · `_SEED_OVERSAMPLING` and d is
+    the row's distance to its nearest candidate, and one `_assign` call over
+    the new candidates, with each row's (nearest candidate, distance) as its
+    baseline, brings those up to date. After `_SEED_ROUNDS` rounds, and more
+    while fewer than k candidates own a row and some row lies off all of them,
+    each candidate weighs the rows it owns. A weighted k-means++ over the
+    candidates, on direct-form distances, then picks the k seeds. When every
+    candidate coincides with a seed before k are picked, as on inputs with
+    fewer than k distinct points, each further seed is a uniform draw among
+    the rows not yet picked.
+
+    Every distance a draw or a weight depends on is the assignment rule's, so
+    no BLAS kernel can change a seed. The sums run here, over whole arrays.
     """
     n, dim = x.shape
-    cdf = np.empty(n)
-    # min(inf, d) is d bit for bit, NaN included, so the first pick needs no case of its own
-    closest = np.full(n, np.inf)
+    owner, closest = np.zeros(n, dtype=np.int64), np.full(n, np.inf)
+    picked = [int(rng.integers(n))]  # the candidates' rows of x
+    ell = _SEED_OVERSAMPLING * k
+    row_bytes = np.dtype((np.void, x.itemsize * dim))  # a row of x as one value
+    assigned = rounds = 0
+    while True:
+        cols = np.arange(assigned, len(picked))
+        _assign(x, xx, x[picked], owner, closest, pool, parts, cols=cols)
+        assigned = len(picked)
+        total = _seeding_total(closest)
+        owning = np.count_nonzero(np.bincount(owner, minlength=assigned))
+        if total <= 0.0 or (rounds >= _SEED_ROUNDS and owning >= k):
+            break
+        rounds += 1
+        drawn = np.flatnonzero(rng.random(n) * total < ell * closest)
+        # a copy of a row drawn before it would lose every tie to it and own no row
+        _, first = np.unique(x[drawn].view(row_bytes).ravel(), return_index=True)
+        picked.extend(drawn[np.sort(first)].tolist())
 
-    def take_point(i: int) -> None:
-        """Lower `closest` to the distances to point i."""
-        c = x[i][None, :]
-        cc = np.sum(c * c, axis=1)
-
-        def work(block: slice, col: np.ndarray) -> None:
-            d = _distances(x[block], xx[block], c, cc, out=col)[:, 0]
-            np.minimum(closest[block], d, out=closest[block])
-
-        _blockwise(n, _block_rows(dim), 1, work, pool, parts)
-
-    chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
-    take_point(chosen[0])
-    for c in range(1, k):
-        total = closest.sum()  # entries are >= 0: `_distances` clamps them
-        if not np.isfinite(total):
-            raise ValueError(f"kmeans: seeding distances sum to {total}; the vectors are too large")
+    m = len(picked)
+    points, rows = x[picked], np.array(picked)
+    weights = np.bincount(owner, minlength=m).astype(np.float64)
+    near = np.full(m, np.inf)  # each candidate's distance to its nearest seed
+    diff, d, cdf = np.empty((m, dim)), np.empty(m), np.empty(m)
+    weighted = weights.copy()  # the first draw weighs the candidates alone
+    seeds = np.empty(k, dtype=np.int64)
+    for c in range(k):
+        total = _seeding_total(weighted)
         if total <= 0.0:
-            # remaining points duplicate chosen centroids; fall back to uniform
-            candidates = np.setdiff1d(np.arange(n), chosen[:c])
-            chosen[c] = rng.choice(candidates)
+            # every candidate duplicates a seed; fall back to uniform
+            seeds[c] = rng.choice(np.setdiff1d(np.arange(n), seeds[:c]))
         else:
-            chosen[c] = _weighted_draw(closest, total, rng, out=cdf)
-        take_point(chosen[c])
-    return x[chosen].copy()
+            seeds[c] = rows[_weighted_draw(weighted, total, rng, out=cdf)]
+        np.subtract(points, x[seeds[c]], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=d)
+        np.minimum(near, d, out=near)
+        np.multiply(weights, near, out=weighted)
+    return x[seeds].copy(), m
 
 
 def check_kmeans_args(k: int, max_iters: int, tol: float) -> None:
@@ -241,16 +424,23 @@ def kmeans(
     max_iters: int,
     tol: float,
 ) -> ClusterModel:
-    """Lloyd's k-means with k-means++ seeding, deterministic given the seed.
+    """Lloyd's k-means with k-means‖ seeding, deterministic given the seed.
 
-    The objective (sum of squared distances to assigned centroids) is checked
-    to be non-increasing on every iteration. Empty clusters are repaired by
-    reseeding their centroid to the point farthest from its assigned centroid.
-    A cluster can still end empty when the input has fewer distinct points
-    than k: its reseeded centroid duplicates another and loses every tie.
+    Every assignment follows the rule of `_assign`. The objective (sum of
+    squared distances to assigned centroids) is checked to be non-increasing
+    on every iteration. Empty clusters are repaired by reseeding their
+    centroid to the point farthest from its assigned centroid. A cluster can
+    still end empty when the input has fewer distinct points than k: its
+    reseeded centroid duplicates another and loses every tie.
+
+    The model's `fit_counts` tell how the fit went: `iterations` (assignment
+    passes), `converged` (whether the last pass improved the objective by
+    less than tol), `repairs` (empty clusters reseeded), `seed_candidates`
+    and `candidate_pairs` (the (row, centroid) pairs the Lloyd passes' kernel
+    evaluated).
     """
     x = embeddings.matrix
-    n = x.shape[0]
+    n, dim = x.shape
     if n == 0:
         raise ValueError("kmeans: empty input")
     check_kmeans_args(k, max_iters, tol)
@@ -258,9 +448,9 @@ def kmeans(
         raise ValueError(f"kmeans: k={k} exceeds number of docs ({n})")
 
     with util.one_blas_thread() as pinned:
-        parts = _worker_count(n, max(k, x.shape[1])) if pinned else 1
+        parts = _worker_count(n, _assign_width(k, dim, False)) if pinned else 1
         with ThreadPoolExecutor(parts) if parts > 1 else nullcontext() as pool:
-            centroids, labels, distances, objective, history = _lloyd(
+            centroids, labels, distances, history, fit_counts = _lloyd(
                 x, k, seed, max_iters, tol, pool, parts
             )
     return ClusterModel(
@@ -268,15 +458,16 @@ def kmeans(
         ids=embeddings.ids,
         labels=labels,
         distances=distances,
-        objective=objective,
+        objective=history[-1],
         objective_history=tuple(history),
+        fit_counts=fit_counts,
     )
 
 
 def _worker_count(n: int, width: int) -> int:
-    """kmeans' threads: one per core it may run on, and at most one per `_nearest` block.
+    """kmeans' threads: one per core it may run on, and at most one per full `_assign` block.
 
-    width is that block's buffer width, max(k, D).
+    width is that block's buffer width.
     """
     return min(len(os.sched_getaffinity(0)), -(-n // _block_rows(width)))
 
@@ -284,60 +475,116 @@ def _worker_count(n: int, width: int) -> int:
 def _lloyd(
     x: np.ndarray, k: int, seed: int, max_iters: int, tol: float,
     pool: ThreadPoolExecutor | None, parts: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, list[float]]:
-    """Seeding and Lloyd iterations: (centroids, assignment, distances, objective, objective history).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float], dict]:
+    """Seeding and Lloyd iterations: (centroids, labels, distances, objective history, fit counts).
 
-    The assignment and distances are the last pass's, and the objective is
-    the distances' sum.
+    The labels and distances are the last pass's, and the objective is the
+    distances' sum. After the first pass, a pass revisits only what the moved
+    centroids can change (`_reassign`), and an update adds up again only the
+    clusters whose rows changed, the same rows in the same order. Both are
+    exact: the result equals that of full passes and full sums bit for bit.
 
     Row blocks go to `parts` threads of `pool`, or run here when it is None.
     """
+    n, dim = x.shape
     xx = _sq_norms(x)
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, xx, k, rng, pool, parts)
-
+    if not np.isfinite(xx).all():
+        raise ValueError("kmeans: a squared row norm overflows; the vectors are too large")
+    centroids, candidates = _kmeans_par_init(x, xx, k, np.random.default_rng(seed), pool, parts)
+    labels, dist = np.zeros(n, dtype=np.int64), np.full(n, np.inf)
+    pairs = _assign(x, xx, centroids, labels, dist, pool, parts)
+    sums = np.zeros((k, dim))
+    changed = np.ones(k, dtype=bool)  # clusters whose rows changed since `sums` added them
+    repairs = 0
     prev_obj = np.inf
     history: list[float] = []
-    for it in range(max_iters):  # max_iters >= 1, so the loop sets assign and point_d2
-        assign, point_d2 = _nearest(x, xx, centroids, pool, parts)
-        obj = float(point_d2.sum())
+    for it in range(max_iters):
+        obj = float(dist.sum())
         if obj > prev_obj + 1e-9 * max(1.0, prev_obj if np.isfinite(prev_obj) else 1.0):
             raise AssertionError(f"kmeans objective increased: {prev_obj} -> {obj} at iter {it}")
         history.append(obj)
-        if prev_obj - obj < tol or it == max_iters - 1:
-            prev_obj = obj
+        converged = prev_obj - obj < tol
+        if converged or it == max_iters - 1:
             break
         prev_obj = obj
 
+        counts = np.bincount(labels, minlength=k)
+        if changed.any():
+            sums[changed] = _centroid_sums(x, labels, k, np.flatnonzero(changed[labels]))[changed]
         new_centroids = np.empty_like(centroids)
-        counts = np.bincount(assign, minlength=k)
-        sums = _centroid_sums(x, assign, k)
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty][:, None]
         if not nonempty.all():
             # reseed each empty cluster to the currently worst-fit point
-            repair_d2 = point_d2.copy()
+            repair_d2 = dist.copy()
             for c in np.flatnonzero(~nonempty):
                 far = int(np.argmax(repair_d2))
                 new_centroids[c] = x[far]
                 repair_d2[far] = -1.0
-        centroids = new_centroids
-    return centroids, assign, point_d2, prev_obj, history
+                repairs += 1
+        moved = (new_centroids.view(np.int64) != centroids.view(np.int64)).any(axis=1)
+        centroids, before = new_centroids, labels.copy()
+        pairs += _reassign(x, xx, centroids, labels, dist, moved, pool, parts)
+        switched = labels != before
+        changed[:] = False
+        changed[labels[switched]] = changed[before[switched]] = True
+    fit_counts = {
+        "iterations": len(history),
+        "converged": bool(converged),
+        "repairs": repairs,
+        "seed_candidates": candidates,
+        "candidate_pairs": pairs,
+    }
+    return centroids, labels, dist, history, fit_counts
 
 
-def _centroid_sums(x: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    """The sum of each cluster's rows of x, shape (k, D), in O(block x D) memory.
+def _reassign(
+    x: np.ndarray, xx: np.ndarray, centroids: np.ndarray, labels: np.ndarray, dist: np.ndarray,
+    moved: np.ndarray, pool: ThreadPoolExecutor | None, parts: int,
+) -> int:
+    """Bring (labels, dist) up to date after the centroids where `moved` is true moved.
 
-    Bitwise equal to `np.add.at(sums, assign, x)` on zeros: `np.add.at` on
-    the flattened sums, one index per cell, adds each cell's rows in row
-    order as the 2-D call does, but takes numpy's fast path for a 1-D index.
+    A row whose centroid stayed put keeps its distance to it, and every other
+    centroid that stayed put is as far as it was when that one won. So only a
+    moved centroid can take the row: it meets those alone, with its label and
+    distance as its baseline. A row whose centroid moved has no baseline: it
+    meets the moved centroids in the same pass, then the others with the
+    result as its baseline. When most centroids moved, every row meets every
+    centroid in one pass. Returns the (row, centroid) pairs evaluated.
     """
-    n, dim = x.shape
+    k = len(centroids)
+    moved_ids = np.flatnonzero(moved)
+    if 2 * len(moved_ids) > k:
+        dist.fill(np.inf)
+        return _assign(x, xx, centroids, labels, dist, pool, parts)
+    orphans = np.flatnonzero(moved[labels])
+    dist[orphans] = np.inf
+    pairs = _assign(x, xx, centroids, labels, dist, pool, parts, cols=moved_ids)
+    return pairs + _assign(
+        x, xx, centroids, labels, dist, pool, parts, cols=np.flatnonzero(~moved), rows=orphans
+    )
+
+
+def _centroid_sums(
+    x: np.ndarray, assign: np.ndarray, k: int, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """Each cluster's sum of its rows of x among `rows` (None: all), shape (k, D), in O(block x D) memory.
+
+    Bitwise equal to `np.add.at(sums, assign[rows], x[rows])` on zeros:
+    `np.add.at` on the flattened sums, one index per cell, adds each cell's
+    rows in row order as the 2-D call does, but takes numpy's fast path for
+    a 1-D index. So when `rows` holds every row of some clusters in
+    ascending order, their sums equal those of all rows.
+    """
+    dim = x.shape[1]
     sums = np.zeros((k, dim))
-    flat, cols, rows = sums.ravel(), np.arange(dim), _block_rows(dim)
-    for lo in range(0, n, rows):
-        cells = assign[lo : lo + rows, None] * dim + cols
-        np.add.at(flat, cells.ravel(), x[lo : lo + rows].ravel())
+    # a block's cells, and its rows of x when they are gathered
+    flat, cols, step = sums.ravel(), np.arange(dim), _block_rows(2 * dim)
+    count = len(x) if rows is None else len(rows)
+    for lo in range(0, count, step):
+        part = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
+        cells = assign[part, None] * dim + cols
+        np.add.at(flat, cells.ravel(), x[part].ravel())
     return sums
 
 
@@ -378,10 +625,7 @@ def cluster_stats(model: ClusterModel) -> ClusterStats:
 
 
 def verify_nearest_assignment(model: ClusterModel, embeddings: Embeddings) -> bool:
-    """Fixed-point check: reassigning every point to its nearest centroid changes nothing.
-
-    `_nearest` holds BLAS to one thread here as in kmeans, so the check sees the fit's bits.
-    """
+    """Fixed-point check: reassigning every point by the assignment rule changes no label."""
     x = embeddings.matrix
     assign, _ = _nearest(x, _sq_norms(x), model.centroids)
     labels = dict(zip(model.ids, model.labels.tolist()))

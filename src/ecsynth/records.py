@@ -45,7 +45,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -253,6 +253,7 @@ class ClusterModel:
     distances: np.ndarray          # (N,) float64 squared distance to its centroid, as written
     objective: float               # sum of squared distances
     objective_history: tuple[float, ...] = ()  # objective after each assignment pass
+    fit_counts: dict[str, int | bool] = field(default_factory=dict)  # `cluster.kmeans`'s; not in the file
 
     @property
     def k(self) -> int:

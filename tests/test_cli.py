@@ -467,6 +467,8 @@ def test_a_bad_configured_input_fails_before_the_workdir_changes(
         for name, value in cfg[section].items():
             if isinstance(value, str) and value.endswith(".jsonl"):
                 cfg[section][name] = str(configured_demo / value)
+    if key == "paths.domain_corpus":
+        cfg["scoring"]["import_scores"] = ""  # imported scores leave the corpora unread
     section, name = key.split(".")
     good = Path(cfg[section][name])
     bad = tmp_path / good.name
@@ -484,6 +486,35 @@ def test_a_bad_configured_input_fails_before_the_workdir_changes(
         assert said in capsys.readouterr().err
     assert not (tmp_path / "artifacts").exists()
     assert _tree_bytes(workdir) == before
+
+
+def test_imported_scores_leave_the_corpora_unread(configured_demo, tmp_path, capsys):
+    # the configured run imports its scores, so a malformed domain corpus is never parsed
+    cfg = json.loads((configured_demo / "config.json").read_text(encoding="utf-8"))
+    bad = tmp_path / "domain.jsonl"
+    bad.write_bytes(b'{"id": "bad"\n')
+    for section in ("paths", "typo", "scoring"):
+        for name, value in cfg[section].items():
+            if isinstance(value, str) and value.endswith(".jsonl"):
+                cfg[section][name] = str(configured_demo / value)
+    cfg["paths"]["domain_corpus"], cfg["paths"]["workdir"] = str(bad), "artifacts"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    log = json.loads((tmp_path / "artifacts" / "runlog" / "score.json").read_text(encoding="utf-8"))
+    assert sorted(log["inputs"]) == ["ec_synth.jsonl", "imported.jsonl"]
+    want = (configured_demo / "artifacts" / "scores.jsonl").read_bytes()
+    assert (tmp_path / "artifacts" / "scores.jsonl").read_bytes() == want
+    # the stage subcommand, given both corpora and the import
+    out = tmp_path / "scores.jsonl"
+    argv = [
+        "score", "--dataset", str(configured_demo / "artifacts" / "ec_synth.jsonl"),
+        "--import", cfg["scoring"]["import_scores"], "--public-corpus", str(bad),
+        "--domain-corpus", str(bad), "--out", str(out),
+    ]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert out.read_bytes() == want
 
 
 # (argv, the demo config's edits or the config file's text, exit code, message);
@@ -951,6 +982,16 @@ def test_run_stage_subset(demo_dir):
     assert (workdir / "runlog" / "cluster.json").exists()
     record = json.loads((workdir / "runlog" / "cluster.json").read_text(encoding="utf-8"))
     assert set(record) == {"stage", "seed", "config_hash", "inputs", "outputs", "counts"}
+    counts = record["counts"]
+    assert set(counts) == {
+        "docs", "k", "objective", "mean_size", "std_size",
+        "iterations", "converged", "repairs", "seed_candidates", "candidate_pairs",
+    }
+    # the demo's k-means converges inside its 50 iterations, with no empty cluster
+    assert 1 < counts["iterations"] < 50 and counts["converged"] is True and counts["repairs"] == 0
+    assert counts["seed_candidates"] > counts["k"]
+    n, k = counts["docs"], counts["k"]
+    assert n * k < counts["candidate_pairs"] < counts["iterations"] * n * k
 
 
 def test_rerun_with_fewer_models_drops_stale_outputs(tmp_path):

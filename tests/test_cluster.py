@@ -82,17 +82,19 @@ def test_kmeans_objective_monotone_and_fixed_point():
 
 
 def test_kmeans_repairs_seeding_and_empty_clusters_on_duplicate_points(monkeypatch):
-    # 10 distinct points, 5 copies each, k=12: after 10 seeds every distance is 0,
-    # so k-means++ falls back to uniform draws, whose duplicate centroids lose
-    # every tie and come out of the first assignment empty
+    # 10 distinct points, 5 copies each, k=12: the k-means‖ candidates cover the
+    # 10 points, so after 10 seeds every candidate is one and the last 2 seeds
+    # are uniform draws, whose duplicate centroids lose every tie and come out
+    # of the first assignment empty
     docs = _docs(np.repeat(np.eye(10), 5, axis=0))
     weighted = []
     draw = cluster._weighted_draw
     monkeypatch.setattr(cluster, "_weighted_draw", lambda *a, **kw: weighted.append(1) or draw(*a, **kw))
     model = kmeans(docs, k=12, seed=0, max_iters=50, tol=1e-8)
-    assert len(weighted) == 9  # 11 draws after the first seed, 2 of them uniform
+    assert len(weighted) == 10  # 12 seeds, 2 of them uniform
     assert model.objective == 0.0
     assert model.sizes.tolist() == [5] * 10 + [0, 0]
+    assert model.fit_counts["repairs"] > 0
     # the reseed moved each empty centroid onto an input point
     for c in (10, 11):
         assert any(np.array_equal(model.centroids[c], row) for row in docs.matrix)
@@ -112,7 +114,7 @@ def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     docs = _docs(x)
     whole = kmeans(docs, k=5, seed=1, max_iters=20, tol=1e-8)
     # 300-row blocks: 1,000 points span three full blocks and a partial one
-    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 5 * 300)
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * cluster._assign_width(5, 8, False) * 300)
     blocked = kmeans(docs, k=5, seed=1, max_iters=20, tol=1e-8)
     assert blocked.ids == whole.ids
     np.testing.assert_array_equal(blocked.labels, whole.labels)
@@ -121,20 +123,133 @@ def test_kmeans_blocked_assignment_matches_one_block(monkeypatch):
     assert verify_nearest_assignment(blocked, docs)
 
 
-@pytest.mark.parametrize("n, k, dim", [(7, 3, 4), (1000, 50, 64), (257, 1, 16)])
-def test_distances_in_place_equal_the_expression(n, k, dim):
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, dim))
-    c = rng.normal(size=(k, dim))
-    xx = np.sum(x * x, axis=1)
-    cc = np.sum(c * c, axis=1)
-    expected = np.maximum(xx[:, None] - 2.0 * (x @ c.T) + cc[None, :], 0.0)
-    assert cluster._distances(x, xx, c, cc).tobytes() == expected.tobytes()
-    # a reused buffer, and a leading slice of a larger one as for a last partial block
-    for buf in (np.full((n, k), np.nan), np.full((n + 5, k), np.nan)[:n]):
-        got = cluster._distances(x, xx, c, cc, out=buf)
-        assert got is buf
-        assert got.tobytes() == expected.tobytes()
+def _brute_force_rule(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The assignment rule by its definition: the least direct-form distance, lowest index on ties."""
+    d = np.empty((len(x), len(c)))
+    for j in range(len(c)):
+        diff = x - c[j]
+        d[:, j] = np.einsum("ij,ij->i", diff, diff)
+    labels = np.argmin(d, axis=1)
+    return labels, d[np.arange(len(x)), labels]
+
+
+def _rule_cases(name: str) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(31)
+    if name == "random":
+        return rng.normal(size=(1500, 16)), rng.normal(size=(40, 16))
+    if name == "duplicate points":
+        x = np.repeat(np.eye(10), 5, axis=0)
+        return x, x[::4][:12]  # rows 0, 4, 8, ...: two copies of several points
+    if name == "exact ties":
+        # each row is orthogonal to every centroid, and all have norm 1
+        x = np.zeros((60, 8))
+        x[:, 0] = rng.choice([-1.0, 1.0], 60)
+        c = np.zeros((7, 8))
+        c[np.arange(7), np.arange(1, 8)] = 1.0
+        return x, c
+    if name == "1-ulp near ties":
+        # five copies of one centroid, two of them moved by one ulp in one coordinate
+        c = np.repeat(rng.normal(size=(1, 8)), 5, axis=0)
+        c[1, 0] = np.nextafter(c[1, 0], np.inf)
+        c[3, 2] = np.nextafter(c[3, 2], -np.inf)
+        return c[0] + 1e-3 * rng.normal(size=(300, 8)), c
+    x = hash_embed(make_demo_corpus(3000, 3), dim=64, seed=1).matrix  # "hashed embeddings"
+    return x, x[rng.choice(len(x), 200, replace=False)]
+
+
+@pytest.mark.parametrize(
+    "case", ["random", "duplicate points", "exact ties", "1-ulp near ties", "hashed embeddings"]
+)
+def test_assignment_is_the_direct_form_rule_bit_for_bit(monkeypatch, case):
+    x, c = _rule_cases(case)
+    want_labels, want_d = _brute_force_rule(x, c)
+    # the default blocks, and blocks of 7 rows, whose last block is partial
+    for budget in (cluster._BLOCK_BYTES, 8 * 7 * cluster._assign_width(len(c), x.shape[1], False)):
+        monkeypatch.setattr(cluster, "_BLOCK_BYTES", budget)
+        labels, d = cluster._nearest(x, cluster._sq_norms(x), c)
+        assert labels.tolist() == want_labels.tolist()
+        assert d.tobytes() == want_d.tobytes()
+
+
+def test_assignment_from_a_baseline_and_on_a_subset_is_the_rule(monkeypatch):
+    # rows of a subset meet a subset of the centroids, each from its baseline
+    # among the others: the winner over both is the rule's over all centroids
+    x, c = _rule_cases("hashed embeddings")
+    want_labels, want_d = _brute_force_rule(x, c)
+    rng = np.random.default_rng(4)
+    cols = np.sort(rng.choice(len(c), 60, replace=False))
+    rows = np.sort(rng.choice(len(x), 1000, replace=False))
+    others = np.setdiff1d(np.arange(len(c)), cols)
+    labels, d = _brute_force_rule(x, c[others])
+    labels = others[labels]
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 64 * 300)
+    pairs = cluster._assign(x, cluster._sq_norms(x), c, labels, d, cols=cols, rows=rows)
+    assert pairs == len(rows) * len(cols)
+    assert labels[rows].tolist() == want_labels[rows].tolist()
+    assert d[rows].tobytes() == want_d[rows].tobytes()
+    rest = np.setdiff1d(np.arange(len(x)), rows)
+    assert (labels[rest] == others[_brute_force_rule(x[rest], c[others])[0]]).all()
+
+
+def _reference_kmeans(x: np.ndarray, k: int, seed: int, max_iters: int, tol: float):
+    """Unpruned Lloyd from `kmeans`' seeds: a full pass and full `np.add.at` sums every iteration."""
+    xx = cluster._sq_norms(x)
+    centroids, _ = cluster._kmeans_par_init(x, xx, k, np.random.default_rng(seed))
+    prev, history = np.inf, []
+    for it in range(max_iters):
+        labels, d = cluster._nearest(x, xx, centroids)
+        history.append(float(d.sum()))
+        if prev - history[-1] < tol or it == max_iters - 1:
+            return centroids, labels, d, history
+        prev = history[-1]
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros((k, x.shape[1]))
+        np.add.at(sums, labels, x)
+        new = np.empty_like(centroids)
+        nonempty = counts > 0
+        new[nonempty] = sums[nonempty] / counts[nonempty][:, None]
+        worst = d.copy()
+        for c in np.flatnonzero(~nonempty):
+            far = int(np.argmax(worst))
+            new[c], worst[far] = x[far], -1.0
+        centroids = new
+
+
+@pytest.mark.parametrize(
+    "n, k, seed, docs_seed", [(2000, 50, 1, 1), (3000, 120, 2, 4), (50, 12, 0, None)]
+)
+def test_pruned_lloyd_equals_full_passes_bit_for_bit(n, k, seed, docs_seed):
+    if docs_seed is None:  # duplicate points: empty clusters and their repairs
+        x = np.repeat(np.eye(10), 5, axis=0)
+    else:
+        x = hash_embed(make_demo_corpus(n, docs_seed), dim=64, seed=docs_seed).matrix
+    model = kmeans(_docs(x), k=k, seed=seed, max_iters=40, tol=1e-8)
+    centroids, labels, d, history = _reference_kmeans(x, k, seed, 40, 1e-8)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.labels.tolist() == labels.tolist()
+    assert model.distances.tobytes() == d.tobytes()
+    assert model.objective_history == tuple(history)
+    counts = model.fit_counts
+    assert counts["iterations"] == len(history)
+    assert len(x) * k <= counts["candidate_pairs"] <= len(history) * len(x) * k
+    if docs_seed is not None:
+        # more candidates than seeds, and a pruned pass meets fewer centroids than a full one
+        assert counts["seed_candidates"] > k
+        assert counts["candidate_pairs"] < len(history) * len(x) * k
+
+
+def test_kmeans_clusters_do_not_depend_on_the_block_size(monkeypatch, tmp_path):
+    emb = hash_embed(make_demo_corpus(3000, 9), dim=32, seed=9)
+    got = []
+    # the default, 101 rows a full block (an odd last block), and 1,024 rows
+    for rows in (None, 101, 1024):
+        if rows is not None:
+            monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * rows * cluster._assign_width(60, 32, False))
+        path = tmp_path / f"clusters-{rows}.jsonl"
+        write_clusters(kmeans(emb, k=60, seed=9, max_iters=15, tol=1e-8), path)
+        got.append(path.read_bytes())
+    assert 3000 % 101 != 0
+    assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_kmeans_memory_stays_below_n_by_k():
@@ -175,7 +290,7 @@ def test_kmeans_memory_stays_below_few_n_by_d():
 
 @pytest.mark.parametrize("n", [1, 7, 8_193])
 def test_sq_norms_blocks_equal_the_expression(n):
-    # at D = 64 a default block holds 8,192 rows, so 8,193 rows take two
+    # at D = 64 a default block holds 6,144 rows, so 8,193 rows take two
     x = np.random.default_rng(n).normal(size=(n, 64))
     assert cluster._sq_norms(x).tobytes() == np.sum(x * x, axis=1).tobytes()
 
@@ -285,29 +400,34 @@ def test_kmeans_rejects_distances_that_overflow():
 
 
 def test_cluster_artifact_over_many_blocks_is_pinned(tmp_path):
-    # 6,000 docs at k=500 assign in six row blocks. The labels and centroids
-    # are those of the per-document implementation (one vector object per
-    # document, rng.choice seeding); the distances are each row's einsum
+    # 6,000 docs at k=500 assign in several row blocks, by the assignment rule
+    # from k-means‖ seeds
     docs = make_demo_corpus(6000, 5)
     embeddings = hash_embed(docs, dim=64, seed=5)
     model = kmeans(embeddings, k=500, seed=5, max_iters=3, tol=1e-8)
     path = tmp_path / "clusters.jsonl"
     write_clusters(model, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "629c8c5236a81ce89c6f7ea0afb449a3c5e8753365f99a8ebc05ad8987d71143"
+    assert digest == "10f8e592c53abeafba6ad83d62896f93f1a23da21f121fd27b9c59a24c7f0976"
 
 
 def test_blocked_centroid_sums_are_np_add_at_bit_for_bit():
-    # two full row blocks of 64 columns and part of a third; cluster 6 gets no row
-    n = 2 * cluster._block_rows(64) + 3617
+    # two full row blocks and part of a third; cluster 6 gets no row
+    rows = cluster._block_rows(2 * 64)
+    n = 2 * rows + 3617
     rng = np.random.default_rng(8)
     x = rng.standard_normal((n, 64)) * rng.uniform(1e-3, 1e3, (n, 1))
     assign = rng.integers(0, 6, n)
     want = np.zeros((7, 64))
     np.add.at(want, assign, x)
     got = cluster._centroid_sums(x, assign, 7)
-    assert n > 8192 and n % cluster._block_rows(64) != 0
+    assert n > rows and n % rows != 0
     assert got.tobytes() == want.tobytes()
+    # the rows of clusters 1 and 4 alone, in row order, give those clusters' sums
+    some = np.flatnonzero((assign == 1) | (assign == 4))
+    part = cluster._centroid_sums(x, assign, 7, some)
+    assert part[[1, 4]].tobytes() == want[[1, 4]].tobytes()
+    assert not part[[0, 2, 3, 5, 6]].any()
 
 
 def test_kmeans_distances_are_each_rows_einsum_sum_to_the_objective_and_read_back(tmp_path):
@@ -501,7 +621,7 @@ def test_embeddings_file_round_trip(tmp_path):
 
 
 # Prints the OpenBLAS thread count before `_nearest`, the count each of its
-# GEMMs ran under, and its assignment of 20,000 demo documents to 500 of them.
+# kernel calls ran under, and its assignment of 20,000 demo documents to 500 of them.
 _THREADS_CHILD = """
 import json, sys
 import numpy as np
@@ -517,13 +637,13 @@ def active():
     return counts
 
 during = []
-distances = cluster._distances
+assign = cluster._assign
 
 def spy(*args, **kwargs):
     during.append(active())
-    return distances(*args, **kwargs)
+    return assign(*args, **kwargs)
 
-cluster._distances = spy
+cluster._assign = spy
 x = cluster.hash_embed(make_demo_corpus(20_000, 3), dim=64, seed=1).matrix
 centroids = x[np.random.default_rng(0).choice(len(x), 500, replace=False)]
 before = active()
@@ -533,9 +653,9 @@ json.dump({"before": before, "during": during, "assign": assign.tolist()}, sys.s
 
 
 def test_assignment_does_not_depend_on_openblas_threads():
-    # Under 2 OpenBLAS threads an unpinned GEMM puts 2 of these 20,000 rows
-    # in another cluster than under 1. OpenBLAS reads OPENBLAS_NUM_THREADS when
-    # it loads, so each count runs in a fresh interpreter.
+    # Under 2 OpenBLAS threads an unpinned GEMM put 2 of these 20,000 rows in
+    # another cluster than under 1, when the GEMM decided. OpenBLAS reads
+    # OPENBLAS_NUM_THREADS when it loads, so each count runs in a fresh interpreter.
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("OpenBLAS starts at most one thread per core")
     src = str(Path(ecsynth.__file__).resolve().parents[1])
@@ -556,23 +676,68 @@ def test_assignment_does_not_depend_on_openblas_threads():
     assert got[1]["assign"] == got[2]["assign"]
 
 
-@pytest.mark.parametrize("n", [2_000, 50_000])
-def test_seeding_gemv_blocks_equal_one_call(n):
-    # seeding takes each pick's GEMV in `_block_rows(D)`-row blocks; every row
-    # must get the bits of one whole-array call, as before blocking
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, 64))
-    c = rng.normal(size=(1, 64))
-    with util.one_blas_thread():
-        whole = (x @ c.T).tobytes()
-        for rows in (64, 1_000, cluster._block_rows(64)):
-            assert np.concatenate([x[lo : lo + rows] @ c.T for lo in range(0, n, rows)]).tobytes() == whole
+# Writes the clusters file of kmeans on the demo at the cluster seeds of runs
+# 1234 and 101, and on 6,000 documents at k=500; prints each file's sha256 and
+# the OpenBLAS core in use, as the loaded library names it.
+_KERNEL_CHILD = """
+import ctypes, hashlib, json, os, sys, tempfile
+import numpy as np
+from ecsynth import cluster, records
+from ecsynth.demo import DATA_DIR, make_demo_corpus
+from ecsynth.util import derive_seed
+
+def corename():
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        paths = sorted({line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line.lower()})
+    for path in paths:
+        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        for name in ("openblas_get_corename", "openblas_get_corename64_",
+                     "scipy_openblas_get_corename", "scipy_openblas_get_corename64_"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return ""
+
+demo = records.read_corpus(DATA_DIR / "demo_corpus.jsonl")
+runs = [(demo, 50, 50, derive_seed(run, "cluster")) for run in (1234, 101)]
+runs.append((make_demo_corpus(6000, 5), 500, 3, 5))
+digests = []
+with tempfile.TemporaryDirectory() as tmp:
+    for docs, k, iters, seed in runs:
+        model = cluster.kmeans(cluster.hash_embed(docs, 64, seed), k, seed, iters, 1e-8)
+        path = os.path.join(tmp, "clusters.jsonl")
+        records.write_clusters(model, path)
+        digests.append(hashlib.sha256(open(path, "rb").read()).hexdigest())
+json.dump({"core": corename(), "digests": digests}, sys.stdout)
+"""
+
+
+def test_clusters_do_not_depend_on_the_openblas_kernels():
+    # Before the assignment rule, the Sandybridge kernels moved the demo's
+    # clusters at seed 1234 and the Haswell kernels the 6,000-document case.
+    # OpenBLAS reads OPENBLAS_CORETYPE when it loads, so each runs in a fresh interpreter.
+    src = str(Path(ecsynth.__file__).resolve().parents[1])
+    got = {}
+    for core in ("", "Haswell", "Sandybridge"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if core:
+            env["OPENBLAS_CORETYPE"] = core
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD], env=env, check=True, capture_output=True, text=True,
+        )
+        got[core] = json.loads(proc.stdout)
+        if core and got[core]["core"].lower() != core.lower():
+            pytest.skip(f"OPENBLAS_CORETYPE={core} is not honoured here (core {got[core]['core']!r})")
+    assert got["Haswell"]["digests"] == got[""]["digests"]
+    assert got["Sandybridge"]["digests"] == got[""]["digests"]
 
 
 def _three_block_input(monkeypatch) -> Embeddings:
     """3,000 docs, k=40, D=16, with blocks small enough that each per-core path has at least 3."""
-    # `_nearest` takes 6 blocks of 500 rows, and seeding 3 of at most 1,250
-    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * 40 * 500)
+    # a full `_assign` pass takes 6 blocks of 500 rows, and each seeding round at least 3
+    monkeypatch.setattr(cluster, "_BLOCK_BYTES", 8 * cluster._assign_width(40, 16, False) * 500)
     return hash_embed(make_demo_corpus(3000, 5), dim=16, seed=5)
 
 
@@ -587,9 +752,9 @@ def test_per_core_paths_equal_the_serial_path(monkeypatch, workers):
     try:
         with util.one_blas_thread(), ThreadPoolExecutor(workers) as pool:
             serial_rng, rng = np.random.default_rng(5), np.random.default_rng(5)
-            seeds = cluster._kmeans_pp_init(x, xx, 40, serial_rng)
-            got = cluster._kmeans_pp_init(x, xx, 40, rng, pool, workers)
-            assert got.tobytes() == seeds.tobytes()
+            seeds, candidates = cluster._kmeans_par_init(x, xx, 40, serial_rng)
+            got, got_candidates = cluster._kmeans_par_init(x, xx, 40, rng, pool, workers)
+            assert got.tobytes() == seeds.tobytes() and got_candidates == candidates
             assert rng.bit_generator.state == serial_rng.bit_generator.state
             assign, d2 = cluster._nearest(x, xx, seeds)
             got_assign, got_d2 = cluster._nearest(x, xx, seeds, pool, workers)
